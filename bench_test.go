@@ -105,42 +105,6 @@ func BenchmarkTable3(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkerScaling measures the parallel pre-drain scheduler at
-// increasing worker counts over the worker-scaling job list (the
-// workload.FanOutShapes fan-out programs — wide/shallow through
-// narrow/deep — plus the three largest Table 2 programs; the same list
-// `ptabench -scalingjson` records into BENCH_workerscaling.json). The
-// fan-out shapes are built so independent drains actually batch. On a
-// single-CPU host the worker counts above 1 only measure scheduling
-// overhead — record the numbers with that caveat.
-func BenchmarkWorkerScaling(b *testing.B) {
-	for _, j := range bench.ScalingWorkloads() {
-		for _, w := range []int{1, 2, 4, 8} {
-			j, w := j, w
-			b.Run(fmt.Sprintf("%s/workers=%d", j.Name, w), func(b *testing.B) {
-				var epochs int
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					prog := mustProgram(b, j.Name, j.Source)
-					an, err := analysis.New(prog, analysis.Options{
-						Lib: libsum.Summaries(), Workers: w,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					runtime.GC()
-					b.StartTimer()
-					if err := an.Run(); err != nil {
-						b.Fatal(err)
-					}
-					epochs = an.Stats().ParallelEpochs
-				}
-				b.ReportMetric(float64(epochs), "epochs")
-			})
-		}
-	}
-}
-
 // BenchmarkInvocationGraph reproduces the §7 comparison: the size of the
 // Emami-style invocation graph vs the number of PTFs.
 func BenchmarkInvocationGraph(b *testing.B) {

@@ -13,10 +13,10 @@
 //	cgen -edit bodytweak -seed 7 -check
 //	cgen -minimize prog.c
 //
-// -fanout emits the deterministic wide fan-out call-graph shape the
-// worker-scaling benchmark measures (breadth independent callee cones,
-// each -fandepth calls deep); it composes with -check but ignores the
-// random-generator flags.
+// -fanout emits the deterministic wide fan-out call-graph shape that
+// engine-equivalence and IR-hash tests use (breadth independent callee
+// cones, each -fandepth calls deep); it composes with -check but
+// ignores the random-generator flags.
 //
 // -edit KIND applies one structured edit (bodytweak, addstore,
 // removestore, newcallee, deleteproc) to the generated program and

@@ -4,14 +4,12 @@
 //
 // Usage:
 //
-//	ptabench [-table2] [-invoke] [-ablation benchmark] [-workers n]
-//	         [-json file] [-scalingjson file] [-editjson file]
-//	         [-demandjson file] [-cpuprofile file] [-memprofile file]
+//	ptabench [-table2] [-invoke] [-ablation benchmark] [-json file]
+//	         [-editjson file] [-demandjson file] [-cpuprofile file]
+//	         [-memprofile file]
 //
 // -json writes the Table 2 suite measurements (BENCH_ptabench.json);
-// -scalingjson writes worker-scaling measurements over the fan-out
-// shapes and the largest suite programs at 1/2/4/8 workers
-// (BENCH_workerscaling.json); -editjson writes warm-edit measurements —
+// -editjson writes warm-edit measurements —
 // for each benchmark, a single-procedure statement tweak re-analyzed
 // incrementally against a converged baseline versus analyzed cold
 // (BENCH_incremental.json); -demandjson writes demand-query latency —
@@ -36,11 +34,9 @@ func main() {
 		table2     = flag.Bool("table2", true, "run the Table 2 harness")
 		invokeC    = flag.Bool("invoke", true, "run the invocation-graph comparison")
 		ablation   = flag.String("ablation", "eqntott", "benchmark for the reuse-policy ablation (empty to skip)")
-		jsonOut    = flag.String("json", "", "write per-workload measurements (ns/op, allocs/op, PTFs/proc, engine, workers) to this file")
-		scalingOut = flag.String("scalingjson", "", "write worker-scaling measurements over the fan-out shapes to this file")
+		jsonOut    = flag.String("json", "", "write per-workload measurements (ns/op, allocs/op, PTFs/proc, engine) to this file")
 		editOut    = flag.String("editjson", "", "write warm-edit (incremental vs cold re-analysis) measurements to this file")
 		demandOut  = flag.String("demandjson", "", "write demand-query latency (warm vs cold vs whole-program) measurements to this file")
-		workers    = flag.Int("workers", 1, "analysis worker-pool size for -json runs (0 = GOMAXPROCS, 1 = sequential)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
@@ -78,12 +74,7 @@ func main() {
 		fmt.Println(bench.FormatAblation(rows))
 	}
 	if *jsonOut != "" {
-		if err := bench.WriteJSON(*jsonOut, *workers); err != nil {
-			fatal(err)
-		}
-	}
-	if *scalingOut != "" {
-		if err := bench.WriteWorkerScalingJSON(*scalingOut, []int{1, 2, 4, 8}); err != nil {
+		if err := bench.WriteJSON(*jsonOut); err != nil {
 			fatal(err)
 		}
 	}

@@ -8,7 +8,7 @@
 //
 //	wlpad serve [-addr :8372] [-cache-dir DIR] [-mem-budget BYTES]
 //	            [-timeout DUR] [-max-inflight N] [-baseline-cap N]
-//	            [-workers N] [-policy ptf|emami|single] [-max-ptfs N]
+//	            [-policy ptf|emami|single] [-max-ptfs N]
 //	            [-combine-offsets] [-log json|text]
 //
 // The process serves until SIGINT/SIGTERM, then shuts down gracefully
@@ -46,7 +46,6 @@ func main() {
 		timeout     = fs.Duration("timeout", 2*time.Minute, "per-request analysis wall-clock budget")
 		maxInflight = fs.Int("max-inflight", 2, "concurrent engine runs (cache hits are not throttled)")
 		baselineCap = fs.Int("baseline-cap", 8, "warm-edit baselines held for incremental grafting (each pins a converged analysis)")
-		workers     = fs.Int("workers", 0, "worker-pool size per analysis (0 = GOMAXPROCS; results identical)")
 		policy      = fs.String("policy", "ptf", "summarization policy: ptf, emami, or single")
 		maxPTFs     = fs.Int("max-ptfs", 0, "cap PTFs per procedure (0 = unlimited)")
 		combine     = fs.Bool("combine-offsets", false, "combine PTFs differing only in offsets/strides (paper §7)")
@@ -57,7 +56,6 @@ func main() {
 	opts := pta.Options{
 		MaxPTFs:        *maxPTFs,
 		CombineOffsets: *combine,
-		Workers:        *workers,
 		Timeout:        *timeout,
 	}
 	switch *policy {

@@ -1,6 +1,6 @@
 // TestDemandEquivalence pins the acceptance bar of the demand-driven
-// query mode: on every embedded benchmark, at 1/2/4/8 workers, the
-// demand walker's PointsToAt/PointsTo/MayAlias answers are bit-identical
+// query mode: on every embedded benchmark, the demand walker's
+// PointsToAt/PointsTo/MayAlias answers are bit-identical
 // to the whole-program Result's — with call skipping on, with it off,
 // and through the budget-exhaustion fallback. The fuzz-corpus side of
 // the same identity is the difftest demand rung.
@@ -20,47 +20,45 @@ func TestDemandEquivalence(t *testing.T) {
 	for _, b := range workload.Suite() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			for _, workers := range []int{1, 2, 4, 8} {
-				res, err := pta.AnalyzeSource(b.Name+".c", b.Source, &pta.Options{Workers: workers})
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				views := []struct {
-					name string
-					d    *pta.Demand
-				}{
-					{"default", res.Demand(nil)},
-					{"noskip", res.Demand(&pta.DemandOptions{NoCallSkip: true})},
-					{"starved", res.Demand(&pta.DemandOptions{Budget: 2})},
-				}
-				for _, site := range res.SampleQuerySites(maxSites) {
-					want := res.PointsToAt(site.Proc, site.Line, site.Expr)
-					for _, v := range views {
-						if got := v.d.PointsToAt(site.Proc, site.Line, site.Expr); !reflect.DeepEqual(got, want) {
-							t.Fatalf("workers=%d %s PointsToAt(%s:%d %q): demand %v, result %v",
-								workers, v.name, site.Proc, site.Line, site.Expr, got, want)
-						}
+			res, err := pta.AnalyzeSource(b.Name+".c", b.Source, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			views := []struct {
+				name string
+				d    *pta.Demand
+			}{
+				{"default", res.Demand(nil)},
+				{"noskip", res.Demand(&pta.DemandOptions{NoCallSkip: true})},
+				{"starved", res.Demand(&pta.DemandOptions{Budget: 2})},
+			}
+			for _, site := range res.SampleQuerySites(maxSites) {
+				want := res.PointsToAt(site.Proc, site.Line, site.Expr)
+				for _, v := range views {
+					if got := v.d.PointsToAt(site.Proc, site.Line, site.Expr); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s PointsToAt(%s:%d %q): demand %v, result %v",
+							v.name, site.Proc, site.Line, site.Expr, got, want)
 					}
 				}
-				globals := res.Globals()
-				if len(globals) > 6 {
-					globals = globals[:6]
-				}
-				for _, g := range globals {
-					want := res.PointsTo(g)
-					for _, v := range views {
-						if got := v.d.PointsTo(g); !reflect.DeepEqual(got, want) {
-							t.Fatalf("workers=%d %s PointsTo(%s): demand %v, result %v", workers, v.name, g, got, want)
-						}
+			}
+			globals := res.Globals()
+			if len(globals) > 6 {
+				globals = globals[:6]
+			}
+			for _, g := range globals {
+				want := res.PointsTo(g)
+				for _, v := range views {
+					if got := v.d.PointsTo(g); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s PointsTo(%s): demand %v, result %v", v.name, g, got, want)
 					}
 				}
-				for i, g := range globals {
-					for _, h := range globals[i:] {
-						want := res.MayAlias(g, h)
-						for _, v := range views {
-							if got := v.d.MayAlias(g, h); got != want {
-								t.Fatalf("workers=%d %s MayAlias(%s,%s): demand %v, result %v", workers, v.name, g, h, got, want)
-							}
+			}
+			for i, g := range globals {
+				for _, h := range globals[i:] {
+					want := res.MayAlias(g, h)
+					for _, v := range views {
+						if got := v.d.MayAlias(g, h); got != want {
+							t.Fatalf("%s MayAlias(%s,%s): demand %v, result %v", v.name, g, h, got, want)
 						}
 					}
 				}

@@ -3,12 +3,15 @@
 // results: same PTF counts, same collapsed Solution, same checker
 // diagnostics, on every workload program. The engines may differ in
 // Passes and NodesEvaluated — that is the point of the worklist — but
-// never in any analysis fact.
+// never in any analysis fact. The Parallel tests prove the same of
+// analyses that run at the same time in one process.
 package wlpa_test
 
 import (
+	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,18 +23,17 @@ import (
 	"wlpa/internal/workload"
 )
 
-// analyzeWith runs one source through the analysis with the base
+// runAnalysis runs one source through the analysis with the base
 // options (lib summaries, solution collection, null tracking) plus the
-// engine selectors force/workers.
-func analyzeWith(t *testing.T, name, src string, force bool, workers int) *analysis.Analysis {
-	t.Helper()
+// engine selector force.
+func runAnalysis(name, src string, force bool) (*analysis.Analysis, error) {
 	f, err := cparse.ParseSource(name, src)
 	if err != nil {
-		t.Fatalf("%s: parse: %v", name, err)
+		return nil, fmt.Errorf("%s: parse: %v", name, err)
 	}
 	prog, err := sem.Check(f)
 	if err != nil {
-		t.Fatalf("%s: sem: %v", name, err)
+		return nil, fmt.Errorf("%s: sem: %v", name, err)
 	}
 	an, err := analysis.New(prog, analysis.Options{
 		Lib:             libsum.Summaries(),
@@ -39,21 +41,24 @@ func analyzeWith(t *testing.T, name, src string, force bool, workers int) *analy
 		CollectSolution: true,
 		TrackNull:       true,
 		ForceFullPasses: force,
-		Workers:         workers,
 	})
 	if err != nil {
-		t.Fatalf("%s: new: %v", name, err)
+		return nil, fmt.Errorf("%s: new: %v", name, err)
 	}
 	if err := an.Run(); err != nil {
-		t.Fatalf("%s: run (force=%v workers=%d): %v", name, force, workers, err)
+		return nil, fmt.Errorf("%s: run (force=%v): %v", name, force, err)
 	}
-	return an
+	return an, nil
 }
 
-// analyzeBoth runs the same source through both engines.
-func analyzeBoth(t *testing.T, name, src string) (worklist, full *analysis.Analysis) {
+// analyzeWith is runAnalysis on the test goroutine.
+func analyzeWith(t *testing.T, name, src string, force bool) *analysis.Analysis {
 	t.Helper()
-	return analyzeWith(t, name, src, false, 1), analyzeWith(t, name, src, true, 1)
+	an, err := runAnalysis(name, src, force)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return an
 }
 
 // solutionDump renders the collapsed solution deterministically: one
@@ -95,147 +100,216 @@ func modrefDump(an *analysis.Analysis) string {
 	return strings.Join(an.ModRef().Dump(), "\n")
 }
 
-func comparePTFsPerProc(t *testing.T, name string, wl, full map[string]int) {
+// facts is everything the equivalence tests compare of one analysis.
+type facts struct {
+	stats                   analysis.Stats
+	solution, diags, modref string
+}
+
+func factsOf(t *testing.T, an *analysis.Analysis) facts {
 	t.Helper()
-	for proc, n := range full {
-		if wl[proc] != n {
-			t.Errorf("%s: PTFs for %s = %d (worklist), want %d (full)", name, proc, wl[proc], n)
+	return facts{an.Stats(), solutionDump(an), diagDump(t, an), modrefDump(an)}
+}
+
+// compareFacts reports every fact in which got differs from want.
+func compareFacts(t *testing.T, got, want facts) {
+	t.Helper()
+	gs, ws := got.stats, want.stats
+	if gs.PTFs != ws.PTFs {
+		t.Errorf("PTFs = %d, want %d", gs.PTFs, ws.PTFs)
+	}
+	if gs.Procedures != ws.Procedures {
+		t.Errorf("Procedures = %d, want %d", gs.Procedures, ws.Procedures)
+	}
+	for proc, n := range ws.PTFsPerProc {
+		if gs.PTFsPerProc[proc] != n {
+			t.Errorf("PTFs for %s = %d, want %d", proc, gs.PTFsPerProc[proc], n)
 		}
 	}
-	for proc, n := range wl {
-		if _, ok := full[proc]; !ok {
-			t.Errorf("%s: worklist has %d PTFs for %s, full engine has none", name, n, proc)
+	for proc, n := range gs.PTFsPerProc {
+		if _, ok := ws.PTFsPerProc[proc]; !ok {
+			t.Errorf("%d PTFs for %s, want none", n, proc)
 		}
+	}
+	if got.solution != want.solution {
+		t.Errorf("solution dumps differ; first divergence:\n%s", firstDiff(got.solution, want.solution))
+	}
+	if got.diags != want.diags {
+		t.Errorf("diagnostics differ:\n-- got --\n%s\n-- want --\n%s", got.diags, want.diags)
+	}
+	if got.modref != want.modref {
+		t.Errorf("MOD/REF summaries differ; first divergence:\n%s", firstDiff(got.modref, want.modref))
 	}
 }
 
-func firstDiff(a, b string) string {
-	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
-	for i := 0; i < len(al) && i < len(bl); i++ {
-		if al[i] != bl[i] {
-			return "worklist: " + al[i] + "\nfull:     " + bl[i]
+func firstDiff(got, want string) string {
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			return "got:  " + gl[i] + "\nwant: " + wl[i]
 		}
 	}
 	return "(length mismatch)"
 }
 
-func TestEngineEquivalence(t *testing.T) {
-	suite := workload.Suite()
-	if len(suite) == 0 {
-		t.Fatal("empty workload suite")
+// fanOutSource builds a program with n independent reader procedures
+// (reader i loads through global pointer g_i into o_i) and one setup
+// procedure that initializes every g_i. main runs readers-then-setup in
+// a loop: the first trip summarizes and latches every reader call site
+// with g_i still null, setup's stores make them non-empty, and the
+// loop's back edge re-fires the latched sites. Each re-bind upgrades an
+// empty input-domain entry (paper §5.2), so n summarized PTFs turn
+// dirty at once — the shape where the two engines' evaluation orders
+// differ most.
+func fanOutSource(n int) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "int a%d; int *p%d; int **g%d; int *o%d;\n", i, i, i, i)
 	}
-	for _, wb := range suite {
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "void r%d(void) { o%d = *g%d; }\n", i, i, i)
+	}
+	b.WriteString("void setup(void)\n{\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "    p%d = &a%d;\n    g%d = &p%d;\n", i, i, i, i)
+	}
+	b.WriteString("}\n")
+	b.WriteString("int main(void)\n{\n    int k;\n")
+	b.WriteString("    for (k = 0; k < 2; k++) {\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "        r%d();\n", i)
+	}
+	b.WriteString("        setup();\n    }\n")
+	b.WriteString("    return *o0;\n}\n")
+	return b.String()
+}
+
+// fanOutInputs is fanOutSource at four widths.
+func fanOutInputs() []workload.Benchmark {
+	var inputs []workload.Benchmark
+	for _, n := range []int{2, 4, 8, 16} {
+		inputs = append(inputs, workload.Benchmark{Name: fmt.Sprintf("fanout%d", n), Source: fanOutSource(n)})
+	}
+	return inputs
+}
+
+// shapeInputs is the workload.FanOutShapes call cones.
+func shapeInputs() []workload.Benchmark {
+	var inputs []workload.Benchmark
+	for _, s := range workload.FanOutShapes() {
+		inputs = append(inputs, workload.Benchmark{Name: s.Name, Source: s.Source()})
+	}
+	return inputs
+}
+
+// fixtureInputs is the seeded-bug programs the checkers are validated on.
+func fixtureInputs() []workload.Benchmark {
+	var inputs []workload.Benchmark
+	for name, src := range workload.BugFixtures() {
+		inputs = append(inputs, workload.Benchmark{Name: name, Source: src})
+	}
+	sort.Slice(inputs, func(i, j int) bool { return inputs[i].Name < inputs[j].Name })
+	return inputs
+}
+
+// checkEngines requires the worklist engine to match the full-pass
+// reference on every input.
+func checkEngines(t *testing.T, inputs []workload.Benchmark) {
+	if len(inputs) == 0 {
+		t.Fatal("no inputs")
+	}
+	for _, wb := range inputs {
 		wb := wb
 		t.Run(wb.Name, func(t *testing.T) {
 			t.Parallel()
-			wl, full := analyzeBoth(t, wb.Name, wb.Source)
-			ws, fs := wl.Stats(), full.Stats()
-			if ws.PTFs != fs.PTFs {
-				t.Errorf("PTFs = %d (worklist), want %d (full)", ws.PTFs, fs.PTFs)
+			wl := analyzeWith(t, wb.Name, wb.Source, false)
+			full := analyzeWith(t, wb.Name, wb.Source, true)
+			compareFacts(t, factsOf(t, wl), factsOf(t, full))
+		})
+	}
+}
+
+// concurrentRuns is how many analyses of one program checkConcurrent
+// starts at once.
+const concurrentRuns = 4
+
+// checkConcurrent analyzes each input once on its own, then
+// concurrentRuns more times at once, one goroutine each, and requires
+// every concurrent run to match the lone one fact for fact. Analyses
+// side by side in one process are the daemon's MaxInflight requests;
+// each owns its memory, so nothing one allocates or interns may reach
+// another's results, and under -race no write may be shared.
+func checkConcurrent(t *testing.T, inputs []workload.Benchmark) {
+	if len(inputs) == 0 {
+		t.Fatal("no inputs")
+	}
+	for _, wb := range inputs {
+		wb := wb
+		t.Run(wb.Name, func(t *testing.T) {
+			t.Parallel()
+			alone := factsOf(t, analyzeWith(t, wb.Name, wb.Source, false))
+			runs := make([]*analysis.Analysis, concurrentRuns)
+			errs := make([]error, concurrentRuns)
+			var wg sync.WaitGroup
+			for i := range runs {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					runs[i], errs[i] = runAnalysis(wb.Name, wb.Source, false)
+				}(i)
 			}
-			if ws.Procedures != fs.Procedures {
-				t.Errorf("Procedures = %d (worklist), want %d (full)", ws.Procedures, fs.Procedures)
-			}
-			comparePTFsPerProc(t, wb.Name, ws.PTFsPerProc, fs.PTFsPerProc)
-			if wd, fd := solutionDump(wl), solutionDump(full); wd != fd {
-				t.Errorf("solution dumps differ; first divergence:\n%s", firstDiff(wd, fd))
-			}
-			if wd, fd := diagDump(t, wl), diagDump(t, full); wd != fd {
-				t.Errorf("diagnostics differ:\n-- worklist --\n%s\n-- full --\n%s", wd, fd)
-			}
-			if wd, fd := modrefDump(wl), modrefDump(full); wd != fd {
-				t.Errorf("MOD/REF summaries differ; first divergence:\n%s", firstDiff(wd, fd))
+			wg.Wait()
+			for i, an := range runs {
+				if errs[i] != nil {
+					t.Fatalf("concurrent run %d: %v", i, errs[i])
+				}
+				compareFacts(t, factsOf(t, an), alone)
 			}
 		})
 	}
+}
+
+// TestEngineEquivalence runs the workload suite plus the fan-out
+// programs, whose simultaneous sibling dirt the suite's call chains
+// never show.
+func TestEngineEquivalence(t *testing.T) {
+	inputs := workload.Suite()
+	if len(inputs) == 0 {
+		t.Fatal("empty workload suite")
+	}
+	inputs = append(inputs, fanOutInputs()...)
+	checkEngines(t, append(inputs, shapeInputs()...))
 }
 
 // TestEngineEquivalenceFixtures extends the comparison to the seeded-bug
-// programs the checkers are validated on.
+// programs.
 func TestEngineEquivalenceFixtures(t *testing.T) {
-	for name, src := range workload.BugFixtures() {
-		name, src := name, src
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			wl, full := analyzeBoth(t, name, src)
-			if wl.Stats().PTFs != full.Stats().PTFs {
-				t.Errorf("PTFs = %d (worklist), want %d (full)", wl.Stats().PTFs, full.Stats().PTFs)
-			}
-			if wd, fd := solutionDump(wl), solutionDump(full); wd != fd {
-				t.Errorf("solution dumps differ; first divergence:\n%s", firstDiff(wd, fd))
-			}
-			if wd, fd := diagDump(t, wl), diagDump(t, full); wd != fd {
-				t.Errorf("diagnostics differ:\n-- worklist --\n%s\n-- full --\n%s", wd, fd)
-			}
-		})
-	}
+	checkEngines(t, fixtureInputs())
 }
 
-// TestEngineEquivalenceParallel proves the parallel pre-drain scheduler
-// is invisible in the results: at every worker count the analysis
-// produces the same PTF counts, collapsed Solution, and checker
-// diagnostics as the sequential worklist engine. Worker counts are set
-// explicitly because on a single-CPU host GOMAXPROCS(0) == 1 and the
-// default configuration never parallelizes.
+// TestEngineEquivalenceParallel proves concurrent analyses of a
+// workload program are invisible in its results.
 func TestEngineEquivalenceParallel(t *testing.T) {
-	suite := workload.Suite()
-	if len(suite) == 0 {
-		t.Fatal("empty workload suite")
-	}
-	for _, wb := range suite {
-		wb := wb
-		t.Run(wb.Name, func(t *testing.T) {
-			t.Parallel()
-			seq := analyzeWith(t, wb.Name, wb.Source, false, 1)
-			ss := seq.Stats()
-			sd, sdiag, smr := solutionDump(seq), diagDump(t, seq), modrefDump(seq)
-			for _, w := range []int{2, 4, 8} {
-				par := analyzeWith(t, wb.Name, wb.Source, false, w)
-				ps := par.Stats()
-				if ps.PTFs != ss.PTFs {
-					t.Errorf("workers=%d: PTFs = %d, want %d", w, ps.PTFs, ss.PTFs)
-				}
-				if ps.Procedures != ss.Procedures {
-					t.Errorf("workers=%d: Procedures = %d, want %d", w, ps.Procedures, ss.Procedures)
-				}
-				comparePTFsPerProc(t, wb.Name, ps.PTFsPerProc, ss.PTFsPerProc)
-				if pd := solutionDump(par); pd != sd {
-					t.Errorf("workers=%d: solution dumps differ; first divergence:\n%s", w, firstDiff(pd, sd))
-				}
-				if pdiag := diagDump(t, par); pdiag != sdiag {
-					t.Errorf("workers=%d: diagnostics differ:\n-- parallel --\n%s\n-- sequential --\n%s", w, pdiag, sdiag)
-				}
-				if pd := modrefDump(par); pd != smr {
-					t.Errorf("workers=%d: MOD/REF summaries differ; first divergence:\n%s", w, firstDiff(pd, smr))
-				}
-			}
-		})
-	}
+	checkConcurrent(t, workload.Suite())
 }
 
-// TestEngineEquivalenceParallelFixtures extends the parallel comparison
-// to the seeded-bug programs the checkers are validated on.
+// TestEngineEquivalenceParallelFixtures does the same for the
+// seeded-bug programs.
 func TestEngineEquivalenceParallelFixtures(t *testing.T) {
-	for name, src := range workload.BugFixtures() {
-		name, src := name, src
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			seq := analyzeWith(t, name, src, false, 1)
-			sd, sdiag := solutionDump(seq), diagDump(t, seq)
-			for _, w := range []int{2, 4, 8} {
-				par := analyzeWith(t, name, src, false, w)
-				if par.Stats().PTFs != seq.Stats().PTFs {
-					t.Errorf("workers=%d: PTFs = %d, want %d", w, par.Stats().PTFs, seq.Stats().PTFs)
-				}
-				if pd := solutionDump(par); pd != sd {
-					t.Errorf("workers=%d: solution dumps differ; first divergence:\n%s", w, firstDiff(pd, sd))
-				}
-				if pdiag := diagDump(t, par); pdiag != sdiag {
-					t.Errorf("workers=%d: diagnostics differ:\n-- parallel --\n%s\n-- sequential --\n%s", w, pdiag, sdiag)
-				}
-			}
-		})
-	}
+	checkConcurrent(t, fixtureInputs())
+}
+
+// TestParallelFanOutEquivalence does the same for fanOutSource, where
+// the most summarized PTFs turn dirty at once.
+func TestParallelFanOutEquivalence(t *testing.T) {
+	checkConcurrent(t, fanOutInputs())
+}
+
+// TestFanOutShapesBatchAndMatch does the same for the
+// workload.FanOutShapes cones: each shape runs as a batch of concurrent
+// analyses, and every one must match the lone run.
+func TestFanOutShapesBatchAndMatch(t *testing.T) {
+	checkConcurrent(t, shapeInputs())
 }
 
 // TestWorklistTimeout verifies that aborting mid-worklist leaves the

@@ -2,9 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"wlpa/internal/cast"
@@ -139,11 +136,9 @@ type Options struct {
 	// pre-worklist behavior). Both engines must produce identical
 	// results; this exists as a cross-check and fallback.
 	ForceFullPasses bool
-	// Workers sets the size of the parallel scheduler's worker pool.
-	// 0 means runtime.GOMAXPROCS(0); 1 disables parallel scheduling.
-	// Parallel scheduling requires the worklist engine and the
-	// paper's reuse policy; other configurations silently run
-	// sequentially. Results are identical for every worker count.
+	// Workers is ignored: every analysis is one sequential walk.
+	//
+	// Deprecated: the parallel scheduler it sized was removed.
 	Workers int
 	// LibEffects maps library function names to their MOD/REF behavior
 	// for the ModRefTable. Summarized functions without an entry are
@@ -169,18 +164,6 @@ type Stats struct {
 	// merge (the analysis degraded toward a context-insensitive
 	// summary to stay tractable).
 	PTFsCapped bool
-	// Workers is the effective worker-pool size (1 when the parallel
-	// scheduler was disabled or inapplicable).
-	Workers int
-	// ParallelEpochs counts scheduler epochs (batches of mutually
-	// independent work items drained concurrently).
-	ParallelEpochs int
-	// ParallelItems counts work items drained by the parallel
-	// scheduler across all epochs.
-	ParallelItems int
-	// WorkerBusy records, per worker, the wall-clock time spent
-	// evaluating work items (nil when the scheduler never ran).
-	WorkerBusy []time.Duration
 	// DenseRows counts stored points-to rows that grew the dense
 	// bitset index (rows at or past memmod.DenseThreshold members) —
 	// observability for the hybrid sparse/dense representation.
@@ -327,17 +310,6 @@ type PTF struct {
 	// targetCache caches the resolved call-target slice per call node
 	// for function-pointer values not involving extended parameters.
 	targetCache map[*cfg.Node]*targetEntry
-
-	// lastBind is the most recent binding frame (argument values and
-	// parameter map in the caller's name space) under which this PTF was
-	// applied; the parallel scheduler re-creates a standalone evaluation
-	// stack from it to drain the PTF's dirty nodes off the main walk.
-	lastBind *frame
-	// octx is the evaluation context currently owning this PTF. It is
-	// the unrestricted main context except while an epoch is in flight,
-	// when PTFs inside a work item's cone point at the worker's context
-	// so that ptset hooks buffer instead of mutating shared state.
-	octx *evalCtx
 }
 
 // symMap maps symbols to memory blocks with a small-list fast path:
@@ -528,58 +500,48 @@ type Analysis struct {
 	// LibCall.Free.
 	frees map[freeKey]*memmod.ValueSet
 
-	// ptfs lists the PTFs of every procedure in creation order. The map
-	// is fully populated in New and never structurally mutated again, so
-	// workers may read it without locking; appends go through the
-	// per-procedure ptfList, which only the procedure's owning context
-	// touches during an epoch.
-	ptfs    map[*cfg.Proc]*ptfList
+	// ptfs lists the PTFs of every procedure in creation order.
+	ptfs    map[*cfg.Proc][]*PTF
 	mainPTF *PTF
 
-	numPTFs  int64 // atomic: workers create PTFs concurrently
+	numPTFs  int
 	capped   bool
 	deadline time.Time
-	timedOut atomic.Bool
+	timedOut bool
 	stats    Stats
 	solution *Solution
 
 	// paramConcrete accumulates, per extended parameter, the union of
 	// the raw actual bindings it received across every context; resolved
-	// transitively when building the collapsed Solution. Guarded by
-	// solMu while the parallel scheduler runs.
+	// transitively when building the collapsed Solution.
 	paramConcrete map[*memmod.Block]*memmod.ValueSet
 
 	// versionClock counts every PTF version increment program-wide; the
 	// convergence test compares it across passes instead of rescanning
-	// all PTFs. Atomic: workers bump versions of PTFs they own.
+	// all PTFs.
 	versionClock uint64
 
-	// mainCtx is the unrestricted evaluation context used by the
-	// sequential walk from main; worker contexts are restricted to the
-	// procedures of their work item's cone.
-	mainCtx *evalCtx
+	// stack is the activation stack of the walk from main (recursion
+	// detection, subsumption propagation).
+	stack []*frame
+	// changed is the per-pass "any fact grew" flag.
+	changed bool
 
-	// internMu guards the four interning maps above (global, function,
-	// string and heap blocks), which workers may extend concurrently.
-	internMu sync.Mutex
-	// solMu guards solution.add, solution.dirty and paramConcrete.
-	solMu sync.Mutex
-
-	// par enables the parallel pre-drain scheduler; workers is the
-	// effective pool size; sched caches the static call-graph
-	// condensation; workerBusy accumulates per-worker busy time.
-	par     bool
-	workers int
-	sched   *schedule
-
-	// pendingDrain is set when a call site deferred itself behind the
-	// drain of a dirty callee PTF so the scheduler could batch the
-	// drains; preDrain clears it once every such PTF has been drained
-	// (in parallel or by its sequential fallback). draining guards
-	// against re-entrant synchronous drains of the same PTF.
-	pendingDrain bool
-	draining     map[*PTF]bool
-	workerBusy   []time.Duration
+	// pendBuf is the reusable pending-write scratch of applySummary
+	// (small; linear-scanned by destination).
+	pendBuf []pendingWrite
+	// pmapPool recycles the trial parameter-map used by PTF matching.
+	pmapPool map[*memmod.Block]memmod.ValueSet
+	// arena backs the transient value sets built while evaluating
+	// (expression results, meets, dereference contents). Never reset.
+	arena memmod.Arena
+	// frameSlab, vsSlab and initSlab carve the small fixed-size pieces
+	// of call evaluation — binding frames, argument arrays, initial-
+	// entry lists — in chunks. Carves are capacity-clipped and never
+	// recycled.
+	frameSlab []frame
+	vsSlab    []memmod.ValueSet
+	initSlab  []initEntry
 
 	// track enables the dependency-tracked worklist engine.
 	track bool
@@ -618,11 +580,6 @@ type frame struct {
 	caller   *frame
 	callNode *cfg.Node // call site in the caller (nil for main)
 
-	// c is the evaluation context this frame runs under (the main
-	// context on the sequential walk, a worker's context inside an
-	// epoch).
-	c *evalCtx
-
 	// args are the actual argument value sets (caller name space).
 	args []memmod.ValueSet
 
@@ -657,26 +614,8 @@ func New(prog *sem.Program, opts Options) (*Analysis, error) {
 		strBlocks:    make(map[int]*memmod.Block),
 		heapBlocks:   make(map[string]*memmod.Block),
 		intern:       memmod.NewInterner(),
-		ptfs:         make(map[*cfg.Proc]*ptfList, len(procs)),
+		ptfs:         make(map[*cfg.Proc][]*PTF, len(procs)),
 		track:        !opts.ForceFullPasses,
-	}
-	a.mainCtx = &evalCtx{a: a}
-	// Populate the PTF lists up front so the map itself is immutable
-	// from here on (workers append to the per-procedure lists only).
-	for _, proc := range procs {
-		a.ptfs[proc] = &ptfList{}
-	}
-	a.workers = opts.Workers
-	if a.workers <= 0 {
-		a.workers = runtime.GOMAXPROCS(0)
-	}
-	// The parallel scheduler needs the worklist engine (dirty sets drive
-	// the work items) and exact PTF-domain matching; the PTF caps make
-	// creation order observable, so they force sequential mode too.
-	a.par = a.workers > 1 && a.track && opts.Reuse == ReuseByAliasPattern &&
-		opts.MaxPTFs == 0 && opts.MaxTotalPTFs == 0
-	if !a.par {
-		a.workers = 1
 	}
 	if a.track {
 		a.readers = make(map[*memmod.Block]readerSet)
@@ -708,33 +647,21 @@ func (a *Analysis) Run() error {
 	if a.mainPTF == nil {
 		// An incremental re-analysis whose main survived the edit keeps
 		// the converged main PTF; everything else starts fresh here.
-		a.mainPTF = a.newPTF(a.mainCtx, mainProc, nil, nil)
+		a.mainPTF = a.newPTF(mainProc, nil, nil)
 	}
 	mf := &frame{
 		ptf:  a.mainPTF,
 		pmap: make(map[*memmod.Block]memmod.ValueSet),
-		c:    a.mainCtx,
 	}
 	a.seedGlobals(mf)
 	for pass := 1; ; pass++ {
 		a.stats.Passes = pass
-		a.mainCtx.changed = false
-		clock := atomic.LoadUint64(&a.versionClock)
-		if a.par && pass > 1 {
-			// Pre-drain: evaluate dirty PTFs of mutually independent
-			// call-graph cones concurrently before the sequential walk
-			// from main handles whatever remains (pass 1 is inherently
-			// sequential — no binding frames exist yet).
-			a.preDrain()
-			if a.timedOut.Load() {
-				a.finishStats(start)
-				return ErrTimeout
-			}
-		}
-		a.mainCtx.stack = append(a.mainCtx.stack[:0], mf)
+		a.changed = false
+		clock := a.versionClock
+		a.stack = append(a.stack[:0], mf)
 		a.evalProc(mf)
-		a.mainCtx.stack = a.mainCtx.stack[:0]
-		if a.timedOut.Load() {
+		a.stack = a.stack[:0]
+		if a.timedOut {
 			a.finishStats(start)
 			return ErrTimeout
 		}
@@ -742,10 +669,10 @@ func (a *Analysis) Run() error {
 			// Worklist convergence: every dirty node reachable through
 			// the caller cascade was drained through main's dirty set,
 			// so a clean main plus a stable version clock is quiescence.
-			if a.mainPTF.dirtyN == 0 && atomic.LoadUint64(&a.versionClock) == clock {
+			if a.mainPTF.dirtyN == 0 && a.versionClock == clock {
 				break
 			}
-		} else if !a.mainCtx.changed && atomic.LoadUint64(&a.versionClock) == clock {
+		} else if !a.changed && a.versionClock == clock {
 			break
 		}
 		if pass >= a.opts.MaxPasses {
@@ -764,14 +691,13 @@ func (a *Analysis) Run() error {
 
 // bumpVersion increments a PTF's summary version (and the program-wide
 // version clock) and re-dirties every recorded call site of the PTF so
-// callers re-apply the grown summary. Only p's owning context calls
-// this; foreign call sites are buffered via markDirty.
-func (a *Analysis) bumpVersion(c *evalCtx, p *PTF) {
+// callers re-apply the grown summary.
+func (a *Analysis) bumpVersion(p *PTF) {
 	p.version++
-	atomic.AddUint64(&a.versionClock, 1)
+	a.versionClock++
 	if a.track {
 		for _, e := range p.callers {
-			a.markDirty(c, e.ptf, e.nd)
+			a.markDirty(e.ptf, e.nd)
 		}
 	}
 }
@@ -780,21 +706,8 @@ func (a *Analysis) bumpVersion(c *evalCtx, p *PTF) {
 // quiescent to dirty its call sites are re-dirtied too, so the dirt
 // cascades up to main and the next pass descends into p; the
 // already-dirty guard bounds the cascade on recursive call cycles.
-// A restricted context buffers marks for PTFs outside its cone; the
-// epoch commit replays them on the main context.
-func (a *Analysis) markDirty(c *evalCtx, p *PTF, nd *cfg.Node) {
-	if p.dirty == nil {
-		return
-	}
-	if c != nil && c.restricted() && !c.owned[p.Proc] {
-		dm := dirtyMark{p, nd}
-		if !c.dirtySeen[dm] {
-			c.dirtySeen[dm] = true
-			c.dirtyBuf = append(c.dirtyBuf, dm)
-		}
-		return
-	}
-	if p.dirty[nd.ID] {
+func (a *Analysis) markDirty(p *PTF, nd *cfg.Node) {
+	if p.dirty == nil || p.dirty[nd.ID] {
 		return
 	}
 	wasEmpty := p.dirtyN == 0
@@ -802,31 +715,18 @@ func (a *Analysis) markDirty(c *evalCtx, p *PTF, nd *cfg.Node) {
 	p.dirtyN++
 	if wasEmpty {
 		for _, e := range p.callers {
-			a.markDirty(c, e.ptf, e.nd)
+			a.markDirty(e.ptf, e.nd)
 		}
 	}
 }
 
 // registerRead records that evaluating node nd of f's PTF read the
 // points-to records of block b; a later write to b re-dirties nd.
-// Restricted contexts buffer the registration (the global reader map is
-// shared); the epoch commit merges it.
 func (a *Analysis) registerRead(f *frame, b *memmod.Block, nd *cfg.Node) {
 	if !a.track || f == nil || nd == nil {
 		return
 	}
-	b = b.Representative()
-	k := readerKey{f.ptf, nd}
-	if c := f.c; c != nil && c.restricted() {
-		set := c.readerBuf[b]
-		if set == nil {
-			set = make(map[readerKey]bool)
-			c.readerBuf[b] = set
-		}
-		set[k] = true
-		return
-	}
-	a.addReader(b, k)
+	a.addReader(b.Representative(), readerKey{f.ptf, nd})
 }
 
 // readerSet holds the registered readers of one block: a slab-backed
@@ -882,36 +782,18 @@ func (a *Analysis) addReader(b *memmod.Block, k readerKey) {
 	a.readers[b] = readerSet{list: append(list, k)}
 }
 
-// notifyWrite re-dirties every registered reader of block b. A
-// restricted context also consults its own buffered registrations so
-// reads and writes within one work item still chain.
-func (a *Analysis) notifyWrite(c *evalCtx, b *memmod.Block) {
+// notifyWrite re-dirties every registered reader of block b.
+func (a *Analysis) notifyWrite(b *memmod.Block) {
 	if !a.track {
 		return
 	}
-	rb := b.Representative()
-	rs := a.readers[rb]
+	rs := a.readers[b.Representative()]
 	for _, k := range rs.list {
-		a.markDirty(c, k.ptf, k.nd)
+		a.markDirty(k.ptf, k.nd)
 	}
 	for k := range rs.m {
-		a.markDirty(c, k.ptf, k.nd)
+		a.markDirty(k.ptf, k.nd)
 	}
-	if c != nil && c.restricted() {
-		for k := range c.readerBuf[rb] {
-			a.markDirty(c, k.ptf, k.nd)
-		}
-	}
-}
-
-// countNode attributes one node evaluation to the context's counter
-// (workers merge theirs into Stats at commit).
-func (a *Analysis) countNode(c *evalCtx) {
-	if c != nil && c.restricted() {
-		c.nodesEval++
-		return
-	}
-	a.stats.NodesEvaluated++
 }
 
 // recordCaller registers a call site of callee so version bumps and
@@ -937,13 +819,13 @@ func (a *Analysis) finishStats(start time.Time) {
 	a.stats.Procedures = 0
 	a.stats.PTFs = 0
 	for proc, l := range a.ptfs {
-		if len(l.list) == 0 {
+		if len(l) == 0 {
 			continue
 		}
 		a.stats.Procedures++
-		a.stats.PTFs += len(l.list)
-		a.stats.PTFsPerProc[proc.Name] = len(l.list)
-		for _, p := range l.list {
+		a.stats.PTFs += len(l)
+		a.stats.PTFsPerProc[proc.Name] = len(l)
+		for _, p := range l {
 			a.stats.DenseRows += p.Pts.NumDenseRows()
 		}
 	}
@@ -954,15 +836,13 @@ func (a *Analysis) finishStats(start time.Time) {
 		// count is exactly the sum over every PTF.
 		a.stats.Params = 0
 		for _, l := range a.ptfs {
-			for _, p := range l.list {
+			for _, p := range l {
 				a.stats.Params += len(p.params)
 			}
 		}
 	}
 	a.stats.Duration = time.Since(start)
 	a.stats.PTFsCapped = a.capped
-	a.stats.Workers = a.workers
-	a.stats.WorkerBusy = a.workerBusy
 }
 
 // Stats returns cumulative statistics (valid after Run).
@@ -975,7 +855,7 @@ func (a *Analysis) MainPTF() *PTF { return a.mainPTF }
 func (a *Analysis) PTFs(name string) []*PTF {
 	for proc, l := range a.ptfs {
 		if proc.Name == name {
-			return l.list
+			return l
 		}
 	}
 	return nil
@@ -1010,53 +890,28 @@ func (a *Analysis) FuncBlock(name string) *memmod.Block {
 }
 
 // OnChange and OnPhi implement ptset.Hooks: record changes re-dirty
-// registered readers, new φ-functions dirty their meet node. Both route
-// through the PTF's owning context.
-func (p *PTF) OnChange(loc memmod.LocSet) { p.owner.notifyWrite(p.octx, loc.Base) }
+// registered readers, new φ-functions dirty their meet node.
+func (p *PTF) OnChange(loc memmod.LocSet) { p.owner.notifyWrite(loc.Base) }
 
 // OnPhi implements ptset.Hooks.
-func (p *PTF) OnPhi(nd *cfg.Node) { p.owner.markDirty(p.octx, p, nd) }
-
-// ptfSlab carves PTF storage in chunks (one allocation per 32
-// summaries). PTFs live for the analysis lifetime and are never
-// recycled, so carving zero-valued entries is safe; the mutex covers
-// creation from restricted (worker) contexts.
-var (
-	ptfMu   sync.Mutex
-	ptfSlab []PTF
-)
+func (p *PTF) OnPhi(nd *cfg.Node) { p.owner.markDirty(p, nd) }
 
 // newPTF allocates a PTF for proc created at the given home context.
-// The ptset hooks route through the PTF's owning context (octx), which
-// the scheduler points at a worker context while the PTF's cone is in
-// flight, so dirty marks from foreign cones buffer instead of racing.
-func (a *Analysis) newPTF(c *evalCtx, proc *cfg.Proc, homeNode *cfg.Node, homePTF *PTF) *PTF {
-	atomic.AddInt64(&a.numPTFs, 1)
-	nn := len(proc.Nodes)
-	ptfMu.Lock()
-	if len(ptfSlab) == 0 {
-		ptfSlab = make([]PTF, 32)
+func (a *Analysis) newPTF(proc *cfg.Proc, homeNode *cfg.Node, homePTF *PTF) *PTF {
+	a.numPTFs++
+	p := &PTF{
+		Proc:     proc,
+		Pts:      ptset.New(proc, a.intern),
+		retval:   memmod.NewRetval(proc.Name),
+		homeNode: homeNode,
+		homePTF:  homePTF,
+		mirrored: -1,
 	}
-	p := &ptfSlab[0]
-	ptfSlab = ptfSlab[1:]
-	ptfMu.Unlock()
-	p.Proc = proc
-	p.Pts = ptset.New(proc, a.intern)
-	p.retval = memmod.NewRetval(proc.Name)
 	// globalParams, fpDomain and pointedBy are created lazily at
 	// their write sites: many PTFs never touch them.
-	p.homeNode = homeNode
-	p.homePTF = homePTF
-	p.mirrored = -1
-	p.octx = a.mainCtx
-	if c != nil && c.restricted() {
-		p.octx = c
-	}
-	if a.par {
-		p.Pts.SetConcurrent(true)
-	}
 	if a.track {
 		// One allocation backs both per-node flag sets.
+		nn := len(proc.Nodes)
 		buf := make([]bool, 2*nn)
 		p.dirty = buf[:nn:nn]
 		p.dirty[proc.Entry.ID] = true
@@ -1065,13 +920,55 @@ func (a *Analysis) newPTF(c *evalCtx, proc *cfg.Proc, homeNode *cfg.Node, homePT
 		p.owner = a
 		p.Pts.SetHooks(p)
 	}
-	l := a.ptfs[proc]
-	if l == nil {
-		l = &ptfList{}
-		a.ptfs[proc] = l
-	}
-	l.list = append(l.list, p)
+	a.ptfs[proc] = append(a.ptfs[proc], p)
 	return p
+}
+
+// carveFrame returns a zero-valued slab-backed frame.
+func (a *Analysis) carveFrame() *frame {
+	if len(a.frameSlab) == 0 {
+		a.frameSlab = make([]frame, 32)
+	}
+	f := &a.frameSlab[0]
+	a.frameSlab = a.frameSlab[1:]
+	return f
+}
+
+// carveVals returns a zero-valued ValueSet slice of length n; large
+// requests fall back to the heap.
+func (a *Analysis) carveVals(n int) []memmod.ValueSet {
+	if n == 0 {
+		return nil
+	}
+	if n > 64 {
+		return make([]memmod.ValueSet, n)
+	}
+	if len(a.vsSlab) < n {
+		a.vsSlab = make([]memmod.ValueSet, 256)
+	}
+	s := a.vsSlab[0:n:n]
+	a.vsSlab = a.vsSlab[n:]
+	return s
+}
+
+// appendInitial grows a PTF's input-domain list through the initial-
+// entry slab: domains are usually a few entries, so slab-backed
+// doubling keeps the growth off the allocator. Long lists grow normally.
+func (a *Analysis) appendInitial(p *PTF, e initEntry) {
+	if len(p.initial) == cap(p.initial) && cap(p.initial) < 32 {
+		need := 2 * cap(p.initial)
+		if need < 4 {
+			need = 4
+		}
+		if len(a.initSlab) < need {
+			a.initSlab = make([]initEntry, 256)
+		}
+		ns := a.initSlab[0:len(p.initial):need]
+		a.initSlab = a.initSlab[need:]
+		copy(ns, p.initial)
+		p.initial = ns
+	}
+	p.initial = append(p.initial, e)
 }
 
 // DebugString renders the PTF input domain for diagnostics.

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"wlpa/internal/cast"
 	"wlpa/internal/cfg"
@@ -11,7 +10,7 @@ import (
 
 // evalCall evaluates a procedure call node (paper Figure 12).
 func (a *Analysis) evalCall(f *frame, nd *cfg.Node) bool {
-	args := a.carveVals(f.c, len(nd.Args))
+	args := a.carveVals(len(nd.Args))
 	for i, ae := range nd.Args {
 		args[i] = a.evalExpr(f, ae, nd)
 	}
@@ -81,7 +80,7 @@ func (a *Analysis) callTargets(f *frame, nd *cfg.Node, fv memmod.ValueSet) []*ca
 			for s := range resolved {
 				if !set[s] {
 					set[s] = true
-					a.bumpVersion(f.c, f.ptf)
+					a.bumpVersion(f.ptf)
 				}
 				out[s] = true
 			}
@@ -140,17 +139,7 @@ func (a *Analysis) resolveFuncSymsRec(f *frame, vals memmod.ValueSet, out map[*c
 			}
 			vis[funcSymVisit{f, p}] = true
 			if a.track && origin != nil {
-				if !p.FuncPtr {
-					if c := origin.c; c != nil && c.restricted() && !c.owns(f.ptf.Proc) {
-						// Flagging a parameter on a chain frame the
-						// worker does not own would race with its
-						// owner; defer to the sequential walk, which
-						// records the dependency.
-						c.deferred = true
-					} else {
-						p.FuncPtr = true
-					}
-				}
+				p.FuncPtr = true
 				a.registerRead(origin, p, nd)
 			}
 			bound, ok := f.pmap[p]
@@ -177,46 +166,13 @@ func (a *Analysis) callDefined(f *frame, nd *cfg.Node, fd *cast.FuncDecl, args [
 // its RetDst).
 func (a *Analysis) callDefinedRet(f *frame, nd *cfg.Node, fd *cast.FuncDecl, args []memmod.ValueSet, multi, withRet bool) bool {
 	proc := a.procs[fd]
-	c := f.c
-	if c != nil && c.restricted() && !c.owned[proc] {
-		// The call escapes the work item's cone — an indirect call or a
-		// library callback the static schedule could not predict. Defer
-		// to the sequential walk; the call node stays dirty.
-		c.deferred = true
-		return false
-	}
 	// Recursive call: reuse the PTF already on the stack (paper §5.4).
-	for i := len(c.stack) - 1; i >= 0; i-- {
-		if c.stack[i].ptf.Proc == proc {
-			return a.applyRecursive(f, nd, c.stack[i].ptf, args, multi, withRet)
+	for i := len(a.stack) - 1; i >= 0; i-- {
+		if a.stack[i].ptf.Proc == proc {
+			return a.applyRecursive(f, nd, a.stack[i].ptf, args, multi, withRet)
 		}
-	}
-	// Parallel mode defers drains only at latched re-fires on the
-	// outermost main frame: the PTF decision for such a site is already
-	// made, so the remaining work — draining the callee and re-applying
-	// its summary — commutes with independent siblings and can be
-	// batched. Sites making fresh match decisions are never deferred;
-	// evalProcDirty flushes pending drains before first evaluations so
-	// every match sees exactly the state the sequential walk sees.
-	mainDefer := a.par && c == a.mainCtx && a.collecting == nil &&
-		f.ptf == a.mainPTF && f.caller == nil
-	latchedPTF, _ := f.ptf.siteUsed.get(siteKey{nd, proc})
-	wasLatched := mainDefer && latchedPTF != nil
-	if wasLatched && len(a.dirtyCandidates(proc)) > 0 {
-		// The callee already has pending drains (another deferred site,
-		// or a cascade); don't even rebind until they are flushed.
-		a.pendingDrain = true
-		if !f.ptf.dirty[nd.ID] {
-			f.ptf.dirty[nd.ID] = true
-			f.ptf.dirtyN++
-		}
-		return false
 	}
 	ptf, pmap, needVisit := a.getPTF(f, nd, proc, args)
-	if ptf == nil {
-		// A guard fired while matching input domains; the item aborts.
-		return false
-	}
 	f.ptf.siteUsed.put(siteKey{nd, proc}, ptf)
 	f.ptf.callEdges.put(siteKey{nd, proc}, ptf)
 	if a.collecting != nil && !a.collecting[ptf] {
@@ -225,35 +181,17 @@ func (a *Analysis) callDefinedRet(f *frame, nd *cfg.Node, fd *cast.FuncDecl, arg
 		a.collecting[ptf] = true
 		needVisit = true
 	}
-	cf := a.carveFrame(f.c)
+	cf := a.carveFrame()
 	cf.ptf, cf.caller, cf.callNode = ptf, f, nd
-	cf.args, cf.pmap, cf.c = args, pmap, c
-	if a.track && a.collecting == nil {
-		// Remember the binding context so the parallel scheduler can
-		// re-create a standalone evaluation stack for this PTF.
-		ptf.lastBind = cf
-	}
+	cf.args, cf.pmap = args, pmap
 	// Formals come from the PTF's own flow graph's declaration: after an
 	// incremental graft a kept procedure's local symbols are the
 	// baseline's, while the program's FuncDecl is the edited one.
 	a.recordFormalBindings(cf, ptf.Proc.Fn, args)
 	if needVisit || !ptf.exitReached {
-		if wasLatched && ptf.exitReached && !ptf.recursive &&
-			ptf.dirtyN > 0 && ptf.lastBind != nil {
-			// The rebind extended the callee's input domain (or a cascade
-			// dirtied it). The bind — the only order-sensitive part — is
-			// done; defer the drain itself for batching and re-apply the
-			// summary when the cascade re-fires this node.
-			a.pendingDrain = true
-			if !f.ptf.dirty[nd.ID] {
-				f.ptf.dirty[nd.ID] = true
-				f.ptf.dirtyN++
-			}
-			return false
-		}
-		c.stack = append(c.stack, cf)
+		a.stack = append(a.stack, cf)
 		a.evalProc(cf)
-		c.stack = c.stack[:len(c.stack)-1]
+		a.stack = a.stack[:len(a.stack)-1]
 	}
 	// Register this call site after the visit (bumps during the
 	// callee's own evaluation need not re-dirty it: the fresh summary
@@ -283,9 +221,7 @@ func (a *Analysis) callDefinedRet(f *frame, nd *cfg.Node, fd *cast.FuncDecl, arg
 		return false
 	}
 	changed := a.applySummary(f, nd, cf, multi, withRet)
-	if c == nil || !c.deferred {
-		f.ptf.applied.put(sk, appliedMemo{ptf: ptf, version: ptf.version, fp: fp})
-	}
+	f.ptf.applied.put(sk, appliedMemo{ptf: ptf, version: ptf.version, fp: fp})
 	f.ptf.deps.put(ptf, ptf.version)
 	return changed
 }
@@ -322,9 +258,9 @@ func (a *Analysis) applyRecursive(f *frame, nd *cfg.Node, ptf *PTF, args []memmo
 	// in siteUsed, which would perturb the engine's PTF-reuse policy.
 	f.ptf.callEdges.put(siteKey{nd, ptf.Proc}, ptf)
 	pmap := a.replayBindMerge(f, nd, ptf, args, true)
-	cf := a.carveFrame(f.c)
+	cf := a.carveFrame()
 	cf.ptf, cf.caller, cf.callNode = ptf, f, nd
-	cf.args, cf.pmap, cf.c = args, pmap, f.c
+	cf.args, cf.pmap = args, pmap
 	a.recordFormalBindings(cf, ptf.Proc.Fn, args)
 	// Register before the deferral check: the cycle head's exit-reached
 	// version bump must re-dirty this deferring site (§5.4).
@@ -349,7 +285,7 @@ func (a *Analysis) applyRecursive(f *frame, nd *cfg.Node, ptf *PTF, args []memmo
 // Figure 13), returning its parameter mapping and whether the procedure
 // must be (re)visited.
 func (a *Analysis) getPTF(f *frame, nd *cfg.Node, proc *cfg.Proc, args []memmod.ValueSet) (*PTF, map[*memmod.Block]memmod.ValueSet, bool) {
-	list := a.ptfs[proc].list
+	list := a.ptfs[proc]
 	switch a.opts.Reuse {
 	case SingleSummary:
 		if len(list) > 0 {
@@ -366,7 +302,7 @@ func (a *Analysis) getPTF(f *frame, nd *cfg.Node, proc *cfg.Proc, args []memmod.
 				return p, a.replayBind(f, nd, p, args), true
 			}
 		}
-		if a.opts.MaxTotalPTFs > 0 && int(atomic.LoadInt64(&a.numPTFs)) >= a.opts.MaxTotalPTFs && len(list) > 0 {
+		if a.opts.MaxTotalPTFs > 0 && a.numPTFs >= a.opts.MaxTotalPTFs && len(list) > 0 {
 			// Context explosion: merge further contexts (the measured
 			// outcome of the Emami discipline on recursive programs).
 			a.capped = true
@@ -387,12 +323,6 @@ func (a *Analysis) getPTF(f *frame, nd *cfg.Node, proc *cfg.Proc, args []memmod.
 					}
 				}
 				return p, pmap, needVisit
-			}
-			if c := f.c; c != nil && c.restricted() && c.deferred {
-				// The mismatch may be an artifact of values a guard
-				// withheld; only the sequential walk may decide to
-				// extend or allocate PTFs from here.
-				return nil, nil, false
 			}
 		}
 		if a.opts.CombineOffsets {
@@ -428,7 +358,7 @@ func (a *Analysis) getPTF(f *frame, nd *cfg.Node, proc *cfg.Proc, args []memmod.
 			return p, a.replayBind(f, nd, p, args), true
 		}
 		if (a.opts.MaxPTFs > 0 && len(list) >= a.opts.MaxPTFs) ||
-			(a.opts.MaxTotalPTFs > 0 && int(atomic.LoadInt64(&a.numPTFs)) >= a.opts.MaxTotalPTFs && len(list) > 0) {
+			(a.opts.MaxTotalPTFs > 0 && a.numPTFs >= a.opts.MaxTotalPTFs && len(list) > 0) {
 			// Generalize rather than specialize further (paper §8).
 			a.capped = true
 			p := list[len(list)-1]
@@ -458,12 +388,7 @@ func (a *Analysis) getPTF(f *frame, nd *cfg.Node, proc *cfg.Proc, args []memmod.
 			}
 		}
 	}
-	if c := f.c; c != nil && c.restricted() && c.deferred {
-		// Never allocate a PTF from an under-approximated context: the
-		// PTF population must match the sequential engine's exactly.
-		return nil, nil, false
-	}
-	p := a.newPTF(f.c, proc, nd, f.ptf)
+	p := a.newPTF(proc, nd, f.ptf)
 	return p, make(map[*memmod.Block]memmod.ValueSet), true
 }
 
@@ -487,25 +412,21 @@ func (a *Analysis) matchPTFMode(f *frame, nd *cfg.Node, ptf *PTF, args []memmod.
 	// Trial bindings go into a pooled map: most candidate PTFs fail to
 	// match, and the map would otherwise be garbage every time. On
 	// success the map is handed to the frame and leaves the pool.
-	c := f.c
-	if c == nil {
-		c = a.mainCtx
-	}
-	pmap := c.pmapPool
+	pmap := a.pmapPool
 	if pmap == nil {
 		pmap = make(map[*memmod.Block]memmod.ValueSet)
 	}
-	c.pmapPool = nil
+	a.pmapPool = nil
 	pmapOut, needVisit, ok = a.matchPTFInto(f, nd, ptf, args, drift, pmap)
 	if !ok {
 		clear(pmap)
-		c.pmapPool = pmap
+		a.pmapPool = pmap
 	}
 	return pmapOut, needVisit, ok
 }
 
 func (a *Analysis) matchPTFInto(f *frame, nd *cfg.Node, ptf *PTF, args []memmod.ValueSet, drift bool, pmap map[*memmod.Block]memmod.ValueSet) (pmapOut map[*memmod.Block]memmod.ValueSet, needVisit, ok bool) {
-	cf := a.carveFrame(f.c)
+	cf := a.carveFrame()
 	cf.ptf, cf.caller, cf.callNode = ptf, f, nd
 	cf.args, cf.pmap = args, pmap
 	// Entries recorded as "points to nothing" whose actuals are now
@@ -524,13 +445,7 @@ func (a *Analysis) matchPTFInto(f *frame, nd *cfg.Node, ptf *PTF, args []memmod.
 		switch e.kind {
 		case globalRefEntry:
 			p := e.param.Representative()
-			gl := a.globalLocIn(f, e.sym)
-			if gl.Base == nil {
-				// A guard deferred creating the global's parameter on a
-				// chain frame; treat as mismatch (getPTF bails out).
-				return nil, false, false
-			}
-			actual := a.value1(f.c, gl)
+			actual := a.arena.Value1(a.globalLocIn(f, e.sym))
 			if bound, ok := pmap[p]; ok {
 				if !bound.Equal(actual) {
 					return nil, false, false
@@ -569,16 +484,16 @@ func (a *Analysis) matchPTFInto(f *frame, nd *cfg.Node, ptf *PTF, args []memmod.
 					}
 					continue
 				}
-				expected = a.shiftSet(f.c, bound, val.Off)
+				expected = a.arena.ShiftSet(bound, val.Off)
 				if !expected.Equal(actuals) {
 					if !drift || !blocksCovered(bound, actuals) {
 						return nil, false, false
 					}
 					// Offset-only drift: merge the new positions.
 					merged := pmap[p]
-					a.addAll(f.c, &merged, a.shiftSet(f.c, actuals, -val.Off))
+					a.arena.AddAll(&merged, a.arena.ShiftSet(actuals, -val.Off))
 					pmap[p] = merged
-					a.setNotUnique(f.c, p)
+					a.setNotUnique(p)
 					a.bindParamConcrete(cf, p, pmap[p])
 				}
 			} else {
@@ -591,7 +506,7 @@ func (a *Analysis) matchPTFInto(f *frame, nd *cfg.Node, ptf *PTF, args []memmod.
 				if val.Stride != 0 {
 					pmap[p] = actuals
 				} else {
-					pmap[p] = a.shiftSet(f.c, actuals, -val.Off)
+					pmap[p] = a.arena.ShiftSet(actuals, -val.Off)
 				}
 				a.bindParamConcrete(cf, p, pmap[p])
 			}
@@ -604,7 +519,7 @@ func (a *Analysis) matchPTFInto(f *frame, nd *cfg.Node, ptf *PTF, args []memmod.
 			continue
 		}
 		got := make(map[*cast.Symbol]bool)
-		rf := a.carveFrame(f.c)
+		rf := a.carveFrame()
 		rf.ptf, rf.caller, rf.callNode, rf.pmap = ptf, f, nd, pmap
 		a.resolveFuncSyms(rf, memmod.Values(memmod.Loc(p, 0, 0)), got, nil, nil)
 		if !sameSymSet(want, got) {
@@ -618,10 +533,10 @@ func (a *Analysis) matchPTFInto(f *frame, nd *cfg.Node, ptf *PTF, args []memmod.
 		if p.Kind != memmod.ParamBlock {
 			continue
 		}
-		if a.extendParamPtrLocs(f.c, p, bound) {
+		if a.extendParamPtrLocs(p, bound) {
 			needVisit = true
 		}
-		a.extendFuncPtrVals(f.c, p, bound)
+		a.extendFuncPtrVals(p, bound)
 	}
 	// Apply deferred empty-entry upgrades now that the match holds.
 	for _, up := range upgrades {
@@ -630,8 +545,8 @@ func (a *Analysis) matchPTFInto(f *frame, nd *cfg.Node, ptf *PTF, args []memmod.
 		e.val = memmod.Loc(p, 0, 0)
 		e.valEmpty = false
 		ptf.Pts.Assign(e.ptr.Resolve(), memmod.Values(memmod.Loc(p, 0, 0)), ptf.Proc.Entry, false)
-		a.bumpVersion(f.c, ptf)
-		f.c.changed = true
+		a.bumpVersion(ptf)
+		a.changed = true
 		needVisit = true
 	}
 	return pmap, needVisit, true
@@ -690,13 +605,13 @@ func (a *Analysis) entryActuals(cf *frame, e initEntry) (memmod.ValueSet, bool) 
 			// order guarantees it normally; treat as mismatch.
 			return memmod.ValueSet{}, false
 		}
-		out := a.newSet(cf.c)
+		out := a.arena.NewSet()
 		for _, b := range bound.Locs() {
 			target := b.Shift(v.Off)
 			if v.Stride != 0 {
 				target = target.WithStride(v.Stride)
 			}
-			a.addAll(cf.c, &out, a.evalContents(cf.caller, target, cf.callNode))
+			a.arena.AddAll(&out, a.evalContents(cf.caller, target, cf.callNode))
 		}
 		return out, true
 	case memmod.GlobalBlock:
@@ -717,7 +632,7 @@ func (a *Analysis) globalLocIn(f *frame, sym *cast.Symbol) memmod.LocSet {
 // extendParamPtrLocs translates the caller-side pointer locations of the
 // actuals into parameter space, extending the parameter's known pointer
 // locations. Reports whether new locations were found.
-func (a *Analysis) extendParamPtrLocs(c *evalCtx, p *memmod.Block, bound memmod.ValueSet) bool {
+func (a *Analysis) extendParamPtrLocs(p *memmod.Block, bound memmod.ValueSet) bool {
 	extended := false
 	for _, b := range bound.Locs() {
 		b = b.Resolve()
@@ -735,7 +650,7 @@ func (a *Analysis) extendParamPtrLocs(c *evalCtx, p *memmod.Block, bound memmod.
 	}
 	if extended {
 		// Dereferences through p may now see more locations.
-		a.notifyWrite(c, p)
+		a.notifyWrite(p)
 	}
 	return extended
 }
@@ -747,26 +662,26 @@ func (a *Analysis) extendParamPtrLocs(c *evalCtx, p *memmod.Block, bound memmod.
 // pmaps, so a re-bind that brings a new function value would otherwise
 // be invisible to the worklist engine and leave a stale fpDomain in the
 // callee. Full passes re-walk everything, so tracking-off mode skips it.
-func (a *Analysis) extendFuncPtrVals(c *evalCtx, p *memmod.Block, bound memmod.ValueSet) {
+func (a *Analysis) extendFuncPtrVals(p *memmod.Block, bound memmod.ValueSet) {
 	p = p.Representative()
 	if !a.track || !p.FuncPtr {
 		return
 	}
 	if p.AddFnBound(bound) {
-		a.notifyWrite(c, p)
+		a.notifyWrite(p)
 	}
 }
 
 // setNotUnique marks a parameter as possibly standing for several
 // locations at once, re-dirtying readers whose strong-update decisions
 // depended on its uniqueness.
-func (a *Analysis) setNotUnique(c *evalCtx, p *memmod.Block) {
+func (a *Analysis) setNotUnique(p *memmod.Block) {
 	p = p.Representative()
 	if p.NotUnique {
 		return
 	}
 	p.NotUnique = true
-	a.notifyWrite(c, p)
+	a.notifyWrite(p)
 }
 
 // replayBind rebinds every input-domain entry at this call site without
@@ -785,30 +700,24 @@ func (a *Analysis) replayBind(f *frame, nd *cfg.Node, ptf *PTF, args []memmod.Va
 // inputs inside the cycle.
 func (a *Analysis) replayBindMerge(f *frame, nd *cfg.Node, ptf *PTF, args []memmod.ValueSet, mergeRecords bool) map[*memmod.Block]memmod.ValueSet {
 	pmap := make(map[*memmod.Block]memmod.ValueSet)
-	cf := a.carveFrame(f.c)
+	cf := a.carveFrame()
 	cf.ptf, cf.caller, cf.callNode = ptf, f, nd
-	cf.args, cf.pmap, cf.c = args, pmap, f.c
+	cf.args, cf.pmap = args, pmap
 	for i := 0; i < len(ptf.initial); i++ {
 		e := ptf.initial[i]
 		switch e.kind {
 		case globalRefEntry:
 			p := e.param.Representative()
-			gl := a.globalLocIn(f, e.sym)
-			if gl.Base == nil {
-				// Deferred global-parameter creation; the item aborts
-				// after this node and the walk rebinds sequentially.
-				continue
-			}
-			actual := a.value1(f.c, gl)
+			actual := a.arena.Value1(a.globalLocIn(f, e.sym))
 			if bound, ok := pmap[p]; ok {
-				if a.addAll(f.c, &bound, actual) {
+				if a.arena.AddAll(&bound, actual) {
 					pmap[p] = bound
 				}
 			} else {
 				pmap[p] = actual
 			}
 			a.bindParamConcrete(cf, p, pmap[p])
-			a.extendFuncPtrVals(f.c, p, pmap[p])
+			a.extendFuncPtrVals(p, pmap[p])
 		case ptrInitEntry:
 			actuals, _ := a.entryActuals(cf, e)
 			if e.valEmpty {
@@ -820,9 +729,9 @@ func (a *Analysis) replayBindMerge(f *frame, nd *cfg.Node, ptf *PTF, args []memm
 				p := a.newParam(cf, hintFor(e.ptr), actuals)
 				ptf.initial[i].val = memmod.Loc(p, 0, 0)
 				ptf.initial[i].valEmpty = false
-				ptf.Pts.Assign(e.ptr, a.value1(f.c, memmod.Loc(p, 0, 0)), ptf.Proc.Entry, false)
-				a.bumpVersion(f.c, ptf)
-				f.c.changed = true
+				ptf.Pts.Assign(e.ptr, a.arena.Value1(memmod.Loc(p, 0, 0)), ptf.Proc.Entry, false)
+				a.bumpVersion(ptf)
+				a.changed = true
 				continue
 			}
 			val := e.val.Resolve()
@@ -830,22 +739,22 @@ func (a *Analysis) replayBindMerge(f *frame, nd *cfg.Node, ptf *PTF, args []memm
 			if bound, ok := pmap[p]; ok {
 				add := actuals
 				if val.Stride == 0 {
-					add = a.shiftSet(f.c, actuals, -val.Off)
+					add = a.arena.ShiftSet(actuals, -val.Off)
 				}
-				if a.addAll(f.c, &bound, add) {
+				if a.arena.AddAll(&bound, add) {
 					pmap[p] = bound
-					a.setNotUnique(f.c, p)
+					a.setNotUnique(p)
 				}
 			} else {
 				if val.Stride == 0 {
-					pmap[p] = a.shiftSet(f.c, actuals, -val.Off)
+					pmap[p] = a.arena.ShiftSet(actuals, -val.Off)
 				} else {
 					pmap[p] = actuals.Clone()
 				}
 			}
-			a.extendParamPtrLocs(f.c, p, pmap[p])
+			a.extendParamPtrLocs(p, pmap[p])
 			a.bindParamConcrete(cf, p, pmap[p])
-			a.extendFuncPtrVals(f.c, p, pmap[p])
+			a.extendFuncPtrVals(p, pmap[p])
 			if mergeRecords && !actuals.IsEmpty() {
 				// Recursive call: the entry record of this input
 				// pointer also covers the values arriving around the
@@ -853,8 +762,8 @@ func (a *Analysis) replayBindMerge(f *frame, nd *cfg.Node, ptf *PTF, args []memm
 				// space, since the recursive caller is the procedure
 				// itself).
 				if ptf.Pts.Assign(e.ptr.Resolve(), actuals, ptf.Proc.Entry, false) {
-					a.bumpVersion(f.c, ptf)
-					f.c.changed = true
+					a.bumpVersion(ptf)
+					a.changed = true
 				}
 			}
 		}
@@ -897,11 +806,7 @@ func (a *Analysis) applySummary(f *frame, nd *cfg.Node, cf *frame, multi, withRe
 	// precise destination). The accumulator is a reused per-context
 	// scratch slice, linear-scanned: summaries write to a handful of
 	// distinct destinations.
-	c := f.c
-	if c == nil {
-		c = a.mainCtx
-	}
-	pend := c.pendBuf[:0]
+	pend := a.pendBuf[:0]
 	for _, loc := range ptf.Pts.Locations() {
 		loc = loc.Resolve()
 		if loc.Base.Kind == memmod.RetvalBlock {
@@ -934,10 +839,10 @@ func (a *Analysis) applySummary(f *frame, nd *cfg.Node, cf *frame, multi, withRe
 			if pw == nil {
 				pend = append(pend, pendingWrite{dl: dl, strong: true})
 				pw = &pend[len(pend)-1]
-				pw.vals = a.newSet(c)
+				pw.vals = a.arena.NewSet()
 			}
 			pw.sources++
-			c.arena.AddAll(&pw.vals, tvals)
+			a.arena.AddAll(&pw.vals, tvals)
 			if !strongWrite || !dl.Precise() || f.multiTarget {
 				pw.strong = false
 			}
@@ -954,11 +859,11 @@ func (a *Analysis) applySummary(f *frame, nd *cfg.Node, cf *frame, multi, withRe
 			if !okOld {
 				old = a.getInitial(f, dl)
 			}
-			c.arena.AddAll(&merged, old)
+			a.arena.AddAll(&merged, old)
 		}
 		if !merged.IsEmpty() {
 			if dl.Base.AddPtrLoc(dl) {
-				a.notifyWrite(f.c, dl.Base)
+				a.notifyWrite(dl.Base)
 			}
 		}
 		if f.ptf.Pts.Assign(dl, merged, nd, strong) {
@@ -966,7 +871,7 @@ func (a *Analysis) applySummary(f *frame, nd *cfg.Node, cf *frame, multi, withRe
 			a.recordSolution(f, dl, merged)
 		}
 	}
-	c.pendBuf = pend[:0]
+	a.pendBuf = pend[:0]
 	// Return value.
 	if withRet && nd.RetDst != nil {
 		rloc := memmod.Loc(ptf.retval, 0, 0)
@@ -976,17 +881,17 @@ func (a *Analysis) applySummary(f *frame, nd *cfg.Node, cf *frame, multi, withRe
 			for _, dl := range dsts.Locs() {
 				a.registerRead(f, dl.Base, nd)
 				strong := dsts.Len() == 1 && dl.Precise() && !multi && !f.multiTarget
-				merged := a.cloneSet(f.c, tvals)
+				merged := a.arena.CloneSet(tvals)
 				if !strong {
 					old, okOld := f.ptf.Pts.LookupIn(dl, nd, nil)
 					if !okOld {
 						old = a.getInitial(f, dl)
 					}
-					a.addAll(f.c, &merged, old)
+					a.arena.AddAll(&merged, old)
 				}
 				if !merged.IsEmpty() {
 					if dl.Base.AddPtrLoc(dl) {
-						a.notifyWrite(f.c, dl.Base)
+						a.notifyWrite(dl.Base)
 					}
 				}
 				if f.ptf.Pts.Assign(dl, merged, nd, strong) {
@@ -1034,7 +939,7 @@ type pendingWrite struct {
 // translateLoc maps a callee-name-space location to caller locations.
 func (a *Analysis) translateLoc(cf *frame, loc memmod.LocSet) memmod.ValueSet {
 	loc = loc.Resolve()
-	out := a.newSet(cf.c)
+	out := a.arena.NewSet()
 	switch loc.Base.Kind {
 	case memmod.LocalBlock, memmod.RetvalBlock:
 		// Callee locals do not exist in the caller (paper §5.3).
@@ -1058,9 +963,9 @@ func (a *Analysis) translateLoc(cf *frame, loc memmod.LocSet) memmod.ValueSet {
 
 // translateVals maps callee values to caller values.
 func (a *Analysis) translateVals(cf *frame, vals memmod.ValueSet) memmod.ValueSet {
-	out := a.newSet(cf.c)
+	out := a.arena.NewSet()
 	for _, v := range vals.Locs() {
-		a.addAll(cf.c, &out, a.translateLoc(cf, v))
+		a.arena.AddAll(&out, a.translateLoc(cf, v))
 	}
 	return out
 }

@@ -23,11 +23,11 @@ import (
 func (a *Analysis) DomainDigests() map[string]string {
 	out := make(map[string]string)
 	for proc, l := range a.ptfs {
-		if len(l.list) == 0 {
+		if len(l) == 0 {
 			continue
 		}
-		doms := make([]string, 0, len(l.list))
-		for _, p := range l.list {
+		doms := make([]string, 0, len(l))
+		for _, p := range l {
 			doms = append(doms, p.renderDomain())
 		}
 		sort.Strings(doms)

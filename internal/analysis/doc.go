@@ -27,11 +27,11 @@
 //     every node of every PTF per pass. Kept as a cross-check; the
 //     equivalence tests compare the two on every workload.
 //
-// On top of the worklist engine sits the parallel pre-drain scheduler
-// (Options.Workers > 1, see schedule.go): mutually independent dirty
-// PTFs — disjoint static call cones and resource sets — are drained by
-// a worker pool in deterministic epochs, with buffered effects replayed
-// in item order. Results are identical at every worker count.
+// Both engines are one sequential walk from main. An Analysis owns all
+// of its memory — PTFs, blocks, records, arenas — and shares nothing
+// but atomic counters with other analyses, so independent analyses may
+// run concurrently and a dropped one is garbage as soon as nothing
+// references it.
 //
 // Key invariants:
 //
@@ -39,10 +39,10 @@
 //     records, reader registrations only grow), so evaluation order
 //     affects cost, never the fixpoint.
 //   - The PTF population itself is history-sensitive: a match decision
-//     depends on the candidate's input domain at match time. Match
-//     decisions therefore happen only on the sequential main walk, in
-//     sweep order; the scheduler batches exclusively drains whose
-//     site decision is already latched (siteUsed).
-//   - The collapsed Solution is rebuilt sequentially from the
-//     converged fixpoint, never incrementally from partial states.
+//     depends on the candidate's input domain at match time. The
+//     home-context and siteUsed rules (§5.2) update a latched instance
+//     in place instead of minting one per transient input state, which
+//     keeps the population independent of evaluation order.
+//   - The collapsed Solution is rebuilt from the converged fixpoint,
+//     never incrementally from partial states.
 package analysis

@@ -35,8 +35,7 @@ func (a *Analysis) evalProcFull(f *frame) {
 	callsOnly := a.incremental && a.collecting != nil
 	f.evaluated = make([]bool, len(f.ptf.Proc.Nodes))
 	for iter := 0; ; iter++ {
-		if a.timedOut.Load() || (!a.deadline.IsZero() && time.Now().After(a.deadline)) {
-			a.timedOut.Store(true)
+		if a.checkDeadline() {
 			return
 		}
 		// progress drives the local do-while loop (it includes nodes
@@ -55,28 +54,12 @@ func (a *Analysis) evalProcFull(f *frame) {
 			if callsOnly && nd.Kind != cfg.CallNode {
 				continue
 			}
-			a.countNode(f.c)
-			factChanged := false
-			switch nd.Kind {
-			case cfg.MeetNode, cfg.ExitNode:
-				factChanged = a.evalMeet(f, nd)
-			case cfg.AssignNode:
-				factChanged = a.evalAssign(f, nd)
-			case cfg.CallNode:
-				factChanged = a.evalCall(f, nd)
-			}
-			if factChanged {
+			if a.evalNode(f, nd) {
 				progress = true
-				f.c.changed = true
-				// The summary grew: dependents must revisit.
-				a.bumpVersion(f.c, f.ptf)
 			}
 		}
-		if f.evaluated[f.ptf.Proc.Exit.ID] && !f.ptf.exitReached {
-			f.ptf.exitReached = true
+		if a.reachExit(f) {
 			progress = true
-			f.c.changed = true
-			a.bumpVersion(f.c, f.ptf)
 		}
 		if callsOnly {
 			// One sweep marked every node and applied every call site; a
@@ -103,32 +86,9 @@ func (a *Analysis) evalProcFull(f *frame) {
 func (a *Analysis) evalProcDirty(f *frame) {
 	p := f.ptf
 	f.evaluated = p.evaluated
-	// Only the outermost main frame may run the parallel pre-drain: at
-	// that point the activation stack is just [main], so no work item's
-	// cone can overlap a procedure currently being evaluated.
-	mainWalk := a.par && p == a.mainPTF && f.c == a.mainCtx && f.caller == nil
-	for iter := 0; ; iter++ {
-		if p.dirtyN == 0 {
-			if !mainWalk || !a.pendingDrain {
-				break
-			}
-			// Call sites deferred dirty callees for batching; drain them
-			// now. Their version bumps re-dirty this frame's call nodes,
-			// in which case the sweep resumes.
-			a.preDrain()
-			if p.dirtyN == 0 {
-				break
-			}
-		}
-		if a.timedOut.Load() || (!a.deadline.IsZero() && time.Now().After(a.deadline)) {
-			a.timedOut.Store(true)
+	for iter := 0; p.dirtyN > 0; iter++ {
+		if a.checkDeadline() {
 			return
-		}
-		if mainWalk && iter > 0 {
-			// Cascades from earlier sweeps re-dirtied already-summarized
-			// sibling PTFs; drain the mutually independent ones on the
-			// worker pool before the sequential sweep resumes.
-			a.preDrain()
 		}
 		progress := false
 		for _, nd := range p.Proc.Nodes {
@@ -139,13 +99,6 @@ func (a *Analysis) evalProcDirty(f *frame) {
 				// Not evaluable yet; stays dirty for a later sweep.
 				continue
 			}
-			if mainWalk && a.pendingDrain && !f.evaluated[nd.ID] {
-				// A first evaluation can make fresh PTF-match decisions,
-				// and those must see exactly the state the sequential walk
-				// sees. The deferred drains belong to call sites that
-				// precede this node in sweep order, so flush them now.
-				a.preDrain()
-			}
 			p.dirty[nd.ID] = false
 			p.dirtyN--
 			first := !f.evaluated[nd.ID]
@@ -153,39 +106,15 @@ func (a *Analysis) evalProcDirty(f *frame) {
 				f.evaluated[nd.ID] = true
 			}
 			progress = true
-			a.countNode(f.c)
-			factChanged := false
-			switch nd.Kind {
-			case cfg.MeetNode, cfg.ExitNode:
-				factChanged = a.evalMeet(f, nd)
-			case cfg.AssignNode:
-				factChanged = a.evalAssign(f, nd)
-			case cfg.CallNode:
-				factChanged = a.evalCall(f, nd)
-			}
+			a.evalNode(f, nd)
 			if first {
 				for _, s := range nd.Succs {
-					a.markDirty(f.c, p, s)
+					a.markDirty(p, s)
 				}
 			}
-			if factChanged {
-				f.c.changed = true
-				a.bumpVersion(f.c, p)
-			}
-			if c := f.c; c != nil && c.restricted() && c.deferred {
-				// A guard detected work this context must not do; put
-				// the node back and abort the item. The sequential walk
-				// re-evaluates it with full authority.
-				p.dirty[nd.ID] = true
-				p.dirtyN++
-				return
-			}
 		}
-		if f.evaluated[p.Proc.Exit.ID] && !p.exitReached {
-			p.exitReached = true
+		if a.reachExit(f) {
 			progress = true
-			f.c.changed = true
-			a.bumpVersion(f.c, p)
 		}
 		if !progress || iter > 1000 {
 			break
@@ -206,53 +135,44 @@ func (a *Analysis) evalProcDirty(f *frame) {
 	}
 }
 
-// newSet returns an empty transient value set backed by the evaluation
-// context's arena (falling back to the main context's).
-func (a *Analysis) newSet(c *evalCtx) memmod.ValueSet {
-	if c == nil {
-		c = a.mainCtx
+// checkDeadline reports (and latches) that the wall-clock budget ran out.
+func (a *Analysis) checkDeadline() bool {
+	if !a.timedOut && !a.deadline.IsZero() && time.Now().After(a.deadline) {
+		a.timedOut = true
 	}
-	return c.arena.NewSet()
+	return a.timedOut
 }
 
-// cloneSet copies v into arena-backed storage owned by the evaluation
-// context (falling back to the main context's).
-func (a *Analysis) cloneSet(c *evalCtx, v memmod.ValueSet) memmod.ValueSet {
-	if c == nil {
-		c = a.mainCtx
+// evalNode evaluates one flow node; when its facts grow, the PTF's
+// summary version is bumped so dependents revisit. Reports the growth.
+func (a *Analysis) evalNode(f *frame, nd *cfg.Node) bool {
+	a.stats.NodesEvaluated++
+	factChanged := false
+	switch nd.Kind {
+	case cfg.MeetNode, cfg.ExitNode:
+		factChanged = a.evalMeet(f, nd)
+	case cfg.AssignNode:
+		factChanged = a.evalAssign(f, nd)
+	case cfg.CallNode:
+		factChanged = a.evalCall(f, nd)
 	}
-	return c.arena.CloneSet(v)
+	if factChanged {
+		a.changed = true
+		a.bumpVersion(f.ptf)
+	}
+	return factChanged
 }
 
-// value1 builds a single-member set in the context's arena.
-func (a *Analysis) value1(c *evalCtx, l memmod.LocSet) memmod.ValueSet {
-	if c == nil {
-		c = a.mainCtx
+// reachExit marks the PTF's exit reached the first time the sweep
+// evaluates it (a summary now exists); reports the transition.
+func (a *Analysis) reachExit(f *frame) bool {
+	if !f.evaluated[f.ptf.Proc.Exit.ID] || f.ptf.exitReached {
+		return false
 	}
-	return c.arena.Value1(l)
-}
-
-// addAll unions o into v, growing v's backing from the context's arena.
-func (a *Analysis) addAll(c *evalCtx, v *memmod.ValueSet, o memmod.ValueSet) bool {
-	if c == nil {
-		c = a.mainCtx
-	}
-	return c.arena.AddAll(v, o)
-}
-
-// shiftSet and strideSet displace/widen a set into arena storage.
-func (a *Analysis) shiftSet(c *evalCtx, v memmod.ValueSet, d int64) memmod.ValueSet {
-	if c == nil {
-		c = a.mainCtx
-	}
-	return c.arena.ShiftSet(v, d)
-}
-
-func (a *Analysis) strideSet(c *evalCtx, v memmod.ValueSet, s int64) memmod.ValueSet {
-	if c == nil {
-		c = a.mainCtx
-	}
-	return c.arena.StrideSet(v, s)
+	f.ptf.exitReached = true
+	a.changed = true
+	a.bumpVersion(f.ptf)
+	return true
 }
 
 func (f *frame) anyPredEvaluated(nd *cfg.Node) bool {
@@ -269,7 +189,7 @@ func (a *Analysis) evalMeet(f *frame, nd *cfg.Node) bool {
 	changed := false
 	for _, loc := range f.ptf.Pts.PhiLocs(nd) {
 		a.registerRead(f, loc.Base, nd)
-		srcs := a.newSet(f.c)
+		srcs := a.arena.NewSet()
 		for _, pred := range nd.Preds {
 			if !f.evaluated[pred.ID] {
 				continue
@@ -278,7 +198,7 @@ func (a *Analysis) evalMeet(f *frame, nd *cfg.Node) bool {
 			if !found {
 				vals = a.getInitial(f, loc)
 			}
-			a.addAll(f.c, &srcs, vals)
+			a.arena.AddAll(&srcs, vals)
 		}
 		if f.ptf.Pts.AssignPhi(loc, srcs, nd) {
 			changed = true
@@ -306,15 +226,11 @@ func (a *Analysis) evalContents(f *frame, v memmod.LocSet, nd *cfg.Node) memmod.
 	if v.Precise() {
 		barrier = f.ptf.Pts.FindStrongUpdate(v, nd)
 	}
-	c := f.c
-	if c == nil {
-		c = a.mainCtx
-	}
-	result := c.arena.NewSet()
+	result := a.arena.NewSet()
 	// seen is a linear-scan scratch carved per call (getInitial can
 	// re-enter evalContents on the caller frame, so it must not be a
 	// shared buffer).
-	seen := c.arena.Carve(4)
+	seen := a.arena.Carve(4)
 	consider := func(l memmod.LocSet) {
 		l = l.Resolve()
 		for _, s := range seen {
@@ -330,7 +246,7 @@ func (a *Analysis) evalContents(f *frame, v memmod.LocSet, nd *cfg.Node) memmod.
 		if !found {
 			vals = a.getInitial(f, l)
 		}
-		c.arena.AddAll(&result, vals)
+		a.arena.AddAll(&result, vals)
 	}
 	consider(v)
 	for _, l := range v.Base.PtrLocs() {
@@ -347,9 +263,9 @@ func (a *Analysis) evalExpr(f *frame, e *cfg.Expr, nd *cfg.Node) memmod.ValueSet
 	if e == nil {
 		return out
 	}
-	out = a.newSet(f.c)
+	out = a.arena.NewSet()
 	for _, t := range e.Terms {
-		base := a.newSet(f.c)
+		base := a.arena.NewSet()
 		switch t.Kind {
 		case cfg.TermVar:
 			if l := a.varBlockLoc(f, t.Sym, 0, 0); l.Base != nil {
@@ -362,7 +278,7 @@ func (a *Analysis) evalExpr(f *frame, e *cfg.Expr, nd *cfg.Node) memmod.ValueSet
 		case cfg.TermDeref:
 			ptrs := a.evalExpr(f, t.Base, nd)
 			for _, pl := range ptrs.Locs() {
-				a.addAll(f.c, &base, a.evalContents(f, pl, nd))
+				a.arena.AddAll(&base, a.evalContents(f, pl, nd))
 			}
 		case cfg.TermNull:
 			if a.nullBlock != nil {
@@ -370,12 +286,12 @@ func (a *Analysis) evalExpr(f *frame, e *cfg.Expr, nd *cfg.Node) memmod.ValueSet
 			}
 		}
 		if t.Off != 0 {
-			base = a.shiftSet(f.c, base, t.Off)
+			base = a.arena.ShiftSet(base, t.Off)
 		}
 		if t.Stride != 0 {
-			base = a.strideSet(f.c, base, t.Stride)
+			base = a.arena.StrideSet(base, t.Stride)
 		}
-		a.addAll(f.c, &out, base)
+		a.arena.AddAll(&out, base)
 	}
 	return out
 }
@@ -397,7 +313,7 @@ func (a *Analysis) evalAssign(f *frame, nd *cfg.Node) bool {
 		// The outcome depends on the destination's records (weak-update
 		// merge) and uniqueness (strong-update eligibility).
 		a.registerRead(f, dst.Base, nd)
-		newSrcs := a.cloneSet(f.c, srcs)
+		newSrcs := a.arena.CloneSet(srcs)
 		strong := strongOK
 		if !strong {
 			// Weak update: the destination retains its old values.
@@ -405,11 +321,11 @@ func (a *Analysis) evalAssign(f *frame, nd *cfg.Node) bool {
 			if !found {
 				old = a.getInitial(f, dst)
 			}
-			a.addAll(f.c, &newSrcs, old)
+			a.arena.AddAll(&newSrcs, old)
 		}
 		if !newSrcs.IsEmpty() {
 			if dst.Base.AddPtrLoc(dst) {
-				a.notifyWrite(f.c, dst.Base)
+				a.notifyWrite(dst.Base)
 			}
 		}
 		if f.ptf.Pts.Assign(dst, newSrcs, nd, strong) {
@@ -453,10 +369,10 @@ func (a *Analysis) evalAggregateCopy(f *frame, nd *cfg.Node, dsts memmod.ValueSe
 				if !f2 {
 					old = a.getInitial(f, target)
 				}
-				merged := a.cloneSet(f.c, vals)
-				a.addAll(f.c, &merged, old)
+				merged := a.arena.CloneSet(vals)
+				a.arena.AddAll(&merged, old)
 				if target.Base.AddPtrLoc(target) {
-					a.notifyWrite(f.c, target.Base)
+					a.notifyWrite(target.Base)
 				}
 				if f.ptf.Pts.Assign(target, merged, nd, false) {
 					changed = true

@@ -42,7 +42,6 @@ package analysis
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"wlpa/internal/cast"
 	"wlpa/internal/cfg"
@@ -75,11 +74,9 @@ func (a *Analysis) PrepareIncremental(edited *sem.Program, editedProcs map[*cast
 	switch {
 	case !a.track:
 		return nil, &Error{Msg: "incremental: baseline did not use the worklist engine"}
-	case a.workers != 1:
-		return nil, &Error{Msg: "incremental: baseline used the parallel scheduler"}
 	case a.mainPTF == nil:
 		return nil, &Error{Msg: "incremental: baseline has not converged"}
-	case a.capped || a.timedOut.Load():
+	case a.capped || a.timedOut:
 		return nil, &Error{Msg: "incremental: baseline was capped or timed out"}
 	case edited.Main == nil:
 		return nil, &Error{Msg: "incremental: edited program has no main"}
@@ -168,12 +165,12 @@ func (a *Analysis) PrepareIncremental(edited *sem.Program, editedProcs map[*cast
 	kept := make(map[*PTF]bool)
 	total := 0
 	for proc := range keptProcs {
-		for _, p := range a.ptfs[proc].list {
+		for _, p := range a.ptfs[proc] {
 			kept[p] = true
 		}
 	}
 	for _, l := range a.ptfs {
-		total += len(l.list)
+		total += len(l)
 	}
 	for changed := true; changed; {
 		changed = false
@@ -226,20 +223,14 @@ func (a *Analysis) PrepareIncremental(edited *sem.Program, editedProcs map[*cast
 	// Scrub kept instances of state that points outside the survivor
 	// set or at the finished run's evaluation machinery, and carry
 	// their function-pointer domains over to the edited symbols.
-	newPtfs := make(map[*cfg.Proc]*ptfList, len(procs))
-	for _, proc := range procs {
-		newPtfs[proc] = &ptfList{}
-	}
-	var numPTFs, numRestored int64
+	newPtfs := make(map[*cfg.Proc][]*PTF, len(procs))
+	numRestored := 0
 	cache := make(map[*cfg.Proc][]*PTF, len(keptProcs))
 	for proc := range keptProcs {
-		nl := newPtfs[proc]
-		for _, p := range a.ptfs[proc].list {
+		for _, p := range a.ptfs[proc] {
 			if !kept[p] {
 				continue
 			}
-			p.lastBind = nil
-			p.octx = a.mainCtx
 			if p.homePTF != nil && !kept[p.homePTF] {
 				p.homePTF, p.homeNode = nil, nil
 			}
@@ -269,8 +260,7 @@ func (a *Analysis) PrepareIncremental(edited *sem.Program, editedProcs map[*cast
 				}
 			}
 			if restored[p] {
-				nl.list = append(nl.list, p)
-				numPTFs++
+				newPtfs[proc] = append(newPtfs[proc], p)
 				numRestored++
 			} else {
 				cache[proc] = append(cache[proc], p)
@@ -331,7 +321,7 @@ func (a *Analysis) PrepareIncremental(edited *sem.Program, editedProcs map[*cast
 		a.nullBlock.ResetPtrLocs()
 	}
 	for _, l := range newPtfs {
-		for _, p := range l.list {
+		for _, p := range l {
 			replayPtrLocs(p)
 		}
 	}
@@ -340,19 +330,16 @@ func (a *Analysis) PrepareIncremental(edited *sem.Program, editedProcs map[*cast
 	a.prog = edited
 	a.procs = procs
 	a.ptfs = newPtfs
-	a.numPTFs = numPTFs
+	a.numPTFs = numRestored
 	a.keptCache = cache
-	a.restoredPTFs = int(numRestored)
-	a.sched = nil
+	a.restoredPTFs = numRestored
 	a.modref = nil
-	a.draining = nil
-	a.pendingDrain = false
 	a.collecting = nil
 	a.capped = false
-	a.timedOut.Store(false)
+	a.timedOut = false
 	a.stats = Stats{PTFsPerProc: make(map[string]int)}
-	a.mainCtx.stack = a.mainCtx.stack[:0]
-	a.mainCtx.changed = false
+	a.stack = a.stack[:0]
+	a.changed = false
 	if a.mainPTF != nil && !kept[a.mainPTF] {
 		a.mainPTF = nil
 	}
@@ -396,8 +383,8 @@ func (a *Analysis) adoptKept(proc *cfg.Proc, p *PTF) bool {
 		return false
 	}
 	a.keptCache[proc] = append(l[:at], l[at+1:]...)
-	a.ptfs[proc].list = append(a.ptfs[proc].list, p)
-	atomic.AddInt64(&a.numPTFs, 1)
+	a.ptfs[proc] = append(a.ptfs[proc], p)
+	a.numPTFs++
 	a.restoredPTFs++
 	replayPtrLocs(p)
 	return true

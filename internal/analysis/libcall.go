@@ -60,7 +60,7 @@ func (c *libCall) Store(dsts, vals memmod.ValueSet) {
 		merged := vals.Clone()
 		merged.AddAll(old)
 		if dl.Base.AddPtrLoc(dl) {
-			c.a.notifyWrite(c.f.c, dl.Base)
+			c.a.notifyWrite(dl.Base)
 		}
 		if c.f.ptf.Pts.Assign(dl, merged, c.nd, false) {
 			c.changed = true
@@ -117,7 +117,7 @@ func (c *libCall) Return(v memmod.ValueSet) {
 			merged.AddAll(old)
 		}
 		if dl.Base.AddPtrLoc(dl) {
-			c.a.notifyWrite(c.f.c, dl.Base)
+			c.a.notifyWrite(dl.Base)
 		}
 		if c.f.ptf.Pts.Assign(dl, merged, c.nd, strong) {
 			c.changed = true

@@ -18,11 +18,8 @@ func (p *PTF) localBlock(sym *cast.Symbol) *memmod.Block {
 	return b
 }
 
-// globalBlock returns the real storage block of a global symbol. The
-// interning maps are shared across contexts, hence the mutex.
+// globalBlock returns the real storage block of a global symbol.
 func (a *Analysis) globalBlock(sym *cast.Symbol) *memmod.Block {
-	a.internMu.Lock()
-	defer a.internMu.Unlock()
 	if b, ok := a.globalBlocks[sym]; ok {
 		return b
 	}
@@ -33,8 +30,6 @@ func (a *Analysis) globalBlock(sym *cast.Symbol) *memmod.Block {
 
 // funcBlock returns the block representing a function value.
 func (a *Analysis) funcBlock(sym *cast.Symbol) *memmod.Block {
-	a.internMu.Lock()
-	defer a.internMu.Unlock()
 	if b, ok := a.funcBlocks[sym]; ok {
 		return b
 	}
@@ -45,8 +40,6 @@ func (a *Analysis) funcBlock(sym *cast.Symbol) *memmod.Block {
 
 // strBlock returns the block of a string literal.
 func (a *Analysis) strBlock(id int, val string) *memmod.Block {
-	a.internMu.Lock()
-	defer a.internMu.Unlock()
 	if b, ok := a.strBlocks[id]; ok {
 		return b
 	}
@@ -57,8 +50,6 @@ func (a *Analysis) strBlock(id int, val string) *memmod.Block {
 
 // heapBlock returns the heap block of a static allocation site.
 func (a *Analysis) heapBlock(site *cfg.Node) *memmod.Block {
-	a.internMu.Lock()
-	defer a.internMu.Unlock()
 	key := site.Pos.String()
 	if b, ok := a.heapBlocks[key]; ok {
 		return b
@@ -69,26 +60,15 @@ func (a *Analysis) heapBlock(site *cfg.Node) *memmod.Block {
 }
 
 // newParam allocates a fresh extended parameter in f's PTF bound to the
-// given actuals. The parameter's name indexes within its PTF, so names
-// are deterministic regardless of which context allocates first.
-// setGlobalParam records a global's parameter on the PTF, creating the
-// map on first use.
-func (a *Analysis) setGlobalParam(p *PTF, sym *cast.Symbol, b *memmod.Block) {
-	p.globalParams.put(sym, b)
-}
-
+// given actuals. The parameter's name indexes within its PTF.
 func (a *Analysis) newParam(f *frame, hint string, actuals memmod.ValueSet) *memmod.Block {
-	if c := f.c; c != nil && c.restricted() {
-		c.params++
-	} else {
-		a.stats.Params++
-	}
+	a.stats.Params++
 	p := memmod.NewParam(len(f.ptf.params)+1, hint)
 	if f.ptf.params == nil {
 		f.ptf.params = make([]*memmod.Block, 0, 8)
 	}
 	f.ptf.params = append(f.ptf.params, p)
-	f.pmap[p] = a.cloneSet(f.c, actuals)
+	f.pmap[p] = a.arena.CloneSet(actuals)
 	a.bindParamConcrete(f, p, actuals)
 	return p
 }
@@ -104,12 +84,7 @@ func (a *Analysis) varBlockLoc(f *frame, sym *cast.Symbol, off, stride int64) me
 		if f.caller == nil {
 			return memmod.Loc(a.globalBlock(sym), off, stride)
 		}
-		if p := a.globalParam(f, sym); p != nil {
-			return memmod.Loc(p, off, stride)
-		}
-		// Deferred: a restricted context may not materialize the
-		// parameter. Callers treat a nil-base LocSet as "unknown yet".
-		return memmod.LocSet{}
+		return memmod.Loc(a.globalParam(f, sym), off, stride)
 	}
 	return memmod.Loc(f.ptf.localBlock(sym), off, stride)
 }
@@ -118,59 +93,28 @@ func (a *Analysis) varBlockLoc(f *frame, sym *cast.Symbol, off, stride int64) me
 // parameter representing global sym inside f's PTF, binding its actuals
 // to the caller's representation of the global.
 func (a *Analysis) globalParam(f *frame, sym *cast.Symbol) *memmod.Block {
-	c := f.c
 	if p, ok := f.ptf.globalParams.get(sym); ok {
 		p = p.Representative()
 		if _, bound := f.pmap[p]; !bound {
-			if c != nil && c.restricted() && !c.owns(f.ptf.Proc) {
-				// Rebinding writes f.pmap; a worker must not mutate a
-				// chain frame it does not own.
-				c.deferred = true
-				return nil
-			}
-			al := a.callerGlobalLoc(f, sym)
-			if al.Base == nil {
-				// Deferred deeper in the caller chain.
-				if c != nil {
-					c.deferred = true
-				}
-				return nil
-			}
-			actual := memmod.Values(al)
+			actual := memmod.Values(a.callerGlobalLoc(f, sym))
 			f.pmap[p] = actual
 			a.bindParamConcrete(f, p, actual)
 		}
 		return p
 	}
-	if c != nil && c.restricted() && !c.owns(f.ptf.Proc) {
-		// Materializing the parameter records an initial entry on a
-		// chain PTF the worker does not own.
-		c.deferred = true
-		return nil
-	}
 	actual := a.callerGlobalLoc(f, sym)
-	if actual.Base == nil {
-		if c != nil {
-			c.deferred = true
-		}
-		return nil
-	}
 	// The global may already be covered by a pointer-reached parameter.
-	if p, delta, exact := a.findCoveringParam(f, a.value1(c, actual)); p != nil && exact && delta == 0 {
-		a.setGlobalParam(f.ptf, sym, p)
-		a.appendInitial(c, f.ptf, initEntry{kind: globalRefEntry, sym: sym, param: p})
-		a.bumpVersion(c, f.ptf)
+	if p, delta, exact := a.findCoveringParam(f, a.arena.Value1(actual)); p != nil && exact && delta == 0 {
+		f.ptf.globalParams.put(sym, p)
+		a.appendInitial(f.ptf, initEntry{kind: globalRefEntry, sym: sym, param: p})
+		a.bumpVersion(f.ptf)
 		return p
 	}
-	p := a.newParam(f, sym.Name, a.value1(c, actual))
-	a.setGlobalParam(f.ptf, sym, p)
-	a.appendInitial(c, f.ptf, initEntry{kind: globalRefEntry, sym: sym, param: p})
-	a.bumpVersion(c, f.ptf)
-	if c != nil {
-		c.changed = true
-	} else {
-		a.mainCtx.changed = true
-	}
+	p := a.newParam(f, sym.Name, a.arena.Value1(actual))
+	f.ptf.globalParams.put(sym, p)
+	a.appendInitial(f.ptf, initEntry{kind: globalRefEntry, sym: sym, param: p})
+	a.bumpVersion(f.ptf)
+	a.changed = true
 	return p
 }
 
@@ -300,7 +244,7 @@ func (a *Analysis) getInitial(f *frame, v memmod.LocSet) memmod.ValueSet {
 			if v.Stride != 0 {
 				target = target.WithStride(v.Stride)
 			}
-			a.addAll(f.c, &actuals, a.evalContents(caller, target, f.callNode))
+			a.arena.AddAll(&actuals, a.evalContents(caller, target, f.callNode))
 		}
 	case memmod.GlobalBlock:
 		// Real global storage (outermost frame): initial values come
@@ -310,19 +254,10 @@ func (a *Analysis) getInitial(f *frame, v memmod.LocSet) memmod.ValueSet {
 	case memmod.StringBlock, memmod.HeapBlock, memmod.RetvalBlock, memmod.FuncBlock, memmod.NullBlock:
 		return memmod.ValueSet{}
 	}
-	if c := f.c; c != nil && c.restricted() && c.deferred {
-		// The actuals may be under-approximated by a deferred chain
-		// read; recording an initial entry from them would be wrong.
-		// The item aborts and the node stays dirty for the sequential
-		// walk.
-		return memmod.ValueSet{}
-	}
-	if v.Base.Kind == memmod.LocalBlock {
-		// Formal parameter: its initial contents are exactly the
-		// actual argument values, translated into the callee's name
-		// space via extended parameters.
-		return a.bindInitial(f, v, actuals)
-	}
+	// A formal's initial contents are exactly the actual argument
+	// values; a parameter's are the dereferenced actuals. Either way
+	// they are translated into the callee's name space via extended
+	// parameters.
 	return a.bindInitial(f, v, actuals)
 }
 
@@ -330,20 +265,14 @@ func (a *Analysis) getInitial(f *frame, v memmod.LocSet) memmod.ValueSet {
 // parameter in f's PTF, recording the initial points-to entry and
 // seeding the entry record.
 func (a *Analysis) bindInitial(f *frame, v memmod.LocSet, actuals memmod.ValueSet) memmod.ValueSet {
-	if c := f.c; c != nil && c.restricted() && !c.owns(f.ptf.Proc) {
-		// Recording an initial entry mutates a chain PTF the worker
-		// does not own.
-		c.deferred = true
-		return memmod.ValueSet{}
-	}
 	v = v.Resolve()
 	v.Base.AddPtrLoc(v)
 	var val memmod.LocSet
 	empty := actuals.IsEmpty()
 	if empty {
 		e := initEntry{kind: ptrInitEntry, ptr: v, valEmpty: true}
-		a.appendInitial(f.c, f.ptf, e)
-		a.bumpVersion(f.c, f.ptf)
+		a.appendInitial(f.ptf, e)
+		a.bumpVersion(f.ptf)
 		f.ptf.Pts.Assign(v, memmod.ValueSet{}, f.ptf.Proc.Entry, false)
 		return memmod.ValueSet{}
 	}
@@ -380,13 +309,13 @@ func (a *Analysis) bindInitial(f *frame, v memmod.LocSet, actuals memmod.ValueSe
 			for _, q := range overlapped {
 				d, ex := subsumeDelta(f.pmap[q], merged)
 				q.Subsume(np, d, !ex)
-				a.subsumeEverywhere(f.c, q, np)
-				a.migrateReaders(f.c, q, np)
+				a.subsumeEverywhere(q, np)
+				a.migrateReaders(q, np)
 			}
 			f.ptf.Pts.Rehome()
 			// Everything read through the merged parameter may resolve
 			// differently now.
-			a.notifyWrite(f.c, np)
+			a.notifyWrite(np)
 			val = memmod.Loc(np, 0, 1)
 			// The exact placement of these values within the merged
 			// parameter is unknown unless a consistent delta exists.
@@ -407,7 +336,7 @@ func (a *Analysis) bindInitial(f *frame, v memmod.LocSet, actuals memmod.ValueSe
 	if f.ptf.pointedBy[rep] > 1 {
 		bound := f.pmap[rep]
 		if !(bound.Len() == 1 && bound.Locs()[0].Precise()) {
-			a.setNotUnique(f.c, rep)
+			a.setNotUnique(rep)
 		}
 	}
 	if actuals.Len() > 1 {
@@ -418,9 +347,9 @@ func (a *Analysis) bindInitial(f *frame, v memmod.LocSet, actuals memmod.ValueSe
 		_ = rep
 	}
 	e := initEntry{kind: ptrInitEntry, ptr: v, val: val}
-	a.appendInitial(f.c, f.ptf, e)
-	a.bumpVersion(f.c, f.ptf)
-	f.c.changed = true
+	a.appendInitial(f.ptf, e)
+	a.bumpVersion(f.ptf)
+	a.changed = true
 	vals := memmod.Values(val)
 	f.ptf.Pts.Assign(v, vals, f.ptf.Proc.Entry, false)
 	a.recordSolution(f, v, vals)
@@ -443,13 +372,9 @@ func subsumeDelta(oldBound, merged memmod.ValueSet) (int64, bool) {
 // subsumeEverywhere merges per-PTF bookkeeping after q was subsumed by
 // np. The pmap bindings and fp domains resolve lazily through
 // Representative(), so only the pointed-by counts need merging. Only
-// the subsuming context's own call stack can hold affected frames.
-func (a *Analysis) subsumeEverywhere(c *evalCtx, q, np *memmod.Block) {
-	stack := a.mainCtx.stack
-	if c != nil {
-		stack = c.stack
-	}
-	for _, fr := range stack {
+// the activation stack can hold affected frames.
+func (a *Analysis) subsumeEverywhere(q, np *memmod.Block) {
+	for _, fr := range a.stack {
 		if fr.ptf == nil {
 			continue
 		}
@@ -462,39 +387,12 @@ func (a *Analysis) subsumeEverywhere(c *evalCtx, q, np *memmod.Block) {
 
 // migrateReaders moves the read registrations of a subsumed block to its
 // subsumer (registrations key on the representative at registration
-// time) and re-dirties them: their reads resolve differently now. A
-// restricted context may not mutate the shared map; it buffers the
-// migration for the epoch commit, moves its own buffered registrations
-// immediately, and re-dirties shared-map readers through its dirty
-// buffer (markDirty routes non-owned marks there).
-func (a *Analysis) migrateReaders(c *evalCtx, q, np *memmod.Block) {
+// time) and re-dirties them: their reads resolve differently now.
+func (a *Analysis) migrateReaders(q, np *memmod.Block) {
 	if !a.track {
 		return
 	}
 	np = np.Representative()
-	if c != nil && c.restricted() {
-		c.migrateBuf = append(c.migrateBuf, blockPair{q: q, np: np})
-		if old := c.readerBuf[q]; old != nil {
-			delete(c.readerBuf, q)
-			set := c.readerBuf[np]
-			if set == nil {
-				set = make(map[readerKey]bool, len(old))
-				c.readerBuf[np] = set
-			}
-			for k := range old {
-				set[k] = true
-				a.markDirty(c, k.ptf, k.nd)
-			}
-		}
-		qs := a.readers[q]
-		for _, k := range qs.list {
-			a.markDirty(c, k.ptf, k.nd)
-		}
-		for k := range qs.m {
-			a.markDirty(c, k.ptf, k.nd)
-		}
-		return
-	}
 	old, ok := a.readers[q]
 	if !ok {
 		return
@@ -502,11 +400,11 @@ func (a *Analysis) migrateReaders(c *evalCtx, q, np *memmod.Block) {
 	delete(a.readers, q)
 	for _, k := range old.list {
 		a.addReader(np, k)
-		a.markDirty(c, k.ptf, k.nd)
+		a.markDirty(k.ptf, k.nd)
 	}
 	for k := range old.m {
 		a.addReader(np, k)
-		a.markDirty(c, k.ptf, k.nd)
+		a.markDirty(k.ptf, k.nd)
 	}
 }
 

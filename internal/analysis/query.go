@@ -30,27 +30,11 @@ type FreeSite struct {
 }
 
 // recordFree merges a freed value set into the per-(PTF, node) record.
-// Restricted contexts buffer the merge for the epoch commit — the
-// shared map must not be mutated concurrently, and the union is
-// order-independent so buffering preserves the sequential result.
 func (a *Analysis) recordFree(f *frame, nd *cfg.Node, v memmod.ValueSet) {
 	if v.IsEmpty() {
 		return
 	}
 	k := freeKey{f.ptf, nd}
-	if c := f.c; c != nil && c.restricted() {
-		if c.freesBuf == nil {
-			c.freesBuf = make(map[freeKey]*memmod.ValueSet)
-		}
-		acc, ok := c.freesBuf[k]
-		if !ok {
-			nv := v.Resolved().Clone()
-			c.freesBuf[k] = &nv
-			return
-		}
-		acc.AddAll(v)
-		return
-	}
 	if a.frees == nil {
 		a.frees = make(map[freeKey]*memmod.ValueSet)
 	}
@@ -106,9 +90,7 @@ func (a *Analysis) AllPTFs() []*PTF {
 		if !ok {
 			continue
 		}
-		if l := a.ptfs[proc]; l != nil {
-			out = append(out, l.list...)
-		}
+		out = append(out, a.ptfs[proc]...)
 	}
 	return out
 }

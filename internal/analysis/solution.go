@@ -117,9 +117,7 @@ func (a *Analysis) recordSolution(f *frame, loc memmod.LocSet, vals memmod.Value
 		return
 	}
 	_ = f
-	a.solMu.Lock()
 	a.solution.add(loc, vals)
-	a.solMu.Unlock()
 }
 
 // mirrorSummary records every points-to fact of a callee instance into
@@ -166,15 +164,15 @@ func (a *Analysis) collectSolution(mf *frame) {
 	track := a.track
 	a.track = false
 	a.collecting = map[*PTF]bool{mf.ptf: true}
-	a.mainCtx.stack = append(a.mainCtx.stack[:0], mf)
+	a.stack = append(a.stack[:0], mf)
 	a.evalProc(mf)
-	a.mainCtx.stack = a.mainCtx.stack[:0]
+	a.stack = a.stack[:0]
 	a.collecting = nil
 	a.track = track
 	// At the fixpoint no assignment changes, so the pass above records
 	// bindings but no facts; mirror every PTF's final records directly.
 	for _, l := range a.ptfs {
-		for _, p := range l.list {
+		for _, p := range l {
 			for _, loc := range p.Pts.Locations() {
 				for _, r := range p.Pts.Records(loc) {
 					if r.Vals.IsEmpty() {
@@ -231,8 +229,6 @@ func (a *Analysis) bindParamConcrete(owner *frame, p *memmod.Block, vals memmod.
 	if a.paramConcrete == nil || vals.IsEmpty() {
 		return
 	}
-	a.solMu.Lock()
-	defer a.solMu.Unlock()
 	if a.solution != nil {
 		a.solution.dirty = true
 	}

@@ -27,18 +27,8 @@ type JSONEntry struct {
 	NsPerOp     int64   `json:"ns_per_op"`
 	AllocsPerOp uint64  `json:"allocs_per_op"`
 	PTFsPerProc float64 `json:"ptfs_per_proc"`
-	// Engine identifies the evaluation engine: "worklist" (default),
-	// "full-passes" (ForceFullPasses), or "parallel" (worker pool > 1).
+	// Engine identifies the evaluation engine ("worklist").
 	Engine string `json:"engine"`
-	// Workers is the effective worker-pool size used for the run.
-	Workers int `json:"workers"`
-	// ParallelEpochs/ParallelItems report how often the parallel
-	// scheduler actually batched work (0 for sequential engines).
-	ParallelEpochs int `json:"parallel_epochs,omitempty"`
-	ParallelItems  int `json:"parallel_items,omitempty"`
-	// WorkerBusyNs is the per-worker busy time in nanoseconds (absent
-	// when the scheduler never ran an epoch).
-	WorkerBusyNs []int64 `json:"worker_busy_ns,omitempty"`
 }
 
 // Report is the envelope written to BENCH_ptabench.json: provenance
@@ -51,40 +41,6 @@ type Report struct {
 	// Protocol names the measurement discipline, e.g. "min-of-3".
 	Protocol string      `json:"protocol"`
 	Entries  []JSONEntry `json:"entries"`
-}
-
-// ScalingEntry is one (workload, worker-count) cell of the
-// worker-scaling emission (BENCH_workerscaling.json).
-type ScalingEntry struct {
-	Name    string `json:"name"`
-	Workers int    `json:"workers"`
-	NsPerOp int64  `json:"ns_per_op"`
-	// ParallelEpochs/ParallelItems report the scheduler's batching:
-	// epochs is how many times a batch of independent drains was
-	// dispatched, items the total drains so dispatched.
-	ParallelEpochs int     `json:"parallel_epochs"`
-	ParallelItems  int     `json:"parallel_items"`
-	WorkerBusyNs   []int64 `json:"worker_busy_ns,omitempty"`
-}
-
-// ScalingReport is the envelope written to BENCH_workerscaling.json.
-type ScalingReport struct {
-	Generated string         `json:"generated"`
-	GoVersion string         `json:"go_version"`
-	Protocol  string         `json:"protocol"`
-	Entries   []ScalingEntry `json:"entries"`
-}
-
-// engineName renders the engine selection of a finished run.
-func engineName(st analysis.Stats, force bool) string {
-	switch {
-	case force:
-		return "full-passes"
-	case st.Workers > 1:
-		return "parallel"
-	default:
-		return "worklist"
-	}
 }
 
 // prepare runs the frontend once for a workload (shared across rounds —
@@ -127,11 +83,9 @@ func timedRun(name string, prog *sem.Program, opts analysis.Options) (int64, uin
 // nanoseconds, heap allocations (mallocs) and PTFs per procedure for the
 // analysis phase only (frontend excluded, matching RunTable2One). Each
 // workload runs measureRounds times and the fastest round is recorded.
-// workers selects the scheduler pool size (0 = GOMAXPROCS, 1 =
-// sequential).
-func MeasureJSON(workers int) ([]JSONEntry, error) {
+func MeasureJSON() ([]JSONEntry, error) {
 	entries := make([]JSONEntry, 0, len(workload.Suite()))
-	opts := analysis.Options{Lib: libsum.Summaries(), Workers: workers}
+	opts := analysis.Options{Lib: libsum.Summaries()}
 	for _, b := range workload.Suite() {
 		prog, err := prepare(b.Name, b.Source)
 		if err != nil {
@@ -147,75 +101,14 @@ func MeasureJSON(workers int) ([]JSONEntry, error) {
 				continue
 			}
 			best = JSONEntry{
-				Name:           b.Name,
-				NsPerOp:        ns,
-				AllocsPerOp:    allocs,
-				PTFsPerProc:    st.AvgPTFs(),
-				Engine:         engineName(st, false),
-				Workers:        st.Workers,
-				ParallelEpochs: st.ParallelEpochs,
-				ParallelItems:  st.ParallelItems,
-				WorkerBusyNs:   nil,
-			}
-			for _, d := range st.WorkerBusy {
-				best.WorkerBusyNs = append(best.WorkerBusyNs, d.Nanoseconds())
+				Name:        b.Name,
+				NsPerOp:     ns,
+				AllocsPerOp: allocs,
+				PTFsPerProc: st.AvgPTFs(),
+				Engine:      "worklist",
 			}
 		}
 		entries = append(entries, best)
-	}
-	return entries, nil
-}
-
-// ScalingWorkloads returns the worker-scaling job list: the canonical
-// fan-out shapes plus the three largest Table 2 programs (which batch
-// poorly — the contrast is the point of the table).
-func ScalingWorkloads() []workload.Benchmark {
-	var jobs []workload.Benchmark
-	for _, s := range workload.FanOutShapes() {
-		jobs = append(jobs, workload.Benchmark{Name: s.Name, Source: s.Source()})
-	}
-	for _, name := range []string{"loader", "football", "compiler"} {
-		if wb, ok := workload.ByName(name); ok {
-			jobs = append(jobs, wb)
-		}
-	}
-	return jobs
-}
-
-// MeasureWorkerScaling runs every scaling workload at each worker count
-// and records the fastest of measureRounds rounds per cell.
-func MeasureWorkerScaling(workerCounts []int) ([]ScalingEntry, error) {
-	var entries []ScalingEntry
-	for _, b := range ScalingWorkloads() {
-		prog, err := prepare(b.Name, b.Source)
-		if err != nil {
-			return nil, err
-		}
-		for _, w := range workerCounts {
-			opts := analysis.Options{Lib: libsum.Summaries(), Workers: w}
-			var best ScalingEntry
-			for round := 0; round < measureRounds; round++ {
-				ns, _, st, err := timedRun(b.Name, prog, opts)
-				if err != nil {
-					return nil, err
-				}
-				if round > 0 && ns >= best.NsPerOp {
-					continue
-				}
-				best = ScalingEntry{
-					Name:           b.Name,
-					Workers:        st.Workers,
-					NsPerOp:        ns,
-					ParallelEpochs: st.ParallelEpochs,
-					ParallelItems:  st.ParallelItems,
-					WorkerBusyNs:   nil,
-				}
-				for _, d := range st.WorkerBusy {
-					best.WorkerBusyNs = append(best.WorkerBusyNs, d.Nanoseconds())
-				}
-			}
-			entries = append(entries, best)
-		}
 	}
 	return entries, nil
 }
@@ -232,29 +125,14 @@ func protocolName() string {
 	return fmt.Sprintf("min-of-%d", measureRounds)
 }
 
-// WriteJSON measures the suite with the given worker count and writes
-// the report envelope to path as indented JSON.
-func WriteJSON(path string, workers int) error {
-	entries, err := MeasureJSON(workers)
+// WriteJSON measures the suite and writes the report envelope to path
+// as indented JSON.
+func WriteJSON(path string) error {
+	entries, err := MeasureJSON()
 	if err != nil {
 		return err
 	}
 	return writeIndented(path, Report{
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		Protocol:  protocolName(),
-		Entries:   entries,
-	})
-}
-
-// WriteWorkerScalingJSON measures worker scaling over the given counts
-// and writes the report envelope to path as indented JSON.
-func WriteWorkerScalingJSON(path string, workerCounts []int) error {
-	entries, err := MeasureWorkerScaling(workerCounts)
-	if err != nil {
-		return err
-	}
-	return writeIndented(path, ScalingReport{
 		Generated: time.Now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
 		Protocol:  protocolName(),

@@ -15,5 +15,7 @@
 //     definitions before uses on acyclic paths; back edges are exactly
 //     the edges a worklist pass must re-traverse.
 //   - Dominator and dominance-frontier queries are pure reads, safe
-//     from concurrent evaluation workers.
+//     from concurrent readers.
+//   - Nodes, edge lists and expressions are allocated individually, so
+//     a graph lives exactly as long as something references it.
 package cfg

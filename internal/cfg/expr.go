@@ -2,8 +2,8 @@ package cfg
 
 import (
 	"fmt"
+	"slices"
 	"strings"
-	"sync"
 
 	"wlpa/internal/cast"
 )
@@ -51,53 +51,9 @@ type Expr struct {
 // IsEmpty reports whether the expression can produce no pointer values.
 func (e *Expr) IsEmpty() bool { return e == nil || len(e.Terms) == 0 }
 
-// Expression nodes live as long as the procedure that holds them, and a
-// CFG build creates them in bulk (one per variable reference or
-// dereference), so their storage is carved from shared slabs: one chunk
-// allocation amortizes over dozens of nodes. Carved term slices are
-// capacity-clipped, so appending to one (union does) reallocates away
-// and can never overwrite a neighboring carve. The mutex keeps the slabs
-// safe if procedures are ever built from multiple goroutines; builds are
-// front-end work, so contention is irrelevant.
-var (
-	exprMu   sync.Mutex
-	exprSlab []Expr
-	termSlab []Term
-)
-
-// allocExpr returns a slab-backed empty expression.
-func allocExpr() *Expr {
-	exprMu.Lock()
-	if len(exprSlab) == 0 {
-		exprSlab = make([]Expr, 64)
-	}
-	e := &exprSlab[0]
-	exprSlab = exprSlab[1:]
-	exprMu.Unlock()
-	return e
-}
-
-// carveTerms returns a slab-backed term slice of length and capacity n.
-func carveTerms(n int) []Term {
-	if n > 128 {
-		return make([]Term, n)
-	}
-	exprMu.Lock()
-	if len(termSlab) < n {
-		termSlab = make([]Term, 128)
-	}
-	ts := termSlab[0:n:n]
-	termSlab = termSlab[n:]
-	exprMu.Unlock()
-	return ts
-}
-
-// expr1 builds a single-term expression from slab storage.
+// expr1 builds a single-term expression.
 func expr1(t Term) *Expr {
-	e := allocExpr()
-	e.Terms = carveTerms(1)
-	e.Terms[0] = t
-	return e
+	return &Expr{Terms: []Term{t}}
 }
 
 func varExpr(sym *cast.Symbol) *Expr {
@@ -119,7 +75,7 @@ func nullExpr() *Expr {
 // derefExpr wraps base in a dereference.
 func derefExpr(base *Expr) *Expr {
 	if base.IsEmpty() {
-		return allocExpr()
+		return &Expr{}
 	}
 	return expr1(Term{Kind: TermDeref, Base: base})
 }
@@ -129,9 +85,7 @@ func shift(e *Expr, delta int64) *Expr {
 	if e.IsEmpty() || delta == 0 {
 		return e
 	}
-	out := allocExpr()
-	out.Terms = carveTerms(len(e.Terms))
-	copy(out.Terms, e.Terms)
+	out := &Expr{Terms: slices.Clone(e.Terms)}
 	for i := range out.Terms {
 		out.Terms[i].Off += delta
 	}
@@ -143,9 +97,7 @@ func widen(e *Expr, s int64) *Expr {
 	if e.IsEmpty() || s == 0 {
 		return e
 	}
-	out := allocExpr()
-	out.Terms = carveTerms(len(e.Terms))
-	copy(out.Terms, e.Terms)
+	out := &Expr{Terms: slices.Clone(e.Terms)}
 	for i := range out.Terms {
 		t := &out.Terms[i]
 		if t.Stride == 0 {
@@ -159,7 +111,7 @@ func widen(e *Expr, s int64) *Expr {
 
 // union merges expressions.
 func union(es ...*Expr) *Expr {
-	out := allocExpr()
+	out := &Expr{}
 	for _, e := range es {
 		if e != nil {
 			out.Terms = append(out.Terms, e.Terms...)

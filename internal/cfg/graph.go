@@ -2,7 +2,6 @@ package cfg
 
 import (
 	"fmt"
-	"sync"
 
 	"wlpa/internal/cast"
 	"wlpa/internal/ctok"
@@ -110,48 +109,11 @@ type Proc struct {
 	NumCalls int
 }
 
-// Flow-graph nodes and their edge lists are slab-carved like expression
-// nodes (see expr.go): a procedure build creates nodes in bulk and they
-// all live exactly as long as the procedure. Edge-list carves get
-// capacity 2 — almost every node has at most two successors and two
-// predecessors — and are capacity-clipped, so a third append reallocates
-// away from the slab instead of overwriting a neighbor.
-var (
-	nodeMu   sync.Mutex
-	nodeSlab []Node
-	nptrSlab []*Node
-)
-
-func newNode(kind NodeKind) *Node {
-	nodeMu.Lock()
-	if len(nodeSlab) == 0 {
-		nodeSlab = make([]Node, 64)
-	}
-	n := &nodeSlab[0]
-	nodeSlab = nodeSlab[1:]
-	nodeMu.Unlock()
-	n.Kind = kind
-	return n
-}
-
-// appendNode appends n to an edge list, carving first-touch storage from
-// the pointer slab.
-func appendNode(s []*Node, n *Node) []*Node {
-	if s == nil {
-		nodeMu.Lock()
-		if len(nptrSlab) < 2 {
-			nptrSlab = make([]*Node, 128)
-		}
-		s = nptrSlab[0:0:2]
-		nptrSlab = nptrSlab[2:]
-		nodeMu.Unlock()
-	}
-	return append(s, n)
-}
+func newNode(kind NodeKind) *Node { return &Node{Kind: kind} }
 
 func link(a, b *Node) {
-	a.Succs = appendNode(a.Succs, b)
-	b.Preds = appendNode(b.Preds, a)
+	a.Succs = append(a.Succs, b)
+	b.Preds = append(b.Preds, a)
 }
 
 // finish prunes unreachable nodes, computes reverse postorder, dominator

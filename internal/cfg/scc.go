@@ -10,9 +10,8 @@ package cfg
 // comp[u] != comp[v] has comp[u] > comp[v]. Vertices within a component
 // appear in discovery order.
 //
-// The parallel scheduler condenses the (dynamically discovered) call
-// graph with this to find sets of procedures whose PTF evaluations are
-// mutually independent.
+// internal/irhash condenses the direct call graph with it to compute
+// per-procedure closure digests.
 func SCC(n int, adj func(int) []int) (comp []int, comps [][]int) {
 	comp = make([]int, n)
 	index := make([]int, n)

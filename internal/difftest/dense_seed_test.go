@@ -16,7 +16,7 @@ import (
 // generator change makes this seed shallow again, find a new one and
 // update both the corpus file and this test.
 func TestDenseRowCorpusSeed(t *testing.T) {
-	name, src, _ := DecodeInput(21, 16383, 1)
+	name, src, _ := DecodeInput(21, 16383)
 	f, err := cparse.ParseSource(name, src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)

@@ -16,12 +16,12 @@
 // extended-parameter bindings and can exceed direct inclusion (see the
 // lattice comment in CheckProgram). The oracle additionally requires
 // bit-identical results — PTF counts,
-// collapsed solution, checker diagnostics — across the full-pass,
-// worklist, and parallel (1/2/4/8 workers) engines, plus the absence
-// of Error-severity checker diagnostics on well-defined programs.
+// collapsed solution, checker diagnostics — across the full-pass and
+// worklist engines, plus the absence of Error-severity checker
+// diagnostics on well-defined programs.
 //
 // Native Go fuzz targets drive the oracle: FuzzOracleLattice decodes
-// (seed, feature bits, workers) into a generated program from
+// (seed, feature bits) into a generated program from
 // internal/workload's generator v2 (or one of the benchmark suite
 // programs) and asserts the whole lattice; FuzzFrontend feeds mutated
 // raw C text through ctok→cpp→cparse→sem and asserts error-not-panic.

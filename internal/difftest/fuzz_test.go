@@ -8,7 +8,7 @@ import (
 )
 
 // FuzzOracleLattice is the main differential fuzz target: a raw
-// (seed, feature-word, workers) tuple is decoded into either a
+// (seed, feature-word) pair is decoded into either a
 // generated program (feature bits select generator v2 constructs) or a
 // benchmark suite program (BenchmarkBit), and the whole oracle lattice
 // is asserted over it. On a property failure the delta-debugging
@@ -17,15 +17,15 @@ import (
 func FuzzOracleLattice(f *testing.F) {
 	// One seed per generator feature bit, plus the all-features mask.
 	for bit := 0; bit < workload.NumFeatures(); bit++ {
-		f.Add(int64(bit+1), uint32(1)<<bit, uint32(bit))
+		f.Add(int64(bit+1), uint32(1)<<bit)
 	}
-	f.Add(int64(99), uint32(workload.AllFeatures()), uint32(2))
+	f.Add(int64(99), uint32(workload.AllFeatures()))
 	// The benchmark suite configurations.
 	for i := 0; i < len(workload.Suite()); i++ {
-		f.Add(int64(i), BenchmarkBit, uint32(i))
+		f.Add(int64(i), BenchmarkBit)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, raw uint32, workers uint32) {
-		name, src, opt := DecodeInput(seed, raw, workers)
+	f.Fuzz(func(t *testing.T, seed int64, raw uint32) {
+		name, src, opt := DecodeInput(seed, raw)
 		if src == "" {
 			t.Skip("empty input")
 		}

@@ -35,7 +35,7 @@ func CheckIncremental(name, base, edited string, opt Options) error {
 	fail := func(stage, format string, args ...any) error {
 		return &Failure{Stage: stage, Name: name, Detail: fmt.Sprintf(format, args...), Src: edited}
 	}
-	popts := &pta.Options{Workers: 1}
+	popts := &pta.Options{}
 
 	// Cold reference: its own frontend pass, untouched by the graft.
 	cold, err := pta.AnalyzeSource(name, edited, popts)

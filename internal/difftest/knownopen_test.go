@@ -18,7 +18,7 @@ func TestKnownOpenGapMatchesWitness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = CheckProgram("witness", string(data), Options{Workers: []int{2}})
+	err = CheckProgram("witness", string(data), Options{})
 	if err == nil {
 		t.Fatal("witness no longer fails; close the gap via TestOpenGapsStillOpen's instructions")
 	}

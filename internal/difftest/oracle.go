@@ -52,9 +52,6 @@ const (
 
 // Options configure one oracle run.
 type Options struct {
-	// Workers lists the parallel worker counts to cross-check against
-	// the sequential engines. Default: 2, 4, 8.
-	Workers []int
 	// MaxSteps is the interpreter fuel budget (default 20M cost
 	// units). Exhausting it is a property failure (StageInterpFuel):
 	// the generator must only produce terminating programs, and the
@@ -85,13 +82,6 @@ type Options struct {
 	dropSolutionBlock string
 }
 
-func (o Options) workers() []int {
-	if len(o.Workers) == 0 {
-		return []int{2, 4, 8}
-	}
-	return o.Workers
-}
-
 func (o Options) maxSteps() int64 {
 	if o.MaxSteps == 0 {
 		return 20_000_000
@@ -110,9 +100,8 @@ func Frontend(name, src string) (*sem.Program, error) {
 
 // engine is one solver configuration under cross-check.
 type engine struct {
-	name    string
-	force   bool
-	workers int
+	name  string
+	force bool
 }
 
 // fingerprint is everything an engine run must agree on, rendered
@@ -134,7 +123,6 @@ func runEngine(prog *sem.Program, e engine) (*fingerprint, error) {
 		CollectSolution: true,
 		TrackNull:       true,
 		ForceFullPasses: e.force,
-		Workers:         e.workers,
 	})
 	if err != nil {
 		return nil, err
@@ -272,14 +260,11 @@ func CheckProgram(name, src string, opt Options) error {
 		return fail(StageFrontend, "%v", err)
 	}
 
-	// 1. Engine equivalence: full-pass vs worklist vs parallel(N) must
-	// be bit-identical in PTF counts, collapsed solution, diagnostics.
-	engines := []engine{{name: "worklist", force: false, workers: 1}}
+	// 1. Engine equivalence: full-pass vs worklist must be
+	// bit-identical in PTF counts, collapsed solution, diagnostics.
+	engines := []engine{{name: "worklist"}}
 	if !opt.SkipFullPass {
-		engines = append(engines, engine{name: "fullpass", force: true, workers: 1})
-	}
-	for _, w := range opt.workers() {
-		engines = append(engines, engine{name: fmt.Sprintf("parallel%d", w), force: false, workers: w})
+		engines = append(engines, engine{name: "fullpass", force: true})
 	}
 	var base *fingerprint
 	fps := make([]*fingerprint, 0, len(engines))
@@ -309,9 +294,9 @@ func CheckProgram(name, src string, opt Options) error {
 
 	// 1b. Demand-query equivalence: the backward value-flow walker must
 	// answer every sampled contents query bit-identically to the
-	// exhaustive query layer, on every engine's converged state (so the
-	// identity holds at 1/2/4/8 workers), with the MOD-effect call skip
-	// on and off, and through the budget-exhaustion fallback.
+	// exhaustive query layer, on every engine's converged state, with
+	// the MOD-effect call skip on and off, and through the
+	// budget-exhaustion fallback.
 	for i, e := range engines {
 		if detail := demandAgrees(fps[i].an); detail != "" {
 			return fail(StageDemand, "%s: %s", e.name, detail)
@@ -521,7 +506,7 @@ func AndersenViolation(name, src string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	fp, err := runEngine(prog, engine{name: "worklist", workers: 1})
+	fp, err := runEngine(prog, engine{name: "worklist"})
 	if err != nil {
 		return "", err
 	}
@@ -692,10 +677,9 @@ const BenchmarkBit uint32 = 1 << 31
 
 // DecodeInput maps a raw fuzz tuple to a named program plus oracle
 // options. Generated programs get the full lattice; benchmark programs
-// skip the quadratic full-pass engine and trim the worker sweep so a
-// single fuzz iteration stays within budget.
-func DecodeInput(seed int64, raw uint32, workers uint32) (name, src string, opt Options) {
-	w := 1 << (workers % 4) // 1, 2, 4, 8
+// skip the quadratic full-pass engine so a single fuzz iteration stays
+// within budget.
+func DecodeInput(seed int64, raw uint32) (name, src string, opt Options) {
 	if raw&BenchmarkBit != 0 {
 		// lex315's table-driven scanner makes a single analysis sweep
 		// take minutes — far beyond a fuzz iteration's budget; the root
@@ -711,12 +695,11 @@ func DecodeInput(seed int64, raw uint32, workers uint32) (name, src string, opt 
 		}
 		b := suite[int(uint64(seed)%uint64(len(suite)))]
 		return b.Name, b.Source, Options{
-			Workers:          []int{w},
 			SkipFullPass:     true,
 			SkipUnifyLattice: true,
 		}
 	}
 	cfg := workload.FuzzGenConfig(seed, raw)
 	name = fmt.Sprintf("gen(seed=%d,feat=%s)", seed, cfg.Features)
-	return name, workload.Generate(cfg), Options{Workers: []int{2, 4, 8}}
+	return name, workload.Generate(cfg), Options{}
 }

@@ -25,7 +25,7 @@ func TestOracleOnGeneratedPrograms(t *testing.T) {
 		}
 		t.Run(label, func(t *testing.T) {
 			for seed := int64(0); seed < 3; seed++ {
-				name, src, opt := DecodeInput(seed, raw, uint32(seed))
+				name, src, opt := DecodeInput(seed, raw)
 				if err := CheckProgram(name, src, opt); err != nil {
 					t.Fatalf("%v\n--- source ---\n%s", err, src)
 				}
@@ -42,7 +42,7 @@ func TestOracleOnBenchmarks(t *testing.T) {
 	}
 	for _, want := range []string{"allroots", "diff", "simulator"} {
 		for i := 0; ; i++ {
-			name, src, opt := DecodeInput(int64(i), BenchmarkBit, 1)
+			name, src, opt := DecodeInput(int64(i), BenchmarkBit)
 			if i > 64 {
 				t.Fatalf("benchmark %s not reachable from DecodeInput", want)
 			}
@@ -67,7 +67,7 @@ func TestSeededUnsoundnessCaughtAndReduced(t *testing.T) {
 	regressionsDirOverride = t.TempDir()
 	defer func() { regressionsDirOverride = "" }()
 
-	name, src, opt := DecodeInput(1, uint32(workload.FeatHeap), 1)
+	name, src, opt := DecodeInput(1, uint32(workload.FeatHeap))
 	opt.dropSolutionBlock = "p0"
 	err := CheckProgram(name, src, opt)
 	if err == nil {
@@ -107,7 +107,7 @@ func TestSeededUnsoundnessCaughtAndReduced(t *testing.T) {
 // as a distinct interp-fuel failure carrying the program source, never
 // as a hang or an ordinary fault.
 func TestInterpFuelFailure(t *testing.T) {
-	name, src, opt := DecodeInput(3, uint32(workload.AllFeatures()), 1)
+	name, src, opt := DecodeInput(3, uint32(workload.AllFeatures()))
 	opt.MaxSteps = 50
 	err := CheckProgram(name, src, opt)
 	fl, ok := err.(*Failure)
@@ -142,7 +142,7 @@ func TestCollapsedSolutionExceedsAndersen(t *testing.T) {
 			"strengthen the oracle lattice (add PTF ⊆ Andersen) and retire this pin")
 	}
 	// The full oracle — which omits that edge by design — must pass.
-	if err := CheckProgram("andersen_gap.c", src, Options{Workers: []int{2}}); err != nil {
+	if err := CheckProgram("andersen_gap.c", src, Options{}); err != nil {
 		t.Fatalf("oracle fails on the pinned witness: %v", err)
 	}
 }
@@ -177,7 +177,7 @@ int main(void) {
 	for name, src := range progs {
 		name, src := name, src
 		t.Run(name, func(t *testing.T) {
-			if err := CheckProgram(name+".c", src, Options{Workers: []int{2}}); err != nil {
+			if err := CheckProgram(name+".c", src, Options{}); err != nil {
 				t.Fatalf("%v", err)
 			}
 		})
@@ -247,7 +247,7 @@ func TestTypestateRung(t *testing.T) {
 
 func TestDecodeInput(t *testing.T) {
 	// Generated mode: feature bits map through FuzzGenConfig.
-	name, src, opt := DecodeInput(7, uint32(workload.FeatHeap|workload.FeatFree), 0)
+	name, src, opt := DecodeInput(7, uint32(workload.FeatHeap|workload.FeatFree))
 	if !strings.Contains(name, "heap") || !strings.Contains(name, "free") {
 		t.Fatalf("generated name does not identify features: %q", name)
 	}
@@ -261,7 +261,7 @@ func TestDecodeInput(t *testing.T) {
 	// unification layers are skipped, and lex315 is never selected.
 	seen := map[string]bool{}
 	for i := 0; i < 64; i++ {
-		name, src, opt := DecodeInput(int64(i), BenchmarkBit, uint32(i))
+		name, src, opt := DecodeInput(int64(i), BenchmarkBit)
 		if src == "" {
 			t.Fatal("benchmark decode returned empty source")
 		}
@@ -270,9 +270,6 @@ func TestDecodeInput(t *testing.T) {
 		}
 		if name == "lex315" {
 			t.Fatal("lex315 must be excluded from fuzz benchmark mode")
-		}
-		if w := opt.workers(); len(w) != 1 || w[0] != 1<<(uint32(i)%4) {
-			t.Fatalf("worker decode wrong at %d: %v", i, w)
 		}
 		seen[name] = true
 	}

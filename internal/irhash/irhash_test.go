@@ -129,7 +129,7 @@ int main(void) { fp(); g(); return 0; }
 }
 
 // TestFanOutEditSensitivity drives the closure-hash contract over the
-// worker-scaling fan-out shapes, where the static call structure is
+// canonical fan-out shapes, where the static call structure is
 // known exactly: editing the cone-0 leaf must change the leaf's own IR
 // digest and the Closure digest of precisely the leaf, its chain, the
 // cone root, and main — every other cone, setup, and the Globals digest

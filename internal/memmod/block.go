@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"wlpa/internal/cast"
@@ -108,8 +107,8 @@ type Block struct {
 	// ptrLocCache records the location sets within this block that may
 	// contain pointers (paper §3.3), sorted by (offset, stride) with
 	// binary-search membership, so that PtrLocs is a pure read — safe
-	// under concurrent readers while the owning evaluation context is
-	// the only writer — and its order never depends on map iteration.
+	// under concurrent readers of a converged analysis — and its order
+	// never depends on map iteration.
 	// Callers must not mutate it.
 	ptrLocCache []LocSet
 
@@ -118,52 +117,11 @@ type Block struct {
 	// bindings through frame-local pmaps that the dependency tracker
 	// cannot observe, so the engine uses growth of this set (AddFnBound)
 	// as the signal that call sites which resolved through this
-	// parameter must re-run. Written only by the evaluation context that
-	// owns the binding site, like ptrLocs.
+	// parameter must re-run.
 	fnBound ValueSet
 
 	// id is the creation-order identity used for value-set hashing.
 	id uint64
-}
-
-// blockSlab carves Block storage in chunks: analyses create blocks in
-// bursts (one per local, parameter, heap site...), and slabbing turns
-// per-block heap allocations into one per chunk. Blocks live for the
-// analysis lifetime, so chunk sharing never extends anything. A mutex
-// guards the slab: parameters can be created from parallel workers,
-// but block creation is low-volume.
-var (
-	blockMu   sync.Mutex
-	blockSlab []Block
-	plSlab    []LocSet
-)
-
-// carvePtrLocs returns a zero-length, capacity-clipped LocSet slice for
-// a ptrLocCache copy. Published caches are never reused, so carving from
-// a shared slab is safe; big rows fall back to the heap.
-func carvePtrLocs(n int) []LocSet {
-	if n > 64 {
-		return make([]LocSet, 0, n)
-	}
-	blockMu.Lock()
-	if len(plSlab) < n {
-		plSlab = make([]LocSet, 256)
-	}
-	s := plSlab[0:0:n]
-	plSlab = plSlab[n:]
-	blockMu.Unlock()
-	return s
-}
-
-func allocBlock() *Block {
-	blockMu.Lock()
-	if len(blockSlab) == 0 {
-		blockSlab = make([]Block, 64)
-	}
-	b := &blockSlab[0]
-	blockSlab = blockSlab[1:]
-	blockMu.Unlock()
-	return b
 }
 
 // finish assigns the creation-order identity of a freshly built block.
@@ -174,54 +132,38 @@ func finish(b *Block) *Block {
 
 // NewLocal creates a block for a local variable.
 func NewLocal(sym *cast.Symbol) *Block {
-	b := allocBlock()
-	b.Kind, b.Name, b.Sym = LocalBlock, sym.Name, sym
-	b.Size, b.Type = sym.Type.Sizeof(), sym.Type
-	return finish(b)
+	return finish(&Block{Kind: LocalBlock, Name: sym.Name, Sym: sym, Size: sym.Type.Sizeof(), Type: sym.Type})
 }
 
 // NewGlobal creates the real storage block of a global variable.
 func NewGlobal(sym *cast.Symbol) *Block {
-	b := allocBlock()
-	b.Kind, b.Name, b.Sym = GlobalBlock, sym.Name, sym
-	b.Size, b.Type = sym.Type.Sizeof(), sym.Type
-	return finish(b)
+	return finish(&Block{Kind: GlobalBlock, Name: sym.Name, Sym: sym, Size: sym.Type.Sizeof(), Type: sym.Type})
 }
 
 // NewHeap creates the block for a static allocation site.
 func NewHeap(site ctok.Pos) *Block {
-	b := allocBlock()
-	b.Kind, b.Name, b.Site = HeapBlock, fmt.Sprintf("heap@%s", site), site
-	return finish(b)
+	return finish(&Block{Kind: HeapBlock, Name: fmt.Sprintf("heap@%s", site), Site: site})
 }
 
 // NewFunc creates the block representing a function value.
 func NewFunc(sym *cast.Symbol) *Block {
-	b := allocBlock()
-	b.Kind, b.Name, b.Sym, b.Type = FuncBlock, sym.Name, sym, sym.Type
-	return finish(b)
+	return finish(&Block{Kind: FuncBlock, Name: sym.Name, Sym: sym, Type: sym.Type})
 }
 
 // NewString creates a block for a string literal.
 func NewString(id int, value string) *Block {
-	b := allocBlock()
-	b.Kind, b.Name, b.Size = StringBlock, fmt.Sprintf("str%d", id), int64(len(value))+1
-	return finish(b)
+	return finish(&Block{Kind: StringBlock, Name: fmt.Sprintf("str%d", id), Size: int64(len(value)) + 1})
 }
 
 // NewRetval creates the special return-value block of a procedure.
 func NewRetval(proc string) *Block {
-	b := allocBlock()
-	b.Kind, b.Name, b.Size = RetvalBlock, "<retval:"+proc+">", ctype.PointerSize
-	return finish(b)
+	return finish(&Block{Kind: RetvalBlock, Name: "<retval:" + proc + ">", Size: ctype.PointerSize})
 }
 
 // NewNull creates the null pseudo-location block. Each analysis owns one
 // instance (blocks carry mutable per-analysis state).
 func NewNull() *Block {
-	b := allocBlock()
-	b.Kind, b.Name = NullBlock, "<null>"
-	return finish(b)
+	return finish(&Block{Kind: NullBlock, Name: "<null>"})
 }
 
 // smallInts serves itoa for the common parameter indexes without the
@@ -245,9 +187,7 @@ func itoa(i int) string {
 // which the parameter was first reached, following the paper's "1_p"
 // naming convention.
 func NewParam(index int, hint string) *Block {
-	b := allocBlock()
-	b.Kind, b.Name, b.Index = ParamBlock, itoa(index)+"_"+hint, index
-	return finish(b)
+	return finish(&Block{Kind: ParamBlock, Name: itoa(index) + "_" + hint, Index: index})
 }
 
 // Unique reports whether the block denotes a single run-time memory
@@ -319,9 +259,10 @@ func (b *Block) AddPtrLoc(ls LocSet) bool {
 	}
 	if i == len(old) && cap(old) > len(old) {
 		// Append into spare capacity past the published length:
-		// concurrent readers hold the previous header and never look
-		// beyond their own length, so filling the next slot and then
-		// publishing a longer header cannot disturb them.
+		// holders of an earlier PtrLocs result (callers insert while
+		// iterating one) never look beyond their own length, so filling
+		// the next slot and then publishing a longer header cannot
+		// disturb them.
 		old = old[: i+1 : cap(old)]
 		old[i] = nl
 		rb.ptrLocCache = old
@@ -329,7 +270,7 @@ func (b *Block) AddPtrLoc(ls LocSet) bool {
 	}
 	// Out-of-order insert (or no spare room): publish a fresh sorted
 	// copy, with slack so subsequent in-order inserts are in-place.
-	next := carvePtrLocs(2*len(old) + 2)
+	next := make([]LocSet, 0, 2*len(old)+2)
 	next = append(next, old[:i]...)
 	next = append(next, nl)
 	next = append(next, old[i:]...)

@@ -23,9 +23,11 @@
 //     it. Subsumption only ever merges — a forwarding link is never
 //     undone — so resolution is monotone.
 //   - ValueSet and LocSet are value types with set semantics; merging
-//     is commutative and idempotent, which the worklist engine (and
-//     the parallel scheduler's deterministic epoch commits) depend on.
-//   - Read paths are safe for concurrent readers once a block graph is
-//     marked concurrent (SetConcurrent); all mutation is confined to
-//     the owning evaluation context.
+//     is commutative and idempotent, which the worklist engine depends
+//     on.
+//   - Blocks, interners and arenas belong to one analysis and are
+//     allocated individually or from that analysis's own chunks, never
+//     from process-wide slabs, so a dropped analysis is garbage as a
+//     whole. Read paths of a converged analysis are safe for concurrent
+//     readers once its interner is marked concurrent (SetConcurrent).
 package memmod

@@ -38,9 +38,10 @@ type Interner struct {
 	// tag is this interner's process-unique identity (see internerTags).
 	tag uint32
 
-	// concurrent guards the tables with mu. Off by default; the analysis
-	// turns it on when points-to functions are read from several
-	// goroutines (interning happens inside their memoized lookups).
+	// concurrent guards the tables with mu. Off by default; the
+	// checker's context-walk pool turns it on (ptset.PTS.SetConcurrent)
+	// when several goroutines read one converged analysis (interning
+	// happens inside their memoized lookups).
 	concurrent bool
 	mu         sync.Mutex
 
@@ -61,7 +62,7 @@ func NewInterner() *Interner {
 	}
 }
 
-// SetConcurrent enables mutex protection of the tables for analyses
+// SetConcurrent enables mutex protection of the tables for clients
 // that intern from several goroutines. Off by default (single-threaded
 // runs pay no locking cost).
 func (in *Interner) SetConcurrent(on bool) { in.concurrent = on }

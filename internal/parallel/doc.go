@@ -9,5 +9,5 @@
 // speedups the paper reports.
 //
 // (This package parallelizes the *analyzed programs*' loops; the
-// analysis' own worker-pool scheduler lives in internal/analysis.)
+// analysis itself is one sequential walk.)
 package parallel

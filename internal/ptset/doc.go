@@ -20,7 +20,8 @@
 //     replace it. Only definite single-object assignments may be
 //     strong (paper §4.1) — everything reached through a stride or a
 //     multi-target pointer is weak.
-//   - After SetConcurrent, lookups are safe from multiple goroutines
-//     provided writers stay confined to the goroutine owning the PTF,
-//     which the parallel scheduler's cone packing guarantees.
+//   - A PTS and its record slabs belong to one analysis. After
+//     SetConcurrent, lookups on a converged PTS are safe from multiple
+//     goroutines (the checker's context walks); assignment is always
+//     single-threaded.
 package ptset

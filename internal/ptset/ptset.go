@@ -144,40 +144,20 @@ type PTS struct {
 	// worklist engine uses them for dependency-tracked re-evaluation.
 	hooks Hooks
 
-	// concurrent guards the memoization caches with mu. The records
-	// themselves follow a single-writer/multi-reader discipline enforced
-	// by the parallel scheduler (only the owning evaluation context
-	// assigns; foreign contexts only look up frozen instances), but
-	// lookups memoize — they write cache entries on read — so concurrent
-	// readers of the same frozen PTS must serialize cache access.
+	// concurrent guards the memoization caches with mu. The records of a
+	// converged PTS are frozen, but lookups memoize — they write cache
+	// entries on read — so concurrent readers (the checker's context
+	// walks) must serialize cache access.
 	concurrent bool
 	mu         sync.Mutex
 }
-
-// ptsSlab carves PTS storage in chunks (one chunk allocation per 32
-// instances); analyses create one PTS per PTF. The zero-valued slab
-// entries match New's lazy-everything initialization, and instances are
-// never recycled, so carving is safe. The mutex covers creation from
-// parallel evaluation contexts.
-var (
-	ptsMu   sync.Mutex
-	ptsSlab []PTS
-)
 
 // New creates an empty points-to function over proc, keyed through the
 // analysis-wide intern table. All side tables are created lazily at
 // their write sites: a PTS for a small procedure may never touch
 // several of them.
 func New(proc *cfg.Proc, in *memmod.Interner) *PTS {
-	ptsMu.Lock()
-	if len(ptsSlab) == 0 {
-		ptsSlab = make([]PTS, 32)
-	}
-	p := &ptsSlab[0]
-	ptsSlab = ptsSlab[1:]
-	ptsMu.Unlock()
-	p.proc, p.in = proc, in
-	return p
+	return &PTS{proc: proc, in: in}
 }
 
 // Proc returns the procedure this points-to function covers.
@@ -187,9 +167,9 @@ func (p *PTS) Proc() *cfg.Proc { return p.proc }
 func (p *PTS) Interner() *memmod.Interner { return p.in }
 
 // SetConcurrent enables mutex protection of the memoization caches (and
-// the shared intern table) for analyses that read points-to functions
-// from several goroutines. Off by default (single-threaded runs pay no
-// locking cost).
+// the shared intern table) for clients that read a converged analysis's
+// points-to functions from several goroutines. Off by default
+// (single-threaded runs pay no locking cost).
 func (p *PTS) SetConcurrent(on bool) {
 	p.concurrent = on
 	p.in.SetConcurrent(on)

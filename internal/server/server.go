@@ -25,12 +25,14 @@ type Config struct {
 	// Store is the content-addressed cache (required).
 	Store *store.Store
 	// Options are the analysis options applied to every request.
-	// Workers and Timeout do not affect results and are excluded from
-	// the cache key (results are bit-identical at every worker count).
+	// Timeout does not affect results and is excluded from the cache
+	// key.
 	Options pta.Options
 	// MaxInflight bounds concurrent engine runs (cache hits are not
-	// throttled); 0 means 2. A request that cannot get a slot before
-	// its context is done gets 503.
+	// throttled); 0 means 2. Each run is one sequential analysis that
+	// shares no memory with the others, so this is also the number of
+	// cores the engine can keep busy. A request that cannot get a slot
+	// before its context is done gets 503.
 	MaxInflight int
 	// BaselineCap bounds how many warm-edit baselines are held for
 	// incremental grafting; 0 means 8. Each baseline pins a full
@@ -80,9 +82,8 @@ func New(cfg Config) (*Server, error) {
 }
 
 // optionsFingerprint renders the result-affecting analysis options.
-// Workers and Timeout are deliberately excluded: they change wall-clock
-// behaviour, never the answer (pinned by the engine equivalence tests
-// and TestSnapshotBytesDeterministic).
+// Timeout is deliberately excluded: it changes wall-clock behaviour,
+// never the answer.
 func optionsFingerprint(o pta.Options) string {
 	return fmt.Sprintf("policy=%d maxptfs=%d combine=%v forcefull=%v",
 		o.Policy, o.MaxPTFs, o.CombineOffsets, o.ForceFullPasses)

@@ -9,19 +9,15 @@ import (
 // callee cones, each a depth-long chain of single-caller functions over
 // its own private globals, all invoked from a two-round main loop.
 //
-// The shape is built for the parallel pre-drain scheduler: the cones
-// share no storage, so the scheduler can batch drains from all breadth
-// cones into one epoch; depth controls how much sequential work each
-// drained item carries. Breadth×depth therefore spans the two axes the
-// worker-scaling benchmark cares about — epoch width (how much batches)
-// and item weight (how long a drain runs).
+// The cones share no storage, so a pass leaves many sibling PTFs dirty
+// at once — the shape where evaluation order varies most, which makes
+// it an engine-equivalence input; depth controls how much sequential
+// work each cone carries, and an edit to one leaf dirties exactly one
+// cone (the IR-hash edit-sensitivity tests).
 //
 // Each cone root is called under two input alias patterns — once with
 // distinct pointer arguments, once with both naming the same pointer
-// (the paper's Figure 1 shape) — so every cone carries two PTFs. The
-// scheduler packs at most one item per procedure per epoch, which makes
-// two dirty PTFs per cone the guarantee that a parallel run always
-// forms more than one epoch.
+// (the paper's Figure 1 shape) — so every cone carries two PTFs.
 //
 // Cone i owns globals a<i>, b<i> (ints), p<i>, q<i> (point to them)
 // and o<i> (the observed result). Its chain is
@@ -63,22 +59,20 @@ func FanOut(breadth, depth int) string {
 	}
 	// The seed assignments run after the first round of calls: on the
 	// first pass every cone reads its pointers before they are seeded,
-	// so the seeding dirties all cones at once and the pre-drain
-	// scheduler sees the full breadth of independent items.
+	// so the seeding dirties all cones at once.
 	b.WriteString("        setup();\n    }\n")
 	b.WriteString("    return *o0;\n}\n")
 	return b.String()
 }
 
-// FanOutShape names one fan-out workload of the worker-scaling suite.
+// FanOutShape names one canonical fan-out workload.
 type FanOutShape struct {
 	Name           string
 	Breadth, Depth int
 }
 
-// FanOutShapes returns the canonical shapes the worker-scaling
-// benchmark and BENCH_workerscaling.json measure: a maximally wide
-// shallow shape, a narrow deep one, and the balanced middle.
+// FanOutShapes returns the canonical shapes: a maximally wide shallow
+// shape, a narrow deep one, and the balanced middle.
 func FanOutShapes() []FanOutShape {
 	return []FanOutShape{
 		{"fanout32x1", 32, 1},

@@ -35,7 +35,7 @@ func TestOpenGapsStillOpen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			err = difftest.CheckProgram(e.Name(), string(data), difftest.Options{Workers: []int{2}})
+			err = difftest.CheckProgram(e.Name(), string(data), difftest.Options{})
 			if err == nil {
 				t.Fatalf("%s no longer fails its oracle stage: the gap is closed. "+
 					"Add a root-cause comment and move the file to testdata/regressions/ "+

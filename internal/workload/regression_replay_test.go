@@ -34,7 +34,7 @@ func TestRegressionReplay(t *testing.T) {
 			if !strings.Contains(src, "Root cause") {
 				t.Errorf("%s is missing its root-cause comment", e.Name())
 			}
-			if err := difftest.CheckProgram(e.Name(), src, difftest.Options{Workers: []int{2}}); err != nil {
+			if err := difftest.CheckProgram(e.Name(), src, difftest.Options{}); err != nil {
 				t.Fatalf("regression resurfaced: %v", err)
 			}
 		})

@@ -12,8 +12,8 @@
 //	fmt.Println(res.Stats().AvgPTFs())     // PTFs per procedure
 //
 // Pass an Options value to tune the engine. The defaults reproduce the
-// paper's configuration; Options.Workers enables the parallel worklist
-// scheduler (results are identical at every worker count), and
-// Options.ForceFullPasses selects the slower full-pass engine used as a
-// cross-check.
+// paper's configuration; Options.ForceFullPasses selects the slower
+// full-pass engine used as a cross-check. Each analysis is one
+// sequential walk that owns all of its memory, so independent analyses
+// may run on concurrent goroutines and a dropped Result is garbage.
 package pta

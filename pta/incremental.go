@@ -210,8 +210,8 @@ func AnalyzeIncrementalPrepared(b *Baseline, prog *sem.Program, procs map[*cast.
 }
 
 // compatible reports whether two option sets produce the same analysis
-// configuration (ignoring knobs that cannot change results: workers,
-// timeouts, and the baseline itself).
+// configuration (ignoring knobs that cannot change results: timeouts
+// and the baseline itself).
 func (o Options) compatible(n *Options) bool {
 	return o.Policy == n.Policy &&
 		o.MaxPTFs == n.MaxPTFs &&

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -41,7 +42,7 @@ func TestIncrementalNoopEdit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := &Options{Workers: 1}
+			opts := &Options{}
 			cold, err := AnalyzeSource(name, string(src), opts)
 			if err != nil {
 				t.Fatalf("cold: %v", err)
@@ -80,8 +81,11 @@ func TestIncrementalNoopEdit(t *testing.T) {
 
 // TestIncrementalSingleProcEdit applies a one-procedure edit and checks
 // the incremental result bit-identical to a cold analysis of the edited
-// program, with exactly the edit's dirty cone reconverged.
+// program, with exactly the edit's dirty cone reconverged. It runs with
+// default options on four Ps, as a multi-core daemon does: the graft
+// must engage whatever the host's core count.
 func TestIncrementalSingleProcEdit(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	base := `
 int gx, gy;
 int *fp, *gp;
@@ -96,23 +100,21 @@ int main(void) { f(); h(); return 0; }
 	if edited == base {
 		t.Fatal("edit did not apply")
 	}
-	opts := &Options{Workers: 1}
-
-	cold, err := AnalyzeSource("edit.c", edited, opts)
+	cold, err := AnalyzeSource("edit.c", edited, nil)
 	if err != nil {
 		t.Fatalf("cold: %v", err)
 	}
 	coldSnap := snapshotBytes(t, cold)
 
-	baseRes, err := AnalyzeSource("edit.c", base, opts)
+	baseRes, err := AnalyzeSource("edit.c", base, nil)
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
-	bl, err := NewBaseline(baseRes, opts)
+	bl, err := NewBaseline(baseRes, nil)
 	if err != nil {
 		t.Fatalf("NewBaseline: %v", err)
 	}
-	inc, err := AnalyzeIncremental(bl, Source{"edit.c": edited}, "edit.c", opts)
+	inc, err := AnalyzeIncremental(bl, Source{"edit.c": edited}, "edit.c", nil)
 	if err != nil {
 		t.Fatalf("incremental: %v", err)
 	}
@@ -146,7 +148,7 @@ int *p;
 void f(void) { p = &x; }
 int main(void) { f(); return 0; }
 `
-	opts := &Options{Workers: 1}
+	opts := &Options{}
 	mk := func() *Baseline {
 		r, err := AnalyzeSource("t.c", base, opts)
 		if err != nil {
@@ -174,7 +176,7 @@ int main(void) { f(); return 0; }
 	})
 
 	t.Run("options-differ", func(t *testing.T) {
-		r, err := AnalyzeIncremental(mk(), Source{"t.c": base}, "t.c", &Options{Workers: 1, CombineOffsets: true})
+		r, err := AnalyzeIncremental(mk(), Source{"t.c": base}, "t.c", &Options{CombineOffsets: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +201,7 @@ int main(void) { f(); return 0; }
 
 	t.Run("options-baseline-field", func(t *testing.T) {
 		bl := mk()
-		o := &Options{Workers: 1, Baseline: bl}
+		o := &Options{Baseline: bl}
 		r, err := Analyze(Source{"t.c": base}, "t.c", o)
 		if err != nil {
 			t.Fatal(err)

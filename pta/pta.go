@@ -40,11 +40,9 @@ type Options struct {
 	CombineOffsets bool
 	// Predefined preprocessor macros (name -> replacement text).
 	Predefined map[string]string
-	// Workers sets the parallel scheduler's worker-pool size: 0 means
-	// runtime.GOMAXPROCS(0), 1 forces sequential evaluation. Results
-	// are identical at every worker count; only wall-clock time
-	// changes. Parallel scheduling requires the default policy and the
-	// worklist engine, and silently runs sequentially otherwise.
+	// Workers is ignored: every analysis is one sequential walk.
+	//
+	// Deprecated: the parallel scheduler it sized was removed.
 	Workers int
 	// ForceFullPasses disables the dependency-tracked worklist engine
 	// and re-evaluates every node each pass. Slower; kept as a
@@ -141,7 +139,6 @@ func AnalyzeProgram(prog *sem.Program, opts *Options) (*Result, error) {
 		CollectSolution: true,
 		MaxPTFs:         opts.MaxPTFs,
 		CombineOffsets:  opts.CombineOffsets,
-		Workers:         opts.Workers,
 		ForceFullPasses: opts.ForceFullPasses,
 		Timeout:         opts.Timeout,
 	}

@@ -90,8 +90,8 @@ type VarSnap struct {
 }
 
 // SnapshotStats is the deterministic subset of analysis.Stats (wall
-// times and scheduler counters are excluded — they vary run to run and
-// would break bit-identity).
+// times are excluded — they vary run to run and would break
+// bit-identity).
 type SnapshotStats struct {
 	Procedures int  `json:"procedures"`
 	PTFs       int  `json:"ptfs"`
