@@ -148,7 +148,8 @@ type Options struct {
 	LibEffects map[string]LibEffect
 }
 
-// ErrTimeout is returned by Run when Options.Timeout is exceeded.
+// ErrTimeout is returned by Run when Options.Timeout is exceeded, and
+// by the checker when it runs past the same budget (see Deadline).
 var ErrTimeout = &Error{Msg: "analysis wall-clock budget exceeded"}
 
 // Stats are cumulative analysis statistics.
@@ -847,6 +848,13 @@ func (a *Analysis) finishStats(start time.Time) {
 
 // Stats returns cumulative statistics (valid after Run).
 func (a *Analysis) Stats() Stats { return a.stats }
+
+// Deadline returns the wall-clock deadline the last Run derived from
+// Options.Timeout (zero when there is none). Clients that keep working
+// on the converged analysis — the checker and its dataflow walks —
+// stop at it too and return ErrTimeout, so a re-analysis and the
+// checking that follows share one budget.
+func (a *Analysis) Deadline() time.Time { return a.deadline }
 
 // MainPTF returns main's transfer function (valid after Run).
 func (a *Analysis) MainPTF() *PTF { return a.mainPTF }

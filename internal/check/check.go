@@ -6,9 +6,11 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"wlpa/internal/analysis"
 	"wlpa/internal/ctok"
+	"wlpa/internal/dataflow"
 )
 
 // Severity grades a diagnostic.
@@ -134,6 +136,40 @@ type Ctx struct {
 	curPTF *analysis.PTF
 	// prog collects program-pass diagnostics (primary Ctx only).
 	prog []Diagnostic
+	// flows is shared by every Ctx of the run (see flow).
+	flows *flows
+	// err is the first failure of this Ctx's walks (the deadline).
+	err error
+}
+
+// flows is the dataflow state one check run shares across its workers:
+// each client's Gen reachability, computed by the first context walk
+// that needs it and read-only afterwards.
+type flows struct {
+	mu    sync.Mutex
+	reach map[string]*dataflow.Reach
+	// ungated walks every client with a nil Gen, pruning nothing: the
+	// reference run the exactness test compares against.
+	ungated bool
+}
+
+// flow runs one dataflow client over context p. name identifies the
+// client within the run and keys its shared reachability.
+func (c *Ctx) flow(name string, cl dataflow.Client, p *analysis.PTF) {
+	if c.flows.ungated {
+		cl.Gen = nil
+	}
+	c.flows.mu.Lock()
+	r := c.flows.reach[name]
+	if r == nil {
+		r = dataflow.NewReach(c.A, cl.Gen)
+		c.flows.reach[name] = r
+	}
+	c.flows.mu.Unlock()
+	eng := &dataflow.Engine{A: c.A, ModRef: c.ModRef, Client: cl, Reach: r}
+	if _, err := eng.ContextRun(p); err != nil {
+		c.err = err
+	}
 }
 
 // Contexts returns the number of walked calling contexts of a procedure
@@ -168,8 +204,14 @@ func (c *Ctx) reportProgram(d Diagnostic) {
 // Run executes every registered checker pass over every analyzed
 // calling context and returns the merged diagnostics, deterministically
 // sorted and deduplicated. A check name in opts that is not one of All
-// is an error, so a typo does not silently disable checking.
+// is an error, so a typo does not silently disable checking. Run stops
+// at the analysis' deadline (analysis.Analysis.Deadline) and returns
+// analysis.ErrTimeout, discarding partial diagnostics.
 func Run(a *analysis.Analysis, opts Options) ([]Diagnostic, error) {
+	return run(a, opts, false)
+}
+
+func run(a *analysis.Analysis, opts Options, ungated bool) ([]Diagnostic, error) {
 	// A pass filter narrows the check universe before the check filter
 	// applies; a name unknown to either registry is an error, so a typo
 	// does not silently disable checking.
@@ -225,6 +267,7 @@ func Run(a *analysis.Analysis, opts Options) ([]Diagnostic, error) {
 		enabled: enabled,
 		frees:   frees,
 		ctxs:    map[string]int{},
+		flows:   &flows{reach: map[string]*dataflow.Reach{}, ungated: ungated},
 	}
 	var walkers, progs []*Pass
 	for _, pass := range Passes() {
@@ -259,7 +302,14 @@ func Run(a *analysis.Analysis, opts Options) ([]Diagnostic, error) {
 	// land in its own slot; the merge below runs in declaration order,
 	// so the result is independent of the worker count.
 	results := make([]map[siteKey]verdict, len(ptfs))
+	deadline := a.Deadline()
 	runContext := func(c *Ctx, i int) {
+		if c.err == nil && !deadline.IsZero() && time.Now().After(deadline) {
+			c.err = analysis.ErrTimeout
+		}
+		if c.err != nil {
+			return
+		}
 		c.cur = map[siteKey]verdict{}
 		c.curPTF = ptfs[i]
 		for _, pass := range walkers {
@@ -271,6 +321,7 @@ func Run(a *analysis.Analysis, opts Options) ([]Diagnostic, error) {
 	if workers > len(ptfs) {
 		workers = len(ptfs)
 	}
+	walked := []*Ctx{base}
 	if workers > 1 {
 		// Read-only queries still mutate the ptset memo caches; switch
 		// them to locked mode for the parallel walk.
@@ -279,11 +330,13 @@ func Run(a *analysis.Analysis, opts Options) ([]Diagnostic, error) {
 		}
 		var next int64 = -1
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		walked = make([]*Ctx, workers)
+		for w := range walked {
+			c := &Ctx{A: a, ModRef: base.ModRef, Edges: base.Edges, enabled: enabled, frees: frees, flows: base.flows}
+			walked[w] = c
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				c := &Ctx{A: a, ModRef: base.ModRef, Edges: base.Edges, enabled: enabled, frees: frees}
 				for {
 					i := int(atomic.AddInt64(&next, 1))
 					if i >= len(ptfs) {
@@ -297,6 +350,11 @@ func Run(a *analysis.Analysis, opts Options) ([]Diagnostic, error) {
 	} else {
 		for i := range ptfs {
 			runContext(base, i)
+		}
+	}
+	for _, c := range walked {
+		if c.err != nil {
+			return nil, c.err
 		}
 	}
 	// Merge per-context verdicts in declaration order.

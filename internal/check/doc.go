@@ -20,6 +20,21 @@
 //     Ctx.reportProgram. The leak checker is a Program pass: leaking is
 //     a whole-program property, not a per-context one.
 //
+// # Dataflow passes
+//
+// The typestate and taint passes run clients of internal/dataflow. Each
+// client names its Gen calls, the library calls that can create its
+// state from an empty fact. A run computes each client's Gen
+// reachability over the call graph once and shares it read-only with
+// every worker, so contexts that can only see empty facts are not
+// walked.
+//
+// # Budget
+//
+// Run stops at the analysis' deadline (analysis.Analysis.Deadline, set
+// from Options.Timeout), between contexts and inside dataflow walks, and
+// returns analysis.ErrTimeout with no diagnostics.
+//
 // # Severity
 //
 // Context sensitivity is used for precision: a ContextWalk site is

@@ -38,10 +38,13 @@ const taintedBit dataflow.State = 1
 
 // taintWalk runs the default taint specification over one context.
 func taintWalk(c *Ctx, p *analysis.PTF) {
-	runTaint(c, p, libsum.Taint())
+	c.flow("taint", taintClient(c, libsum.Taint()), p)
 }
 
-func runTaint(c *Ctx, p *analysis.PTF, spec *libsum.TaintSpec) {
+// taintClient builds the dataflow client of one taint specification.
+// Its Gen calls are the sources: every other rule needs a tainted
+// operand.
+func taintClient(c *Ctx, spec *libsum.TaintSpec) dataflow.Client {
 	retSrc := map[string]bool{}
 	for _, s := range spec.RetSources {
 		retSrc[s] = true
@@ -54,29 +57,10 @@ func runTaint(c *Ctx, p *analysis.PTF, spec *libsum.TaintSpec) {
 		}
 		return false
 	}
-	eng := &dataflow.Engine{A: c.A, ModRef: c.ModRef}
-	eng.Client = dataflow.Client{
-		Track: func(name string) bool {
-			if retSrc[name] {
-				return true
-			}
-			if _, ok := spec.ArgSources[name]; ok {
-				return true
-			}
-			if _, ok := spec.Copies[name]; ok {
-				return true
-			}
-			if _, ok := spec.RetCopies[name]; ok {
-				return true
-			}
-			if _, ok := spec.ExecSinks[name]; ok {
-				return true
-			}
-			if _, ok := spec.FmtSinks[name]; ok {
-				return true
-			}
-			_, ok := spec.Sanitizers[name]
-			return ok
+	return dataflow.Client{
+		Gen: func(name string) bool {
+			_, arg := spec.ArgSources[name]
+			return retSrc[name] || arg
 		},
 		// Havoc is the identity: an unanalyzable (recursive) callee
 		// introduces no taint. This under-approximates — a recursive
@@ -159,7 +143,6 @@ func runTaint(c *Ctx, p *analysis.PTF, spec *libsum.TaintSpec) {
 			}
 		},
 	}
-	eng.ContextRun(p)
 }
 
 // reportSink grades one sink argument: Error when every resolved target

@@ -32,27 +32,24 @@ import (
 
 // typestateWalk runs the FILE protocol over one calling context.
 func typestateWalk(c *Ctx, p *analysis.PTF) {
-	runProtocol(c, p, libsum.FileProtocol())
+	c.flow("typestate", protocolClient(c, p, libsum.FileProtocol()), p)
 }
 
-func runProtocol(c *Ctx, p *analysis.PTF, proto *libsum.Protocol) {
+// protocolClient builds the dataflow client of one protocol for context
+// p. Its Gen calls are the sources and the transitions: a transition on
+// an untracked cell marks it too (strongly with the target state,
+// weakly with both).
+func protocolClient(c *Ctx, p *analysis.PTF, proto *libsum.Protocol) dataflow.Client {
 	bit := func(i int) dataflow.State { return dataflow.State(1) << i }
 	bad, initial := bit(proto.Bad), bit(proto.Init)
 	sources := map[string]bool{}
 	for _, s := range proto.Sources {
 		sources[s] = true
 	}
-	eng := &dataflow.Engine{A: c.A, ModRef: c.ModRef}
-	eng.Client = dataflow.Client{
-		Track: func(name string) bool {
-			if sources[name] {
-				return true
-			}
-			if _, ok := proto.Trans[name]; ok {
-				return true
-			}
-			_, ok := proto.Uses[name]
-			return ok
+	return dataflow.Client{
+		Gen: func(name string) bool {
+			_, trans := proto.Trans[name]
+			return sources[name] || trans
 		},
 		// An unanalyzable write (recursion fallback) leaves a tracked
 		// resource in an unknown live-or-dead state: widen to both, so
@@ -128,7 +125,6 @@ func runProtocol(c *Ctx, p *analysis.PTF, proto *libsum.Protocol) {
 			}
 		},
 	}
-	eng.ContextRun(p)
 }
 
 // allocPos maps a heap cell back to its allocation site's position.

@@ -27,11 +27,29 @@
 //   - Library calls (no analyzed body) are handed to the client's
 //     Library hook, which models them from libsum-style declarations.
 //
+// Walking only what can hold a fact: Client.Gen names the library calls
+// that can create client state from an empty fact. The contract is that
+// on an empty fact, Transfer, Havoc and Library for any call outside Gen
+// leave the fact empty and report nothing. Reach closes Gen over the
+// converged PTF call graph — a context can generate when its own nodes
+// hold a Gen library call or when a context it calls (direct or
+// resolved indirect, cycles included) can — and the engine uses it
+// twice: an empty-fact summary into a context that cannot generate is
+// the identity and is not walked, and a context none of whose home
+// chain (itself and the callers that created it, up to main) can
+// generate is not walked at all — every fact reaching it is empty. Both
+// skips are exact. A nil Gen means every library call may generate, so
+// nothing is skipped.
+//
 // Strong versus weak updates: the engine exposes the resolved target
 // blocks of an expression (ArgCells and friends); a client performs a
 // strong (destructive) update when the resolution is a single block and
 // a weak (joining) update otherwise, mirroring the strong/weak store
 // discipline of the points-to engine itself.
+//
+// Budget: an engine stops at the analysis' wall-clock deadline
+// (analysis.Analysis.Deadline) and Run/ContextRun return
+// analysis.ErrTimeout instead of a fact.
 //
 // Determinism: an Engine is meant to be created fresh per root walk (the
 // checker passes create one per ContextWalk invocation). All internal
@@ -44,6 +62,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
 	"wlpa/internal/analysis"
 	"wlpa/internal/cfg"
@@ -120,12 +139,13 @@ type Client struct {
 	// Havoc folds an unanalyzable write (recursion fallback) into a
 	// cell's state. Nil means havoc is the identity.
 	Havoc func(s State) State
-	// Track reports whether a library function is relevant to this
-	// client (source, sink, transition, copy, ...). When set, calls
-	// into subtrees containing no relevant library calls are skipped
-	// outright while the fact is empty — they can neither create nor
-	// transform client state. When nil, every call is walked.
-	Track func(name string) bool
+	// Gen reports whether a library call can create client state from
+	// an empty fact (a source, or a transition that marks untracked
+	// cells). On an empty fact, Transfer, Havoc and Library for any
+	// other call must leave the fact empty and report nothing; the
+	// engine then skips every walk that can only see empty facts (see
+	// Reach). Nil means every library call may generate.
+	Gen func(name string) bool
 }
 
 // maxDepth bounds the summary-walk call depth; beyond it (or on a
@@ -148,17 +168,95 @@ type Engine struct {
 	A      *analysis.Analysis
 	ModRef *analysis.ModRefTable
 	Client Client
+	// Reach is Client.Gen's reachability over A (NewReach). Engines
+	// walking contexts of one analysis with one client may share it;
+	// nil computes it on the first Run.
+	Reach *Reach
 
-	sums     map[sumKey]Fact
-	inprog   map[sumKey]bool
-	edges    map[*analysis.PTF]map[*cfg.Node][]*analysis.PTF
-	relevant map[*cfg.Proc]bool
-	procs    map[string]*cfg.Proc
-	ids      map[*memmod.Block]int
-	depth    int
+	sums   map[sumKey]Fact
+	inprog map[sumKey]bool
+	ids    map[*memmod.Block]int
+	depth  int
 	// reporting is true only during the reporting root walk (Run /
 	// ContextRun final walk), not during home-chain or summary walks.
 	reporting bool
+
+	deadline time.Time
+	ticks    int
+	err      error
+}
+
+// Reach records which calling contexts of one analysis can generate
+// client state from an empty fact (see Client.Gen). A context can
+// generate when its own nodes hold a Gen library call — a direct call
+// with no analyzed callee, where the engine invokes Client.Library — or
+// when a context it calls along analysis.CallEdgesOf can. Indirect calls
+// follow their resolved targets and recursive cycles are closed over.
+// A Reach is read-only once built, so concurrent engines may share one.
+type Reach struct {
+	// callees indexes every context's resolved call edges by node.
+	callees map[*analysis.PTF]map[*cfg.Node][]*analysis.PTF
+	// procs names the procedures with at least one context; a direct
+	// call to any other name is a library call.
+	procs map[string]bool
+	// gen holds the contexts that can generate; nil when Gen is nil
+	// (every context may).
+	gen map[*analysis.PTF]bool
+}
+
+// NewReach computes gen's reachability over a's converged call graph.
+// A nil gen marks every context as generating.
+func NewReach(a *analysis.Analysis, gen func(name string) bool) *Reach {
+	ptfs := a.AllPTFs()
+	r := &Reach{
+		callees: make(map[*analysis.PTF]map[*cfg.Node][]*analysis.PTF, len(ptfs)),
+		procs:   map[string]bool{},
+	}
+	callers := map[*analysis.PTF][]*analysis.PTF{}
+	for _, p := range ptfs {
+		r.procs[p.Proc.Name] = true
+		m := map[*cfg.Node][]*analysis.PTF{}
+		for _, edge := range a.CallEdgesOf(p) {
+			m[edge.Node] = append(m[edge.Node], edge.Callee)
+			callers[edge.Callee] = append(callers[edge.Callee], p)
+		}
+		r.callees[p] = m
+	}
+	if gen == nil {
+		return r
+	}
+	r.gen = map[*analysis.PTF]bool{}
+	var work []*analysis.PTF
+	for _, p := range ptfs {
+		for _, nd := range p.Proc.Nodes {
+			if nd.Kind == cfg.CallNode && r.library(p, nd) && gen(nd.Direct.Name) {
+				r.gen[p] = true
+				work = append(work, p)
+				break
+			}
+		}
+	}
+	for len(work) > 0 {
+		p := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, c := range callers[p] {
+			if !r.gen[c] {
+				r.gen[c] = true
+				work = append(work, c)
+			}
+		}
+	}
+	return r
+}
+
+// CanGen reports whether walking context p from an empty fact can
+// produce a non-empty one.
+func (r *Reach) CanGen(p *analysis.PTF) bool { return r.gen == nil || r.gen[p] }
+
+// library reports whether call node nd of context p is a library call:
+// a direct call with no analyzed callee bound in p.
+func (r *Reach) library(p *analysis.PTF, nd *cfg.Node) bool {
+	return len(r.callees[p][nd]) == 0 && nd.Direct != nil && !r.procs[nd.Direct.Name]
 }
 
 type sumKey struct {
@@ -170,20 +268,21 @@ type sumKey struct {
 // Run walks the root context to a fixpoint, starting from the given
 // entry fact (nil for an empty one), invokes the client's Exit hook on
 // the exit fact, and returns it. Reporting hooks see AtRoot() == true
-// for the root walk's own nodes.
-func (e *Engine) Run(root *analysis.PTF, entry Fact) Fact {
+// for the root walk's own nodes. An empty entry into a context that
+// cannot generate is not walked: Exit sees the empty fact.
+func (e *Engine) Run(root *analysis.PTF, entry Fact) (Fact, error) {
 	e.init()
+	w := &Walk{PTF: root}
+	if len(entry) == 0 && !e.Reach.CanGen(root) {
+		return e.exit(w, Fact{})
+	}
 	if entry == nil {
 		entry = Fact{}
 	}
-	w := &Walk{PTF: root}
 	e.reporting = true
 	res := e.walk(w, entry)
 	e.reporting = false
-	if e.Client.Exit != nil {
-		e.Client.Exit(e, w, res)
-	}
-	return res
+	return e.exit(w, res)
 }
 
 // ContextRun walks one calling context: the PTF's home chain (the
@@ -193,18 +292,43 @@ func (e *Engine) Run(root *analysis.PTF, entry Fact) Fact {
 // PTF's own CFG is walked as the reporting root. A defect that needs
 // caller state (the caller closed the handle this procedure uses) is
 // thus reported at the procedure that trips it, in exactly the calling
-// contexts that exhibit it.
-func (e *Engine) ContextRun(p *analysis.PTF) Fact {
+// contexts that exhibit it. When no context on the home chain can
+// generate, every fact there is empty and nothing is walked: Exit sees
+// the empty fact (its Walk carries no bindings environment).
+func (e *Engine) ContextRun(p *analysis.PTF) (Fact, error) {
 	e.init()
+	if !e.chainCanGen(p) {
+		return e.exit(&Walk{PTF: p}, Fact{})
+	}
 	entry, env := e.contextEntry(p)
 	w := &Walk{PTF: p, env: env}
 	e.reporting = true
 	res := e.walk(w, entry)
 	e.reporting = false
+	return e.exit(w, res)
+}
+
+// exit hands the root walk's exit fact to the client, or reports that
+// the walk was cut short by the deadline.
+func (e *Engine) exit(w *Walk, res Fact) (Fact, error) {
+	if e.err != nil {
+		return nil, e.err
+	}
 	if e.Client.Exit != nil {
 		e.Client.Exit(e, w, res)
 	}
-	return res
+	return res, nil
+}
+
+// chainCanGen reports whether p or any caller context on its home chain
+// can generate.
+func (e *Engine) chainCanGen(p *analysis.PTF) bool {
+	for q := p; q != nil; q, _ = q.Home() {
+		if e.Reach.CanGen(q) {
+			return true
+		}
+	}
+	return false
 }
 
 // contextEntry computes the fact flowing into a PTF's context and its
@@ -221,13 +345,29 @@ func (e *Engine) contextEntry(p *analysis.PTF) (Fact, map[*memmod.Block]memmod.V
 }
 
 func (e *Engine) init() {
-	if e.sums == nil {
-		e.sums = map[sumKey]Fact{}
-		e.inprog = map[sumKey]bool{}
-		e.edges = map[*analysis.PTF]map[*cfg.Node][]*analysis.PTF{}
-		e.relevant = map[*cfg.Proc]bool{}
-		e.ids = map[*memmod.Block]int{}
+	if e.sums != nil {
+		return
 	}
+	e.sums = map[sumKey]Fact{}
+	e.inprog = map[sumKey]bool{}
+	e.ids = map[*memmod.Block]int{}
+	if e.Reach == nil {
+		e.Reach = NewReach(e.A, e.Client.Gen)
+	}
+	e.deadline = e.A.Deadline()
+}
+
+// expired reports (and latches) that the analysis' deadline passed. It
+// reads the clock once every 256 calls; once it fires, every fixpoint
+// returns at once and the root run reports analysis.ErrTimeout.
+func (e *Engine) expired() bool {
+	if e.err == nil && !e.deadline.IsZero() {
+		e.ticks++
+		if e.ticks%256 == 0 && time.Now().After(e.deadline) {
+			e.err = analysis.ErrTimeout
+		}
+	}
+	return e.err != nil
 }
 
 // AtRoot reports whether the engine is currently transferring nodes of
@@ -270,6 +410,9 @@ func (e *Engine) fixpoint(w *Walk, entry Fact) map[*cfg.Node]Fact {
 	for round := 0; round < maxRounds; round++ {
 		changed := false
 		for _, nd := range proc.Nodes {
+			if e.expired() {
+				return out
+			}
 			var in Fact
 			if nd.Kind == cfg.EntryNode {
 				in = entry.Clone()
@@ -304,15 +447,12 @@ func (e *Engine) transfer(w *Walk, nd *cfg.Node, f Fact) {
 }
 
 func (e *Engine) transferCall(w *Walk, nd *cfg.Node, f Fact) {
-	callees := e.calleesAt(w.PTF, nd)
+	callees := e.Reach.callees[w.PTF][nd]
 	if len(callees) == 0 {
 		// No analyzed callee bound here: a library call, an unresolved
 		// indirect call, or a node the analysis never reached in this
 		// context. Only direct library calls get a client model.
-		if nd.Direct != nil && e.procs == nil {
-			e.indexProcs()
-		}
-		if nd.Direct != nil && e.procs[nd.Direct.Name] == nil && e.Client.Library != nil {
+		if e.Reach.library(w.PTF, nd) && e.Client.Library != nil {
 			e.Client.Library(e, w, nd, f)
 		}
 		return
@@ -339,11 +479,10 @@ func (e *Engine) transferCall(w *Walk, nd *cfg.Node, f Fact) {
 // summarize applies one callee's summary edge: entry fact in, exit fact
 // out, memoized per (callee, fact, bindings).
 func (e *Engine) summarize(w *Walk, nd *cfg.Node, callee *analysis.PTF, f Fact) Fact {
-	// A call into a subtree with no client-relevant library calls can
-	// neither create cells nor (with an empty fact) transform any — it
-	// is the identity. This keeps clean programs near O(procedures).
-	if len(f) == 0 && e.Client.Track != nil && !e.relevantProc(callee.Proc) {
-		return f.Clone()
+	// An empty fact into a context that cannot generate comes back
+	// empty: the summary is the identity.
+	if len(f) == 0 && !e.Reach.CanGen(callee) {
+		return Fact{}
 	}
 	env := e.childEnv(w, nd, callee)
 	k := sumKey{callee: callee, fact: e.factKey(f), env: e.envKey(env)}
@@ -528,59 +667,6 @@ func (e *Engine) HeapCell(nd *cfg.Node) *memmod.Block {
 // is the client's call — a typestate client strong-updates singleton
 // heap cells because the allocation site re-initializes their state.)
 func Strong(cells []*memmod.Block) bool { return len(cells) == 1 }
-
-func (e *Engine) calleesAt(p *analysis.PTF, nd *cfg.Node) []*analysis.PTF {
-	m, ok := e.edges[p]
-	if !ok {
-		m = map[*cfg.Node][]*analysis.PTF{}
-		for _, edge := range e.A.CallEdgesOf(p) {
-			m[edge.Node] = append(m[edge.Node], edge.Callee)
-		}
-		e.edges[p] = m
-	}
-	return m[nd]
-}
-
-func (e *Engine) indexProcs() {
-	e.procs = map[string]*cfg.Proc{}
-	for _, p := range e.A.AllPTFs() {
-		e.procs[p.Proc.Name] = p.Proc
-	}
-}
-
-// relevantProc reports whether a procedure's static call subtree
-// contains any client-relevant library call. Cycles and indirect calls
-// are conservatively relevant.
-func (e *Engine) relevantProc(proc *cfg.Proc) bool {
-	if v, ok := e.relevant[proc]; ok {
-		return v
-	}
-	if e.procs == nil {
-		e.indexProcs()
-	}
-	e.relevant[proc] = true // in-progress: cycles count as relevant
-	rel := false
-	for _, nd := range proc.Nodes {
-		if nd.Kind != cfg.CallNode {
-			continue
-		}
-		if nd.Direct == nil {
-			rel = true // indirect: could reach anything
-			break
-		}
-		if callee := e.procs[nd.Direct.Name]; callee != nil {
-			if callee != proc && e.relevantProc(callee) {
-				rel = true
-				break
-			}
-		} else if e.Client.Track(nd.Direct.Name) {
-			rel = true
-			break
-		}
-	}
-	e.relevant[proc] = rel
-	return rel
-}
 
 // id assigns small per-engine integers to blocks in first-encounter
 // order; every assignment site iterates deterministically, so the ids —

@@ -89,7 +89,7 @@ func TestStrong(t *testing.T) {
 // dedup discipline the checker passes use.
 func markClient(obs map[string]dataflow.State) dataflow.Client {
 	return dataflow.Client{
-		Track: func(name string) bool { return name == "malloc" || name == "free" },
+		Gen: func(name string) bool { return name == "malloc" },
 		Library: func(e *dataflow.Engine, w *dataflow.Walk, nd *cfg.Node, f dataflow.Fact) {
 			switch nd.Direct.Name {
 			case "malloc":
@@ -127,7 +127,9 @@ int main(void) {
 	a := analyze(t, src)
 	obs := map[string]dataflow.State{}
 	eng := &dataflow.Engine{A: a, ModRef: a.ModRef(), Client: markClient(obs)}
-	eng.ContextRun(a.MainPTF())
+	if _, err := eng.ContextRun(a.MainPTF()); err != nil {
+		t.Fatal(err)
+	}
 	if len(obs) != 1 {
 		t.Fatalf("free observed at %d sites at root, want 1: %v", len(obs), obs)
 	}
@@ -161,7 +163,9 @@ int main(void) {
 	}
 	obs := map[string]dataflow.State{}
 	eng := &dataflow.Engine{A: a, ModRef: a.ModRef(), Client: markClient(obs)}
-	eng.ContextRun(ptfs[0])
+	if _, err := eng.ContextRun(ptfs[0]); err != nil {
+		t.Fatal(err)
+	}
 	if len(obs) != 1 {
 		t.Fatalf("free observed at %d sites at root, want 1: %v", len(obs), obs)
 	}
@@ -185,7 +189,7 @@ int main(void) {
 	a := analyze(t, src)
 	var exitFact dataflow.Fact
 	eng := &dataflow.Engine{A: a, ModRef: a.ModRef(), Client: dataflow.Client{
-		Track: func(name string) bool { return name == "malloc" },
+		Gen: func(name string) bool { return name == "malloc" },
 		Library: func(e *dataflow.Engine, w *dataflow.Walk, nd *cfg.Node, f dataflow.Fact) {
 			if hb := e.HeapCell(nd); hb != nil {
 				f.Set(hb, 1)
@@ -195,7 +199,10 @@ int main(void) {
 			exitFact = f.Clone()
 		},
 	}}
-	res := eng.Run(a.MainPTF(), nil)
+	res, err := eng.Run(a.MainPTF(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if exitFact == nil {
 		t.Fatal("Exit hook did not fire")
 	}
@@ -231,7 +238,9 @@ int main(void) {
 	runOnce := func() map[string]dataflow.State {
 		obs := map[string]dataflow.State{}
 		eng := &dataflow.Engine{A: a, ModRef: a.ModRef(), Client: markClient(obs)}
-		eng.ContextRun(a.MainPTF())
+		if _, err := eng.ContextRun(a.MainPTF()); err != nil {
+			t.Fatal(err)
+		}
 		return obs
 	}
 	first := runOnce()
@@ -253,5 +262,130 @@ int main(void) {
 				t.Fatalf("run %d: state at %s = %d, want %d", i, pos, s, first[pos])
 			}
 		}
+	}
+}
+
+// hookCounts tallies the hooks a countingClient saw fire.
+type hookCounts struct{ transfer, library, havoc int }
+
+// countingClient counts every Transfer, Library and Havoc call. Its only
+// Gen call is fopen, which marks the opened handle's heap cell; no other
+// hook touches the fact.
+func countingClient(n *hookCounts) dataflow.Client {
+	return dataflow.Client{
+		Gen: func(name string) bool { return name == "fopen" },
+		Transfer: func(e *dataflow.Engine, w *dataflow.Walk, nd *cfg.Node, f dataflow.Fact) {
+			n.transfer++
+		},
+		Library: func(e *dataflow.Engine, w *dataflow.Walk, nd *cfg.Node, f dataflow.Fact) {
+			n.library++
+			if nd.Direct.Name == "fopen" {
+				if hb := e.HeapCell(nd); hb != nil {
+					f.Set(hb, 1)
+				}
+			}
+		},
+		Havoc: func(s dataflow.State) dataflow.State {
+			n.havoc++
+			return s
+		},
+	}
+}
+
+// TestNoGenContextsNotWalked pins the reachability prune: in a program
+// with a recursive cycle, an indirect call, printf and strcpy but no Gen
+// call, no context can hold a fact, so ContextRun of every PTF fires no
+// Transfer, Library or Havoc hook. (A syntactic relevance filter that
+// counts cycles and indirect calls as relevant walks all of them.)
+func TestNoGenContextsNotWalked(t *testing.T) {
+	src := `
+#include <stdio.h>
+#include <string.h>
+char buf[32];
+int n;
+void pong(void);
+void show(char *s) { printf("%s\n", s); }
+void ping(void) {
+    strcpy(buf, "tick");
+    if (n > 0) {
+        n--;
+        pong();
+    }
+}
+void pong(void) { ping(); }
+int main(void) {
+    void (*fp)(char *);
+    fp = show;
+    n = 3;
+    ping();
+    fp(buf);
+    return 0;
+}`
+	a := analyze(t, src)
+	var n hookCounts
+	reach := dataflow.NewReach(a, countingClient(&n).Gen)
+	for _, p := range a.AllPTFs() {
+		eng := &dataflow.Engine{A: a, ModRef: a.ModRef(), Client: countingClient(&n), Reach: reach}
+		res, err := eng.ContextRun(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != 0 {
+			t.Fatalf("%s: exit fact %v, want empty", p.Proc.Name, res)
+		}
+	}
+	if n != (hookCounts{}) {
+		t.Fatalf("hooks fired on contexts that cannot generate: %+v", n)
+	}
+}
+
+// TestGenThroughFuncPtrAndCycle guards the prune against over-pruning:
+// an fopen reached only through a function pointer, and one inside a
+// recursive cycle, still reach main's exit fact.
+func TestGenThroughFuncPtrAndCycle(t *testing.T) {
+	cases := map[string]string{
+		"funcptr": `
+#include <stdio.h>
+FILE *h;
+void opener(void) { h = fopen("x", "r"); }
+int main(void) {
+    void (*fp)(void);
+    fp = opener;
+    fp();
+    return 0;
+}`,
+		"cycle": `
+#include <stdio.h>
+FILE *h;
+int n;
+void pong(void);
+void ping(void) {
+    if (n > 0) {
+        n--;
+        pong();
+    } else {
+        h = fopen("x", "r");
+    }
+}
+void pong(void) { ping(); }
+int main(void) {
+    n = 2;
+    ping();
+    return 0;
+}`,
+	}
+	for name, src := range cases {
+		t.Run(name, func(t *testing.T) {
+			a := analyze(t, src)
+			var n hookCounts
+			eng := &dataflow.Engine{A: a, ModRef: a.ModRef(), Client: countingClient(&n)}
+			res, err := eng.ContextRun(a.MainPTF())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res) != 1 {
+				t.Fatalf("main's exit fact %v, want the opened handle's cell (hooks %+v)", res, n)
+			}
+		})
 	}
 }

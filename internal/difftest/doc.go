@@ -18,7 +18,10 @@
 // bit-identical results — PTF counts,
 // collapsed solution, checker diagnostics — across the full-pass and
 // worklist engines, plus the absence of Error-severity checker
-// diagnostics on well-defined programs.
+// diagnostics on well-defined programs. Three rungs hold the resource
+// and taint checkers to what the program does: leaks and FILE-protocol
+// violations against the interpreter's census, and a taintflow report
+// at every system() call of a program that calls getenv.
 //
 // Native Go fuzz targets drive the oracle: FuzzOracleLattice decodes
 // (seed, feature bits) into a generated program from

@@ -9,6 +9,7 @@ import (
 	"wlpa/internal/baseline/andersen"
 	"wlpa/internal/baseline/steensgaard"
 	"wlpa/internal/cast"
+	"wlpa/internal/cfg"
 	"wlpa/internal/check"
 	"wlpa/internal/cparse"
 	"wlpa/internal/demand"
@@ -44,6 +45,7 @@ const (
 	StageCheckClean  = "check-clean"         // Error-severity diagnostic on a well-defined program
 	StageLeak        = "leak-oracle"         // static leak checker disagrees with observed leaks
 	StageTypestate   = "typestate-oracle"    // static FILE-protocol checker disagrees with observed violations
+	StageTaint       = "taint-oracle"        // a getenv program's system() call carries no taintflow report
 	StageDemand      = "demand-oracle"       // demand walker answer differs from the exhaustive query layer
 	StageBaseline    = "baseline"            // a baseline analysis returned an error
 	StageAndersen    = "lattice-andersen"    // dynamic fact missing from Andersen
@@ -377,6 +379,17 @@ func CheckProgram(name, src string, opt Options) error {
 		}
 	}
 
+	// 3d. Taint rung: completeness of the taint checker. The
+	// interpreter models getenv as NULL, so no run observes a flow, and
+	// the cleanliness stage exempts taintflow; without this rung a flow
+	// pruned away would go unnoticed. Generated programs only hand
+	// getenv's result to system(), so in a program that calls getenv
+	// every system() call in a procedure the checker walks must carry
+	// a taintflow report on its line.
+	if err := checkTaintRung(base.an, base.diagList, fail); err != nil {
+		return err
+	}
+
 	// 4. Precision lattice at block granularity:
 	//
 	//	dynamic  ⊆ PTF solution     (checked in step 3)
@@ -492,6 +505,53 @@ func checkTypestateRung(diags []check.Diagnostic, res *interp.Result, fail func(
 	for pos, sev := range leak {
 		if sev == check.Error && opened[pos] && !stillOpen[pos] {
 			return fail(StageTypestate, "fileleak reports a definite leak at %s, but the run opened there and closed every handle", pos)
+		}
+	}
+	return nil
+}
+
+// checkTaintRung requires a taintflow report at every system() call of
+// a procedure with a walked context, in a program whose walked
+// procedures call getenv (see CheckProgram step 3d).
+func checkTaintRung(an *analysis.Analysis, diags []check.Diagnostic, fail func(stage, format string, args ...any) error) error {
+	type line struct {
+		file string
+		n    int
+	}
+	reported := map[line]bool{}
+	for _, d := range diags {
+		if d.Check == "taintflow" {
+			reported[line{d.Pos.File, d.Pos.Line}] = true
+		}
+	}
+	var sinks []*cfg.Node
+	getenv := false
+	seen := map[*cfg.Proc]bool{}
+	for _, p := range an.AllPTFs() {
+		// The contexts check.Run walks: a context abandoned
+		// mid-recursion is not one.
+		if seen[p.Proc] || (!p.ExitReached() && p != an.MainPTF()) {
+			continue
+		}
+		seen[p.Proc] = true
+		for _, nd := range p.Proc.Nodes {
+			if nd.Kind != cfg.CallNode || nd.Direct == nil {
+				continue
+			}
+			switch nd.Direct.Name {
+			case "getenv":
+				getenv = true
+			case "system":
+				sinks = append(sinks, nd)
+			}
+		}
+	}
+	if !getenv {
+		return nil
+	}
+	for _, nd := range sinks {
+		if !reported[line{nd.Pos.File, nd.Pos.Line}] {
+			return fail(StageTaint, "system() at %s in a program that calls getenv has no taintflow report", nd.Pos)
 		}
 	}
 	return nil

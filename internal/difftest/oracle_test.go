@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -116,6 +117,56 @@ func TestInterpFuelFailure(t *testing.T) {
 	}
 	if fl.Src != src {
 		t.Fatal("fuel failure does not carry the offending program")
+	}
+}
+
+// TestTaintRung exercises the taint completeness rung on generated
+// taint programs: it holds on the checker's real reports (every reached
+// system() sink carries a taintflow diagnostic), and it fails once those
+// reports are dropped, so a flow pruned away cannot go unnoticed.
+func TestTaintRung(t *testing.T) {
+	fail := func(stage, format string, args ...any) error {
+		return &Failure{Stage: stage, Detail: fmt.Sprintf(format, args...)}
+	}
+	masks := []workload.Feature{
+		workload.FeatTaint,
+		workload.FeatTaint | workload.FeatFuncPtrs | workload.FeatRecursion,
+		workload.AllFeatures(),
+	}
+	flows := 0
+	for _, mask := range masks {
+		for seed := int64(0); seed < 10; seed++ {
+			name, src, _ := DecodeInput(seed, uint32(mask))
+			prog, err := Frontend(name, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fp, err := runEngine(prog, engine{name: "worklist"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := checkTaintRung(fp.an, fp.diagList, fail); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			var kept []check.Diagnostic
+			for _, d := range fp.diagList {
+				if d.Check != "taintflow" {
+					kept = append(kept, d)
+				}
+			}
+			dropped := len(fp.diagList) - len(kept)
+			if dropped == 0 {
+				continue
+			}
+			flows += dropped
+			err = checkTaintRung(fp.an, kept, fail)
+			if fl, ok := err.(*Failure); !ok || fl.Stage != StageTaint {
+				t.Fatalf("%s: dropping %d taintflow reports went unnoticed (%v)", name, dropped, err)
+			}
+		}
+	}
+	if flows == 0 {
+		t.Fatal("no taintflow report on any generated taint program: the rung is vacuous")
 	}
 }
 

@@ -2,12 +2,14 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"sort"
 	"time"
 
+	"wlpa/internal/analysis"
 	"wlpa/internal/cfg"
 	"wlpa/internal/irhash"
 	"wlpa/internal/store"
@@ -216,7 +218,13 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		Diagnostics: req.Diagnostics,
 	})
 	if err != nil {
-		s.fail(w, r, t0, http.StatusInternalServerError, err)
+		// The checker shares the analysis' budget: running past it is
+		// the same named failure as an analysis timeout.
+		status := http.StatusInternalServerError
+		if errors.Is(err, analysis.ErrTimeout) {
+			status = http.StatusUnprocessableEntity
+		}
+		s.fail(w, r, t0, status, err)
 		return
 	}
 	data, err := snap.Encode()

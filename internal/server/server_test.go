@@ -3,10 +3,14 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"log/slog"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
 
 	"wlpa/internal/store"
 	"wlpa/internal/workload"
@@ -267,5 +271,48 @@ func TestBenchmarksServeWarm(t *testing.T) {
 		if !bytes.Equal(cold.Snapshot, warm.Snapshot) {
 			t.Errorf("%s: warm snapshot differs from cold", b.Name)
 		}
+	}
+}
+
+// TestCheckerTimeoutIs422 pins the budget on the checker: a request with
+// diagnostics whose checking runs past Options.Timeout fails with 422
+// and the named timeout error (not 500), and the daemon keeps serving.
+func TestCheckerTimeoutIs422(t *testing.T) {
+	st, err := store.Open("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{
+		Store:   st,
+		Options: pta.Options{Timeout: 200 * time.Millisecond},
+		Logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	cfg := workload.FuzzGenConfig(20, uint32(workload.AllFeatures()))
+	cfg.NumFuncs, cfg.StmtsPerFunc = 6, 10
+	body, _ := json.Marshal(AnalyzeRequest{Files: map[string]string{"cgen.c": workload.Generate(cfg)}, Entry: "cgen.c", Diagnostics: true})
+	resp, err := http.Post(ts.URL+"/analyze", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var er ErrorResponse
+	err = json.NewDecoder(resp.Body).Decode(&er)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(er.Error, "wall-clock budget exceeded") {
+		t.Fatalf("over-budget check answered %d %q, want 422 naming the budget", resp.StatusCode, er.Error)
+	}
+
+	c := &Client{Base: ts.URL}
+	wb, _ := workload.ByName("allroots")
+	if _, snap, err := c.Analyze(context.Background(), map[string]string{"allroots.c": wb.Source}, "allroots.c", true); err != nil || snap == nil {
+		t.Fatalf("daemon did not serve after a timeout: %v", err)
 	}
 }

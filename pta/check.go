@@ -66,7 +66,9 @@ type CheckOptions struct {
 // is re-run with null tracking enabled (the checkers must distinguish
 // "definitely NULL" from "uninitialized"; the extra pseudo-location
 // would perturb the PTF statistics of the main analysis, so it is kept
-// out of Analyze's run).
+// out of Analyze's run). The re-analysis and the checker walks share one
+// Options.Timeout budget, which starts with the re-analysis; exceeding
+// it returns analysis.ErrTimeout and no diagnostics.
 func (r *Result) Check(opts *CheckOptions) ([]Diagnostic, error) {
 	if opts == nil {
 		opts = &CheckOptions{}

@@ -1,8 +1,13 @@
 package pta
 
 import (
+	"errors"
 	"strings"
 	"testing"
+	"time"
+
+	"wlpa/internal/analysis"
+	"wlpa/internal/workload"
 )
 
 func analyze(t *testing.T, src string) *Result {
@@ -316,6 +321,31 @@ int main(void) {
 	}
 	if len(diags) != 0 {
 		t.Errorf("selected badcall only, got %v", diags)
+	}
+}
+
+// TestCheckHonorsTimeout pins the checker under Options.Timeout: Check's
+// re-analysis and its context walks share one budget, so a program
+// whose checking takes seconds (a generated program whose contexts
+// reach fopen and getenv) fails fast with ErrTimeout and no diagnostics.
+func TestCheckHonorsTimeout(t *testing.T) {
+	cfg := workload.FuzzGenConfig(20, uint32(workload.AllFeatures()))
+	cfg.NumFuncs, cfg.StmtsPerFunc = 6, 10
+	res := analyze(t, workload.Generate(cfg))
+	// The budget Options.Timeout would have recorded, set after the
+	// analysis so that a slow host cannot spend it there.
+	res.aopts.Timeout = 100 * time.Millisecond
+	start := time.Now()
+	diags, err := res.Check(nil)
+	elapsed := time.Since(start)
+	if !errors.Is(err, analysis.ErrTimeout) {
+		t.Fatalf("Check with a 100ms budget returned %d diagnostics and err %v, want ErrTimeout", len(diags), err)
+	}
+	if diags != nil {
+		t.Errorf("timed-out Check returned partial diagnostics: %v", diags)
+	}
+	if elapsed > time.Second {
+		t.Errorf("timed-out Check took %v, want under 1s", elapsed)
 	}
 }
 

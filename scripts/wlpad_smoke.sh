@@ -11,7 +11,10 @@
 #      and its transitive callers), while the rest hit;
 #   4. the edited miss grafts against the warm baseline (meta carries
 #      incremental stats with no fallback) and its snapshot is
-#      byte-identical to a cold daemon's analysis of the edited program.
+#      byte-identical to a cold daemon's analysis of the edited program;
+#   5. a daemon with a 200ms -timeout answers a request whose checking
+#      runs past the budget with 422 naming the budget, and then still
+#      serves a benchmark with a snapshot.
 #
 # Writes a /metrics snapshot to $METRICS_OUT (default
 # wlpad-metrics.json) for upload as a CI artifact. Requires jq + curl.
@@ -128,6 +131,33 @@ cmp -s "$work/edited.snap" "$work/edited_cold.snap" ||
     { echo "grafted snapshot differs from cold daemon's"; exit 1; }
 kill "$daemon2_pid"; wait "$daemon2_pid" 2>/dev/null || true
 echo "ok: grafted snapshot byte-identical to a cold daemon's"
+
+# The -timeout budget bounds the checker too: a generated program whose
+# contexts reach fopen and getenv analyzes in tens of milliseconds but
+# takes seconds to check, so with diagnostics it must fail with 422 and
+# the named timeout error, and the daemon must keep serving.
+ADDR3="127.0.0.1:${WLPAD_PORT3:-18374}"
+"$work/wlpad" serve -addr "$ADDR3" -timeout 200ms -log json 2>"$work/wlpad3.log" &
+daemon3_pid=$!
+trap 'kill "$daemon_pid" "$daemon3_pid" 2>/dev/null || true; wait "$daemon_pid" "$daemon3_pid" 2>/dev/null || true; rm -rf "$work"' EXIT
+for _ in $(seq 1 50); do
+    if curl -sf "http://$ADDR3/healthz" >/dev/null 2>&1; then break; fi
+    sleep 0.2
+done
+go run ./cmd/cgen -seed 20 -funcs 6 -stmts 10 -features all >"$work/slow.c"
+status=$(jq -n --rawfile src "$work/slow.c" \
+    '{files: {"slow.c": $src}, entry: "slow.c", diagnostics: true}' |
+    curl -s -o "$work/slow.json" -w '%{http_code}' -d @- "http://$ADDR3/analyze")
+[ "$status" = 422 ] && jq -e '.error | contains("wall-clock budget exceeded")' "$work/slow.json" >/dev/null ||
+    { echo "over-budget check answered $status:"; cat "$work/slow.json"; exit 1; }
+jq -n --rawfile src internal/workload/testdata/allroots.c \
+    '{files: {"allroots.c": $src}, entry: "allroots.c", diagnostics: true}' |
+    curl -sf -d @- "http://$ADDR3/analyze" >"$work/after.json" ||
+    { echo "daemon did not serve after a timeout"; exit 1; }
+jq -e '.snapshot.has_diags == true' "$work/after.json" >/dev/null ||
+    { echo "post-timeout response carries no snapshot"; exit 1; }
+kill "$daemon3_pid"; wait "$daemon3_pid" 2>/dev/null || true
+echo "ok: over-budget check failed with 422, then the daemon served allroots"
 
 curl -sf "http://$ADDR/metrics" >"$METRICS_OUT"
 jq -e '.incremental.grafts >= 1 and .incremental.fallbacks == 0' "$METRICS_OUT" >/dev/null ||
