@@ -8,21 +8,22 @@
 // Usage:
 //
 //	wlcheck [-checks list] [-passes list] [-format text|json|sarif]
-//	        [-baseline file] [-write-baseline file] [-workers n]
+//	        [-baseline file] [-write-baseline file]
 //	        [-modref] [-q] [-trace] [-remote host:port]
 //	        [-demand proc:line:expr,...] file.c...
 //
 // With several files, the first is the entry translation unit and the
 // rest are available for #include. With -remote the diagnostics come
 // from a wlpad daemon (see cmd/wlpad), which runs every pass with its
-// own configuration — -checks/-passes/-workers/-max-ptfs are rejected
-// in that mode; baselines and output formats work unchanged. With
+// own configuration — -checks/-passes/-max-ptfs are rejected in that
+// mode; baselines and output formats work unchanged. With
 // -demand, each listed site's points-to set is printed (answered by the
 // demand-driven walker, identical to the whole-program answer) and the
 // diagnostics are restricted to the queried (proc, line) sites —
-// pointwise checking of just the code under review. Exits 1 if any
-// error-severity diagnostic survives baseline suppression, 2 on usage
-// or front-end failure.
+// pointwise checking of just the code under review. Usage errors are
+// reported before any file is read. Exits 1 if any error-severity
+// diagnostic survives baseline suppression, 2 on usage or front-end
+// failure.
 package main
 
 import (
@@ -49,7 +50,6 @@ func main() {
 		format    = flag.String("format", "text", "output format: text, json, or sarif")
 		baseline  = flag.String("baseline", "", "suppress diagnostics whose fingerprints appear in this file")
 		writeBase = flag.String("write-baseline", "", "write the run's fingerprints to this file (for future -baseline)")
-		workers   = flag.Int("workers", 0, "goroutines walking calling contexts (0 = sequential; results identical)")
 		modref    = flag.Bool("modref", false, "print each procedure's MOD/REF summary before the diagnostics")
 		quiet     = flag.Bool("q", false, "suppress warnings (print errors only; text format)")
 		trace     = flag.Bool("trace", false, "print the calling context of each diagnostic (text format)")
@@ -62,6 +62,23 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: wlcheck [flags] file.c ...")
 		flag.PrintDefaults()
 		os.Exit(2)
+	}
+	switch *format {
+	case "text", "json", "sarif":
+	default:
+		fail(fmt.Errorf("unknown -format %q (want text, json, or sarif)", *format))
+	}
+	sites, err := parseDemandSites(*demand)
+	if err != nil {
+		fail(err)
+	}
+	if *remote != "" {
+		if *checks != "" || *passes != "" || *maxPTFs != 0 {
+			fail(fmt.Errorf("-checks/-passes/-max-ptfs are fixed by the daemon; drop them with -remote"))
+		}
+		if len(sites) > 0 {
+			fail(fmt.Errorf("-demand runs in-process; query the daemon's /query endpoint instead of combining it with -remote"))
+		}
 	}
 	files := pta.Source{}
 	entry := ""
@@ -76,19 +93,9 @@ func main() {
 			entry = name
 		}
 	}
-	sites, err := parseDemandSites(*demand)
-	if err != nil {
-		fail(err)
-	}
 	var diags []pta.Diagnostic
 	var modrefLines []string
 	if *remote != "" {
-		if *checks != "" || *passes != "" || *workers != 0 || *maxPTFs != 0 {
-			fail(fmt.Errorf("-checks/-passes/-workers/-max-ptfs are fixed by the daemon; drop them with -remote"))
-		}
-		if len(sites) > 0 {
-			fail(fmt.Errorf("-demand runs in-process; query the daemon's /query endpoint instead of combining it with -remote"))
-		}
 		_, snap, err := (&server.Client{Base: *remote}).Analyze(context.Background(), files, entry, true)
 		if err != nil {
 			fail(err)
@@ -107,7 +114,7 @@ func main() {
 				fmt.Printf("%s:%d %s => {%s}\n", s.proc, s.line, s.expr, strings.Join(pts, ", "))
 			}
 		}
-		copts := &pta.CheckOptions{Workers: *workers}
+		copts := &pta.CheckOptions{}
 		if *checks != "" {
 			copts.Checks = strings.Split(*checks, ",")
 		}
@@ -186,9 +193,6 @@ func main() {
 		if errors > 0 {
 			fmt.Printf("%d error(s)\n", errors)
 		}
-	default:
-		fmt.Fprintf(os.Stderr, "wlcheck: unknown -format %q (want text, json, or sarif)\n", *format)
-		os.Exit(2)
 	}
 	if errors > 0 {
 		os.Exit(1)

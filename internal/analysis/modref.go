@@ -111,20 +111,17 @@ func (a *Analysis) AllocSites() []AllocSite {
 	return out
 }
 
-// mrEdge is a call edge with its derived parameter bindings.
-type mrEdge struct {
-	nd     *cfg.Node
-	callee *PTF
-	pmap   map[*memmod.Block]*memmod.ValueSet
-}
-
 // ModRefTable holds the converged MOD/REF summaries, per PTF and per
-// call node.
+// call node, and the parameter bindings of every call edge.
 type ModRefTable struct {
-	a     *Analysis
-	mod   map[*PTF]*memmod.ValueSet
-	ref   map[*PTF]*memmod.ValueSet
-	edges map[*PTF][]mrEdge
+	a   *Analysis
+	mod map[*PTF]*memmod.ValueSet
+	ref map[*PTF]*memmod.ValueSet
+	// edges lists each context's call edges in sortedEdges order; binds
+	// holds each edge's parameter bindings (edgeBindings), which the
+	// fold translates through and BindingsAt serves.
+	edges map[*PTF][]CallEdge
+	binds map[CallEdge]map[*memmod.Block]memmod.ValueSet
 
 	// nodeMod/nodeRef are per-call-node effects: library effects plus
 	// (after convergence) the translated summary of every callee applied
@@ -144,7 +141,8 @@ func (a *Analysis) ModRef() *ModRefTable {
 		a:       a,
 		mod:     make(map[*PTF]*memmod.ValueSet),
 		ref:     make(map[*PTF]*memmod.ValueSet),
-		edges:   make(map[*PTF][]mrEdge),
+		edges:   make(map[*PTF][]CallEdge),
+		binds:   make(map[CallEdge]map[*memmod.Block]memmod.ValueSet),
 		nodeMod: make(map[*PTF]map[*cfg.Node]*memmod.ValueSet),
 		nodeRef: make(map[*PTF]map[*cfg.Node]*memmod.ValueSet),
 	}
@@ -155,11 +153,9 @@ func (a *Analysis) ModRef() *ModRefTable {
 		t.localEffects(p)
 	}
 	for _, p := range ptfs {
-		for _, e := range sortedEdges(p) {
-			t.edges[p] = append(t.edges[p], mrEdge{
-				nd: e.Node, callee: e.Callee,
-				pmap: a.edgeBindings(p, e.Node, e.Callee),
-			})
+		t.edges[p] = sortedEdges(p)
+		for _, e := range t.edges[p] {
+			t.binds[e] = a.edgeBindings(p, e.Node, e.Callee)
 		}
 	}
 	// Fold callee summaries into callers to a fixpoint. Exact offset
@@ -172,7 +168,7 @@ func (a *Analysis) ModRef() *ModRefTable {
 		changed := false
 		for _, p := range ptfs {
 			for _, e := range t.edges[p] {
-				if t.foldEdge(p, e, widen) {
+				if t.foldEdge(e, widen) {
 					changed = true
 				}
 			}
@@ -185,10 +181,10 @@ func (a *Analysis) ModRef() *ModRefTable {
 	for _, p := range ptfs {
 		for _, e := range t.edges[p] {
 			var m, r memmod.ValueSet
-			t.translateInto(*t.mod[e.callee], e.pmap, &m, false)
-			t.translateInto(*t.ref[e.callee], e.pmap, &r, false)
-			t.addNode(t.nodeMod, p, e.nd, m)
-			t.addNode(t.nodeRef, p, e.nd, r)
+			t.translateInto(*t.mod[e.Callee], t.binds[e], &m, false)
+			t.translateInto(*t.ref[e.Callee], t.binds[e], &r, false)
+			t.addNode(t.nodeMod, p, e.Node, m)
+			t.addNode(t.nodeRef, p, e.Node, r)
 		}
 	}
 	a.modref = t
@@ -469,25 +465,25 @@ func (t *ModRefTable) libEffects(p *PTF, nd *cfg.Node, mod, ref *memmod.ValueSet
 }
 
 // edgeBindings re-derives, read-only, the parameter bindings of one call
-// edge: for every extended parameter of the callee, the caller-name-space
-// values it was bound to at this site. This mirrors the engine's
-// entryActuals/replayBind discipline (initial entries processed in
-// creation order, so chained parameters resolve through earlier
-// bindings).
-func (a *Analysis) edgeBindings(caller *PTF, nd *cfg.Node, callee *PTF) map[*memmod.Block]*memmod.ValueSet {
-	pm := make(map[*memmod.Block]*memmod.ValueSet)
+// edge: for every extended parameter of the callee, the resolved
+// caller-name-space values it was bound to at this site. This mirrors
+// the engine's entryActuals/replayBind discipline (initial entries
+// processed in creation order, so chained parameters resolve through
+// earlier bindings). ModRef calls it once per call edge.
+func (a *Analysis) edgeBindings(caller *PTF, nd *cfg.Node, callee *PTF) map[*memmod.Block]memmod.ValueSet {
+	pm := make(map[*memmod.Block]memmod.ValueSet)
 	add := func(p *memmod.Block, vals memmod.ValueSet) {
 		if p == nil || vals.IsEmpty() {
 			return
 		}
 		p = p.Representative()
-		acc := pm[p]
-		if acc == nil {
-			nv := vals.Resolved().Clone()
-			pm[p] = &nv
+		acc, ok := pm[p]
+		if !ok {
+			pm[p] = vals.Resolved().Clone()
 			return
 		}
 		acc.AddAll(vals)
+		pm[p] = acc
 	}
 	for _, e := range callee.initial {
 		switch e.kind {
@@ -519,8 +515,8 @@ func (a *Analysis) edgeBindings(caller *PTF, nd *cfg.Node, callee *PTF) map[*mem
 				}
 				actuals = a.EvalAt(caller, nd.Args[idx], nd)
 			case memmod.ParamBlock:
-				bound := pm[ptr.Base.Representative()]
-				if bound == nil {
+				bound, ok := pm[ptr.Base.Representative()]
+				if !ok {
 					continue
 				}
 				for _, b := range bound.Locs() {
@@ -547,14 +543,15 @@ func (a *Analysis) edgeBindings(caller *PTF, nd *cfg.Node, callee *PTF) map[*mem
 
 // foldEdge merges the callee's current summary, translated into the
 // caller's name space, into the caller's summary. Reports growth.
-func (t *ModRefTable) foldEdge(p *PTF, e mrEdge, widen bool) bool {
+func (t *ModRefTable) foldEdge(e CallEdge, widen bool) bool {
 	changed := false
+	pmap := t.binds[e]
 	for _, pair := range [2]struct{ src, dst *memmod.ValueSet }{
-		{t.mod[e.callee], t.mod[p]},
-		{t.ref[e.callee], t.ref[p]},
+		{t.mod[e.Callee], t.mod[e.Caller]},
+		{t.ref[e.Callee], t.ref[e.Caller]},
 	} {
 		before := pair.dst.Len()
-		t.translateInto(*pair.src, e.pmap, pair.dst, widen)
+		t.translateInto(*pair.src, pmap, pair.dst, widen)
 		if pair.dst.Len() != before {
 			changed = true
 		}
@@ -568,15 +565,15 @@ func (t *ModRefTable) foldEdge(p *PTF, e mrEdge, widen bool) bool {
 // they were bound to (shifted by the location's offset), and everything
 // else (globals in main, heap, strings) passes through unchanged. With
 // widen, translation is block-level (offset 0, stride 1).
-func (t *ModRefTable) translateInto(vals memmod.ValueSet, pmap map[*memmod.Block]*memmod.ValueSet, out *memmod.ValueSet, widen bool) {
+func (t *ModRefTable) translateInto(vals memmod.ValueSet, pmap map[*memmod.Block]memmod.ValueSet, out *memmod.ValueSet, widen bool) {
 	for _, l := range vals.Locs() {
 		l = l.Resolve()
 		switch l.Base.Kind {
 		case memmod.LocalBlock, memmod.RetvalBlock:
 			continue
 		case memmod.ParamBlock:
-			bound := pmap[l.Base.Representative()]
-			if bound == nil {
+			bound, ok := pmap[l.Base.Representative()]
+			if !ok {
 				continue
 			}
 			if widen || l.Stride != 0 {

@@ -160,17 +160,15 @@ func (a *Analysis) VarLoc(p *PTF, sym *cast.Symbol, off, stride int64) memmod.Lo
 // clients use it to find the callee summaries folded at a call node.
 func (a *Analysis) CallEdgesOf(p *PTF) []CallEdge { return sortedEdges(p) }
 
-// BindingsAt re-derives the parameter bindings of one call edge: for
-// every extended parameter of the callee, the caller-name-space values
-// it was bound to at this site (see edgeBindings). The returned sets
-// are resolved copies; callers may keep them.
+// BindingsAt returns the parameter bindings of one call edge: for every
+// extended parameter of the callee, the resolved caller-name-space
+// values it was bound to at this site. They are derived once per edge,
+// by the MOD/REF table build (see ModRef), so BindingsAt also requires
+// a converged analysis. The returned map and its sets are shared and
+// read-only; callers must not modify either. A triple that is not a
+// call edge of the converged graph has no bindings (nil).
 func (a *Analysis) BindingsAt(caller *PTF, nd *cfg.Node, callee *PTF) map[*memmod.Block]memmod.ValueSet {
-	pm := a.edgeBindings(caller, nd, callee)
-	out := make(map[*memmod.Block]memmod.ValueSet, len(pm))
-	for b, v := range pm {
-		out[b] = v.Resolved()
-	}
-	return out
+	return a.ModRef().binds[CallEdge{Caller: caller, Node: nd, Callee: callee}]
 }
 
 // SingletonPointee returns the one location an expression must point at

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"wlpa/internal/analysis"
@@ -84,11 +82,6 @@ type Options struct {
 	// nil or empty runs all of them. Composes with Checks: a check is
 	// enabled when both filters admit it.
 	Passes []string
-	// Workers sets the number of goroutines walking calling contexts.
-	// 0 or 1 runs sequentially. The diagnostics are identical for every
-	// worker count: each context is checked independently and the
-	// verdicts are merged in deterministic (declaration) order.
-	Workers int
 }
 
 // verdict is one context's view of a site.
@@ -113,8 +106,8 @@ type siteKey struct {
 
 // Ctx is the state handed to checker passes: the converged analysis,
 // the resolved call graph, and the MOD/REF summaries, plus the
-// bookkeeping for reporting. Context passes run one Ctx per worker;
-// program passes run on a single Ctx after every context walk finished.
+// bookkeeping for reporting. One Ctx serves a whole run: context passes
+// walk the contexts in turn, then program passes run on it.
 type Ctx struct {
 	// A is the converged points-to analysis.
 	A *analysis.Analysis
@@ -128,44 +121,35 @@ type Ctx struct {
 	enabled map[string]bool
 	// frees indexes the analysis' recorded deallocations by context.
 	frees map[*analysis.PTF][]analysis.FreeSite
-	// ctxs counts the walked contexts per procedure (primary Ctx only).
+	// ctxs counts the walked contexts per procedure.
 	ctxs map[string]int
 	// cur collects the current context's verdicts (merged into sites
 	// at the end of each walk).
 	cur    map[siteKey]verdict
 	curPTF *analysis.PTF
-	// prog collects program-pass diagnostics (primary Ctx only).
+	// prog collects program-pass diagnostics.
 	prog []Diagnostic
-	// flows is shared by every Ctx of the run (see flow).
-	flows *flows
-	// err is the first failure of this Ctx's walks (the deadline).
-	err error
-}
-
-// flows is the dataflow state one check run shares across its workers:
-// each client's Gen reachability, computed by the first context walk
-// that needs it and read-only afterwards.
-type flows struct {
-	mu    sync.Mutex
+	// reach holds each dataflow client's Gen reachability, keyed by
+	// client name and computed by the first context walk that needs it.
 	reach map[string]*dataflow.Reach
 	// ungated walks every client with a nil Gen, pruning nothing: the
 	// reference run the exactness test compares against.
 	ungated bool
+	// err is the first failure of the run's walks (the deadline).
+	err error
 }
 
 // flow runs one dataflow client over context p. name identifies the
-// client within the run and keys its shared reachability.
+// client within the run and keys its reachability.
 func (c *Ctx) flow(name string, cl dataflow.Client, p *analysis.PTF) {
-	if c.flows.ungated {
+	if c.ungated {
 		cl.Gen = nil
 	}
-	c.flows.mu.Lock()
-	r := c.flows.reach[name]
+	r := c.reach[name]
 	if r == nil {
 		r = dataflow.NewReach(c.A, cl.Gen)
-		c.flows.reach[name] = r
+		c.reach[name] = r
 	}
-	c.flows.mu.Unlock()
 	eng := &dataflow.Engine{A: c.A, ModRef: c.ModRef, Client: cl, Reach: r}
 	if _, err := eng.ContextRun(p); err != nil {
 		c.err = err
@@ -260,14 +244,15 @@ func run(a *analysis.Analysis, opts Options, ungated bool) ([]Diagnostic, error)
 	for _, fs := range a.FreeSites() {
 		frees[fs.PTF] = append(frees[fs.PTF], fs)
 	}
-	base := &Ctx{
+	c := &Ctx{
 		A:       a,
 		ModRef:  a.ModRef(),
 		Edges:   a.CallGraphEdges(),
 		enabled: enabled,
 		frees:   frees,
 		ctxs:    map[string]int{},
-		flows:   &flows{reach: map[string]*dataflow.Reach{}, ungated: ungated},
+		reach:   map[string]*dataflow.Reach{},
+		ungated: ungated,
 	}
 	var walkers, progs []*Pass
 	for _, pass := range Passes() {
@@ -296,71 +281,25 @@ func run(a *analysis.Analysis, opts Options, ungated bool) ([]Diagnostic, error)
 			continue
 		}
 		ptfs = append(ptfs, p)
-		base.ctxs[p.Proc.Name]++
+		c.ctxs[p.Proc.Name]++
 	}
-	// Walk every context, possibly in parallel. Each context's verdicts
-	// land in its own slot; the merge below runs in declaration order,
-	// so the result is independent of the worker count.
-	results := make([]map[siteKey]verdict, len(ptfs))
+	// Walk every context in declaration order, merging its verdicts
+	// into the per-site tallies as it finishes.
+	sites := map[siteKey]*site{}
 	deadline := a.Deadline()
-	runContext := func(c *Ctx, i int) {
-		if c.err == nil && !deadline.IsZero() && time.Now().After(deadline) {
-			c.err = analysis.ErrTimeout
-		}
-		if c.err != nil {
-			return
+	for _, p := range ptfs {
+		if !deadline.IsZero() && time.Now().After(deadline) {
+			return nil, analysis.ErrTimeout
 		}
 		c.cur = map[siteKey]verdict{}
-		c.curPTF = ptfs[i]
+		c.curPTF = p
 		for _, pass := range walkers {
-			pass.ContextWalk(c, ptfs[i])
+			pass.ContextWalk(c, p)
 		}
-		results[i] = c.cur
-	}
-	workers := opts.Workers
-	if workers > len(ptfs) {
-		workers = len(ptfs)
-	}
-	walked := []*Ctx{base}
-	if workers > 1 {
-		// Read-only queries still mutate the ptset memo caches; switch
-		// them to locked mode for the parallel walk.
-		for _, p := range a.AllPTFs() {
-			p.Pts.SetConcurrent(true)
-		}
-		var next int64 = -1
-		var wg sync.WaitGroup
-		walked = make([]*Ctx, workers)
-		for w := range walked {
-			c := &Ctx{A: a, ModRef: base.ModRef, Edges: base.Edges, enabled: enabled, frees: frees, flows: base.flows}
-			walked[w] = c
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(atomic.AddInt64(&next, 1))
-					if i >= len(ptfs) {
-						return
-					}
-					runContext(c, i)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i := range ptfs {
-			runContext(base, i)
-		}
-	}
-	for _, c := range walked {
 		if c.err != nil {
 			return nil, c.err
 		}
-	}
-	// Merge per-context verdicts in declaration order.
-	sites := map[siteKey]*site{}
-	for i, p := range ptfs {
-		for k, v := range results[i] {
+		for k, v := range c.cur {
 			s := sites[k]
 			if s == nil {
 				s = &site{}
@@ -376,15 +315,15 @@ func run(a *analysis.Analysis, opts Options, ungated bool) ([]Diagnostic, error)
 			}
 		}
 	}
-	// Program passes see the whole converged picture (sequential).
-	base.cur, base.curPTF = nil, nil
+	// Program passes see the whole converged picture.
+	c.cur, c.curPTF = nil, nil
 	for _, pass := range progs {
-		pass.Program(base)
+		pass.Program(c)
 	}
-	out := make([]Diagnostic, 0, len(sites)+len(base.prog))
+	out := make([]Diagnostic, 0, len(sites)+len(c.prog))
 	for k, s := range sites {
 		sev := Warning
-		if n := base.ctxs[k.proc]; s.errors == n && s.flagged == n {
+		if n := c.ctxs[k.proc]; s.errors == n && s.flagged == n {
 			sev = Error
 		}
 		out = append(out, Diagnostic{
@@ -397,14 +336,14 @@ func run(a *analysis.Analysis, opts Options, ungated bool) ([]Diagnostic, error)
 			Trace:    s.trace,
 		})
 	}
-	out = append(out, base.prog...)
+	out = append(out, c.prog...)
 	sortDiagnostics(out)
 	return dedup(out), nil
 }
 
 // sortDiagnostics orders diagnostics by file, line, column, check,
 // procedure, message, and context chain — a total order, so the output
-// is deterministic across worker counts and engines.
+// is deterministic across runs and engines.
 func sortDiagnostics(out []Diagnostic) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

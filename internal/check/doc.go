@@ -11,23 +11,21 @@
 //     calling context) of every procedure. It queries the per-node
 //     points-to state through the read-only query API of
 //     internal/analysis — and the MOD/REF summary table via Ctx.ModRef
-//     — and reports verdicts with Ctx.report. Walks of different
-//     contexts may run concurrently (Options.Workers); the merged
-//     diagnostics are identical at every worker count.
-//   - Program runs once, sequentially, after all context walks, and
-//     sees the whole converged picture (call graph, every context, the
-//     collapsed solution). It assigns severities itself via
-//     Ctx.reportProgram. The leak checker is a Program pass: leaking is
-//     a whole-program property, not a per-context one.
+//     — and reports verdicts with Ctx.report. Contexts are walked one
+//     after another on the calling goroutine, in declaration order.
+//   - Program runs once, after all context walks, and sees the whole
+//     converged picture (call graph, every context, the collapsed
+//     solution). It assigns severities itself via Ctx.reportProgram.
+//     The leak checker is a Program pass: leaking is a whole-program
+//     property, not a per-context one.
 //
 // # Dataflow passes
 //
 // The typestate and taint passes run clients of internal/dataflow. Each
 // client names its Gen calls, the library calls that can create its
 // state from an empty fact. A run computes each client's Gen
-// reachability over the call graph once and shares it read-only with
-// every worker, so contexts that can only see empty facts are not
-// walked.
+// reachability over the call graph once and reuses it for every
+// context, so contexts that can only see empty facts are not walked.
 //
 // # Budget
 //
@@ -56,6 +54,8 @@
 // gracefully without either.
 //
 // Checkers run only after the analysis has converged, so they observe a
-// single consistent fixpoint regardless of which engine (full-pass,
-// worklist, or parallel worklist) produced it.
+// single consistent fixpoint regardless of which engine (full-pass or
+// worklist) produced it. Reading the analysis still fills its lookup
+// caches and intern table, so one analysis is checked by one goroutine
+// at a time.
 package check

@@ -14,12 +14,9 @@ import (
 //   - ContextWalk runs once per analyzed calling context (PTF). Its
 //     verdicts are merged across contexts: a defect present in every
 //     context of a procedure is an Error, otherwise a Warning.
-//     ContextWalk must be safe to run concurrently with other contexts'
-//     walks — it may query the analysis and MOD/REF tables but must not
-//     mutate shared state outside the Ctx reporting helpers.
-//   - Program runs once, sequentially, after all context walks, and
-//     sees the whole converged picture (call graph, every context,
-//     solution). It decides diagnostic severities itself.
+//   - Program runs once, after all context walks, and sees the whole
+//     converged picture (call graph, every context, solution). It
+//     decides diagnostic severities itself.
 type Pass struct {
 	// Name identifies the pass (unique across the registry).
 	Name string

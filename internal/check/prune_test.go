@@ -62,10 +62,7 @@ func TestGenPruneExact(t *testing.T) {
 		}
 		return strings.Join(lines, "\n"), flows
 	}
-	// Both runs use two workers: the diagnostics are identical at every
-	// worker count, and the shared reachability is then read
-	// concurrently.
-	opts := check.Options{Workers: 2}
+	opts := check.Options{}
 	flows := 0
 	for _, in := range inputs {
 		a := analyze(t, in.name, in.src)

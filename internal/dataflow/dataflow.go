@@ -17,9 +17,9 @@
 //     the paper's partial transfer functions, lifted to client lattices.
 //   - Extended parameters of walked callees are translated back to the
 //     root name space through the call edge's parameter bindings
-//     (analysis.BindingsAt), so every fact cell names storage in the
-//     root context and the summary composes across arbitrary call
-//     chains.
+//     (analysis.BindingsAt, derived once per edge with the MOD/REF
+//     table), so every fact cell names storage in the root context and
+//     the summary composes across arbitrary call chains.
 //   - Recursive cycles (a summary demanded while it is being computed)
 //     and pathological depth fall back to havocking the call's MOD set
 //     (analysis.ModRefTable.NodeEffects) through the client's Havoc
@@ -55,13 +55,13 @@
 // checker passes create one per ContextWalk invocation). All internal
 // orders — cell ids, worklist order, summary keys — derive from the
 // deterministic CFG and value-set orders, so results are bit-identical
-// regardless of how many contexts are walked concurrently elsewhere.
+// from run to run. Engines read their analysis from one goroutine: its
+// lookups memoize into the analysis.
 package dataflow
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 	"time"
 
 	"wlpa/internal/analysis"
@@ -161,21 +161,23 @@ type Walk struct {
 }
 
 // Engine runs one client over one root calling context. Create a fresh
-// Engine per root walk; it is not safe for concurrent use, and sharing
-// the summary cache across roots would make results depend on walk
-// order (the recursion fallback is context-dependent).
+// Engine per root walk: sharing the summary cache across roots would
+// make results depend on walk order (the recursion fallback is
+// context-dependent). An Engine is not safe for concurrent use.
 type Engine struct {
 	A      *analysis.Analysis
 	ModRef *analysis.ModRefTable
 	Client Client
-	// Reach is Client.Gen's reachability over A (NewReach). Engines
-	// walking contexts of one analysis with one client may share it;
+	// Reach is Client.Gen's reachability over A (NewReach). The engines
+	// walking the contexts of one analysis with one client share it;
 	// nil computes it on the first Run.
 	Reach *Reach
 
 	sums   map[sumKey]Fact
 	inprog map[sumKey]bool
 	ids    map[*memmod.Block]int
+	// keyBuf is the scratch buffer summary keys are rendered into.
+	keyBuf []byte
 	depth  int
 	// reporting is true only during the reporting root walk (Run /
 	// ContextRun final walk), not during home-chain or summary walks.
@@ -192,7 +194,7 @@ type Engine struct {
 // with no analyzed callee, where the engine invokes Client.Library — or
 // when a context it calls along analysis.CallEdgesOf can. Indirect calls
 // follow their resolved targets and recursive cycles are closed over.
-// A Reach is read-only once built, so concurrent engines may share one.
+// A Reach is read-only once built, so successive engines may share one.
 type Reach struct {
 	// callees indexes every context's resolved call edges by node.
 	callees map[*analysis.PTF]map[*cfg.Node][]*analysis.PTF
@@ -680,6 +682,7 @@ func (e *Engine) id(b *memmod.Block) int {
 	return n
 }
 
+// factKey renders a fact as "id:state;" per cell in cell-id order.
 func (e *Engine) factKey(f Fact) string {
 	type kv struct {
 		id int
@@ -690,30 +693,44 @@ func (e *Engine) factKey(f Fact) string {
 		pairs = append(pairs, kv{e.id(b), s})
 	}
 	sort.Slice(pairs, func(i, j int) bool { return pairs[i].id < pairs[j].id })
-	var sb strings.Builder
+	buf := e.keyBuf[:0]
 	for _, p := range pairs {
-		fmt.Fprintf(&sb, "%d:%d;", p.id, p.s)
+		buf = strconv.AppendInt(buf, int64(p.id), 10)
+		buf = append(buf, ':')
+		buf = strconv.AppendInt(buf, int64(p.s), 10)
+		buf = append(buf, ';')
 	}
-	return sb.String()
+	e.keyBuf = buf
+	return string(buf)
 }
 
+// envKey renders a bindings environment as "id=[base+off*stride,...];"
+// per parameter in cell-id order.
 func (e *Engine) envKey(env map[*memmod.Block]memmod.ValueSet) string {
-	ids := make([]int, 0, len(env))
-	byID := make(map[int]*memmod.Block, len(env))
+	type param struct {
+		id int
+		b  *memmod.Block
+	}
+	params := make([]param, 0, len(env))
 	for b := range env {
-		n := e.id(b)
-		ids = append(ids, n)
-		byID[n] = b
+		params = append(params, param{e.id(b), b})
 	}
-	sort.Ints(ids)
-	var sb strings.Builder
-	for _, n := range ids {
-		fmt.Fprintf(&sb, "%d=[", n)
-		for _, l := range env[byID[n]].Locs() {
+	sort.Slice(params, func(i, j int) bool { return params[i].id < params[j].id })
+	buf := e.keyBuf[:0]
+	for _, p := range params {
+		buf = strconv.AppendInt(buf, int64(p.id), 10)
+		buf = append(buf, '=', '[')
+		for _, l := range env[p.b].Locs() {
 			l = l.Resolve()
-			fmt.Fprintf(&sb, "%d+%d*%d,", e.id(l.Base.Representative()), l.Off, l.Stride)
+			buf = strconv.AppendInt(buf, int64(e.id(l.Base.Representative())), 10)
+			buf = append(buf, '+')
+			buf = strconv.AppendInt(buf, l.Off, 10)
+			buf = append(buf, '*')
+			buf = strconv.AppendInt(buf, l.Stride, 10)
+			buf = append(buf, ',')
 		}
-		sb.WriteString("];")
+		buf = append(buf, ']', ';')
 	}
-	return sb.String()
+	e.keyBuf = buf
+	return string(buf)
 }

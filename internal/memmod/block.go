@@ -106,9 +106,8 @@ type Block struct {
 
 	// ptrLocCache records the location sets within this block that may
 	// contain pointers (paper §3.3), sorted by (offset, stride) with
-	// binary-search membership, so that PtrLocs is a pure read — safe
-	// under concurrent readers of a converged analysis — and its order
-	// never depends on map iteration.
+	// binary-search membership, so that PtrLocs is a pure read and its
+	// order never depends on map iteration.
 	// Callers must not mutate it.
 	ptrLocCache []LocSet
 

@@ -28,6 +28,6 @@
 //   - Blocks, interners and arenas belong to one analysis and are
 //     allocated individually or from that analysis's own chunks, never
 //     from process-wide slabs, so a dropped analysis is garbage as a
-//     whole. Read paths of a converged analysis are safe for concurrent
-//     readers once its interner is marked concurrent (SetConcurrent).
+//     whole. An analysis and its interner are used by one goroutine at
+//     a time: even its read paths intern and fill caches.
 package memmod

@@ -1,9 +1,6 @@
 package memmod
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // LocID is the compact identity of an interned location set. IDs are
 // handed out per Interner in first-seen order starting at 1; 0 (NoLoc)
@@ -33,17 +30,12 @@ type resEntry struct {
 // One Interner serves one analysis run: location sets are interned in
 // their exact (already canonicalized/resolved) form, and the resolution
 // of each ID through parameter subsumption is computed once per
-// subsumption generation and cached (ResolveID).
+// subsumption generation and cached (ResolveID). An Interner is not
+// safe for concurrent use; reads intern too, so the analysis that owns
+// it is read by one goroutine at a time.
 type Interner struct {
 	// tag is this interner's process-unique identity (see internerTags).
 	tag uint32
-
-	// concurrent guards the tables with mu. Off by default; the
-	// checker's context-walk pool turns it on (ptset.PTS.SetConcurrent)
-	// when several goroutines read one converged analysis (interning
-	// happens inside their memoized lookups).
-	concurrent bool
-	mu         sync.Mutex
 
 	ridx map[LocSet]LocID // exact struct -> ID
 	locs []LocSet         // ID -> exact struct; index 0 unused
@@ -61,11 +53,6 @@ func NewInterner() *Interner {
 		res:  make([]resEntry, 1, 64),
 	}
 }
-
-// SetConcurrent enables mutex protection of the tables for clients
-// that intern from several goroutines. Off by default (single-threaded
-// runs pay no locking cost).
-func (in *Interner) SetConcurrent(on bool) { in.concurrent = on }
 
 // ExactID interns l in its exact form, without resolving it first. The
 // caller must have resolved/canonicalized l already (Loc/Resolve do);
@@ -88,10 +75,6 @@ func (in *Interner) ExactID(l LocSet) LocID {
 }
 
 func (in *Interner) exactIDSlow(l LocSet) LocID {
-	if in.concurrent {
-		in.mu.Lock()
-		defer in.mu.Unlock()
-	}
 	if id, ok := in.ridx[l]; ok {
 		in.hits++
 		return id
@@ -109,13 +92,7 @@ func (in *Interner) exactIDSlow(l LocSet) LocID {
 func (in *Interner) ID(l LocSet) LocID { return in.ExactID(l.Resolve()) }
 
 // Loc returns the exact location set interned under id.
-func (in *Interner) Loc(id LocID) LocSet {
-	if in.concurrent {
-		in.mu.Lock()
-		defer in.mu.Unlock()
-	}
-	return in.locs[id]
-}
+func (in *Interner) Loc(id LocID) LocSet { return in.locs[id] }
 
 // ResolveID returns the ID of id's location set resolved through
 // parameter subsumption, computing it at most once per subsumption
@@ -123,10 +100,6 @@ func (in *Interner) Loc(id LocID) LocSet {
 // hit with no Resolve walk at all.
 func (in *Interner) ResolveID(id LocID) LocID {
 	g := SubsumeGen()
-	if in.concurrent {
-		in.mu.Lock()
-		defer in.mu.Unlock()
-	}
 	if e := in.res[id]; e.id != NoLoc && e.gen == g {
 		return e.id
 	}
@@ -143,19 +116,7 @@ func (in *Interner) ResolveID(id LocID) LocID {
 }
 
 // NumInterned returns the number of distinct location sets interned.
-func (in *Interner) NumInterned() int {
-	if in.concurrent {
-		in.mu.Lock()
-		defer in.mu.Unlock()
-	}
-	return len(in.locs) - 1
-}
+func (in *Interner) NumInterned() int { return len(in.locs) - 1 }
 
 // Stats returns the intern hit/miss counters (for benchmarks).
-func (in *Interner) Stats() (hits, misses uint64) {
-	if in.concurrent {
-		in.mu.Lock()
-		defer in.mu.Unlock()
-	}
-	return in.hits, in.misses
-}
+func (in *Interner) Stats() (hits, misses uint64) { return in.hits, in.misses }

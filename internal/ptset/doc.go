@@ -20,8 +20,7 @@
 //     replace it. Only definite single-object assignments may be
 //     strong (paper §4.1) — everything reached through a stride or a
 //     multi-target pointer is weak.
-//   - A PTS and its record slabs belong to one analysis. After
-//     SetConcurrent, lookups on a converged PTS are safe from multiple
-//     goroutines (the checker's context walks); assignment is always
-//     single-threaded.
+//   - A PTS and its record slabs belong to one analysis and are used
+//     by one goroutine at a time. Lookups write their memoization
+//     caches even on a converged PTS, so reads need that too.
 package ptset

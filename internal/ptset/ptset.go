@@ -1,8 +1,6 @@
 package ptset
 
 import (
-	"sync"
-
 	"wlpa/internal/cfg"
 	"wlpa/internal/memmod"
 )
@@ -89,6 +87,8 @@ const (
 
 // PTS is the sparse points-to function for one procedure instance.
 // All location keys are interned through the analysis-wide Interner.
+// A PTS is not safe for concurrent use: lookups fill the query caches
+// below, so even reads of a converged PTS need one goroutine at a time.
 //
 // Per-location state (records and change generations) lives in dense
 // parallel arrays indexed by a compact slot number, with an
@@ -143,13 +143,6 @@ type PTS struct {
 	// when a new φ-function is first placed at a meet node (OnPhi). The
 	// worklist engine uses them for dependency-tracked re-evaluation.
 	hooks Hooks
-
-	// concurrent guards the memoization caches with mu. The records of a
-	// converged PTS are frozen, but lookups memoize — they write cache
-	// entries on read — so concurrent readers (the checker's context
-	// walks) must serialize cache access.
-	concurrent bool
-	mu         sync.Mutex
 }
 
 // New creates an empty points-to function over proc, keyed through the
@@ -165,15 +158,6 @@ func (p *PTS) Proc() *cfg.Proc { return p.proc }
 
 // Interner returns the intern table the keys run through.
 func (p *PTS) Interner() *memmod.Interner { return p.in }
-
-// SetConcurrent enables mutex protection of the memoization caches (and
-// the shared intern table) for clients that read a converged analysis's
-// points-to functions from several goroutines. Off by default
-// (single-threaded runs pay no locking cost).
-func (p *PTS) SetConcurrent(on bool) {
-	p.concurrent = on
-	p.in.SetConcurrent(on)
-}
 
 // Hooks receives change notifications: OnChange after any record
 // change to a location (new values, new record, weakened strong flag);
@@ -325,22 +309,12 @@ func (p *PTS) lookup(loc memmod.LocSet, at *cfg.Node, after *cfg.Node, includeAt
 	}
 	key := lookupKey{id, int32(at.ID), afterID, includeAt}
 	sg := uint32(memmod.SubsumeGen())
-	if p.concurrent {
-		p.mu.Lock()
-	}
 	lg := p.locGen(id)
 	if len(p.lookupTab) != 0 {
 		s := &p.lookupTab[hashLookupKey(key)&uint32(len(p.lookupTab)-1)]
 		if s.valid && s.key == key && s.subGen == sg && s.locGen == lg {
-			vals, found := s.vals, s.found
-			if p.concurrent {
-				p.mu.Unlock()
-			}
-			return vals, found
+			return s.vals, s.found
 		}
-	}
-	if p.concurrent {
-		p.mu.Unlock()
 	}
 	var best *Record
 	for _, r := range p.rowsOf(id) {
@@ -362,9 +336,6 @@ func (p *PTS) lookup(loc memmod.LocSet, at *cfg.Node, after *cfg.Node, includeAt
 	if found {
 		vals = best.Vals.Resolved()
 	}
-	if p.concurrent {
-		p.mu.Lock()
-	}
 	if p.lookupTab == nil {
 		p.lookupTab = make([]lookupSlot, 32)
 	}
@@ -377,9 +348,6 @@ func (p *PTS) lookup(loc memmod.LocSet, at *cfg.Node, after *cfg.Node, includeAt
 		}
 	}
 	*s = lookupSlot{key: key, vals: vals, found: found, valid: true, locGen: lg, subGen: sg}
-	if p.concurrent {
-		p.mu.Unlock()
-	}
 	return vals, found
 }
 
@@ -587,34 +555,20 @@ func (p *PTS) PhiLocs(nd *cfg.Node) []memmod.LocSet {
 	if len(set) == 0 {
 		return nil
 	}
-	if p.concurrent {
-		p.mu.Lock()
-	}
-	var out []memmod.LocSet
 	if p.phiCache != nil {
-		out = p.phiCache[nd.ID]
+		if out := p.phiCache[nd.ID]; out != nil {
+			return out
+		}
 	}
-	if p.concurrent {
-		p.mu.Unlock()
-	}
-	if out != nil {
-		return out
-	}
-	out = p.arena.Carve(len(set))
+	out := p.arena.Carve(len(set))
 	for _, id := range set {
 		out = append(out, p.in.Loc(id))
 	}
 	sortLocs(out)
-	if p.concurrent {
-		p.mu.Lock()
-	}
 	if p.phiCache == nil {
 		p.phiCache = make([][]memmod.LocSet, len(p.proc.Nodes))
 	}
 	p.phiCache[nd.ID] = out
-	if p.concurrent {
-		p.mu.Unlock()
-	}
 	return out
 }
 
@@ -684,22 +638,12 @@ func (p *PTS) FindStrongUpdate(loc memmod.LocSet, at *cfg.Node) *cfg.Node {
 	id := p.in.ID(loc)
 	key := suKey{id, int32(at.ID)}
 	sg := uint32(memmod.SubsumeGen())
-	if p.concurrent {
-		p.mu.Lock()
-	}
 	lg := p.locGen(id)
 	if len(p.suTab) != 0 {
 		s := &p.suTab[hashSuKey(key)&uint32(len(p.suTab)-1)]
 		if s.valid && s.key == key && s.subGen == sg && s.locGen == lg {
-			nd := s.node
-			if p.concurrent {
-				p.mu.Unlock()
-			}
-			return nd
+			return s.node
 		}
-	}
-	if p.concurrent {
-		p.mu.Unlock()
 	}
 	var best *Record
 	for _, r := range p.rowsOf(id) {
@@ -714,9 +658,6 @@ func (p *PTS) FindStrongUpdate(loc memmod.LocSet, at *cfg.Node) *cfg.Node {
 	if best != nil {
 		nd = best.Node
 	}
-	if p.concurrent {
-		p.mu.Lock()
-	}
 	if p.suTab == nil {
 		p.suTab = make([]suSlot, 32)
 	}
@@ -729,9 +670,6 @@ func (p *PTS) FindStrongUpdate(loc memmod.LocSet, at *cfg.Node) *cfg.Node {
 		}
 	}
 	*s = suSlot{key: key, node: nd, valid: true, locGen: lg, subGen: sg}
-	if p.concurrent {
-		p.mu.Unlock()
-	}
 	return nd
 }
 

@@ -56,9 +56,6 @@ type CheckOptions struct {
 	// Passes restricts the run to the named passes (see AllPasses);
 	// nil or empty runs all of them. Composes with Checks.
 	Passes []string
-	// Workers sets the number of goroutines walking calling contexts;
-	// the diagnostics are identical at every worker count.
-	Workers int
 }
 
 // Check runs the pointer-bug checker suite over the analyzed program
@@ -83,7 +80,7 @@ func (r *Result) Check(opts *CheckOptions) ([]Diagnostic, error) {
 	if err := an.Run(); err != nil {
 		return nil, err
 	}
-	return check.Run(an, check.Options{Checks: opts.Checks, Passes: opts.Passes, Workers: opts.Workers})
+	return check.Run(an, check.Options{Checks: opts.Checks, Passes: opts.Passes})
 }
 
 // ModRef returns the context-collapsed MOD and REF summary of the named
