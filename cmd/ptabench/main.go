@@ -12,9 +12,9 @@
 // -editjson writes warm-edit measurements —
 // for each benchmark, a single-procedure statement tweak re-analyzed
 // incrementally against a converged baseline versus analyzed cold
-// (BENCH_incremental.json); -demandjson writes demand-query latency —
-// for each benchmark, a single warm points-to query against a held
-// converged result versus a cold converge-and-answer versus the
+// (BENCH_incremental.json); -demandjson writes point-query latency —
+// for each benchmark, a single warm Result.PointsToAt query against a
+// held converged result versus a cold converge-and-answer versus the
 // whole-program analysis (BENCH_demand.json). All take the fastest of
 // several runs per cell.
 package main
@@ -36,7 +36,7 @@ func main() {
 		ablation   = flag.String("ablation", "eqntott", "benchmark for the reuse-policy ablation (empty to skip)")
 		jsonOut    = flag.String("json", "", "write per-workload measurements (ns/op, allocs/op, PTFs/proc, engine) to this file")
 		editOut    = flag.String("editjson", "", "write warm-edit (incremental vs cold re-analysis) measurements to this file")
-		demandOut  = flag.String("demandjson", "", "write demand-query latency (warm vs cold vs whole-program) measurements to this file")
+		demandOut  = flag.String("demandjson", "", "write point-query latency (warm vs cold vs whole-program) measurements to this file")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)

@@ -17,13 +17,13 @@
 // from a wlpad daemon (see cmd/wlpad), which runs every pass with its
 // own configuration — -checks/-passes/-max-ptfs are rejected in that
 // mode; baselines and output formats work unchanged. With
-// -demand, each listed site's points-to set is printed (answered by the
-// demand-driven walker, identical to the whole-program answer) and the
-// diagnostics are restricted to the queried (proc, line) sites —
-// pointwise checking of just the code under review. Usage errors are
-// reported before any file is read. Exits 1 if any error-severity
-// diagnostic survives baseline suppression, 2 on usage or front-end
-// failure.
+// -demand, each listed site's points-to set is printed (the
+// pta.Result.PointsToAt answer; on stderr with -format json or sarif,
+// so stdout stays one document) and the diagnostics are restricted to
+// the queried (proc, line) sites — pointwise checking of just the code
+// under review. Usage errors are reported before any file is read.
+// Exits 1 if any error-severity diagnostic survives baseline
+// suppression, 2 on usage or front-end failure.
 package main
 
 import (
@@ -55,7 +55,7 @@ func main() {
 		trace     = flag.Bool("trace", false, "print the calling context of each diagnostic (text format)")
 		maxPTFs   = flag.Int("max-ptfs", 0, "cap PTFs per procedure (0 = unlimited)")
 		remote    = flag.String("remote", "", "answer via a wlpad daemon at this address instead of analyzing in-process")
-		demand    = flag.String("demand", "", "comma-separated proc:line:expr sites: print each site's points-to set (demand-driven) and restrict diagnostics to the queried (proc,line) sites")
+		demand    = flag.String("demand", "", "comma-separated proc:line:expr sites: print each site's points-to set and restrict diagnostics to the queried (proc,line) sites")
 	)
 	flag.Parse()
 	if flag.NArg() == 0 {
@@ -107,12 +107,13 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		if len(sites) > 0 {
-			d := res.Demand(nil)
-			for _, s := range sites {
-				pts := d.PointsToAt(s.proc, s.line, s.expr)
-				fmt.Printf("%s:%d %s => {%s}\n", s.proc, s.line, s.expr, strings.Join(pts, ", "))
-			}
+		siteOut := os.Stdout
+		if *format != "text" {
+			siteOut = os.Stderr
+		}
+		for _, s := range sites {
+			pts := res.PointsToAt(s.proc, s.line, s.expr)
+			fmt.Fprintf(siteOut, "%s:%d %s => {%s}\n", s.proc, s.line, s.expr, strings.Join(pts, ", "))
 		}
 		copts := &pta.CheckOptions{}
 		if *checks != "" {

@@ -20,6 +20,10 @@ import (
 // is stable across runs of the same engine configuration. It is
 // deliberately conservative: a digest mismatch costs a cache miss,
 // never a stale entry.
+//
+// Deprecated: only pta.Result.DomainDigests calls it, for the wlpad
+// benchmark's traced replica. ROADMAP item 1's benchmark PR removes it
+// together with the replica.
 func (a *Analysis) DomainDigests() map[string]string {
 	out := make(map[string]string)
 	for proc, l := range a.ptfs {

@@ -10,13 +10,12 @@ import (
 )
 
 // DemandEntry is one benchmark's measurement in the BENCH_demand.json
-// emission: what a single points-to query costs demand-driven, cold and
-// warm, next to the whole-program analysis it replaces.
+// emission: what a single point query (Result.PointsToAt) costs, cold
+// and warm, next to the whole-program analysis it replaces.
 type DemandEntry struct {
 	Name string `json:"name"`
 	// Sites is how many sampled query sites the warm measurement
-	// averages over (pta.SampleQuerySites — the same deterministic
-	// spread the difftest demand rung checks).
+	// averages over (pta.SampleQuerySites).
 	Sites int `json:"sites"`
 	// WholeProgramNs times pta.AnalyzeProgram alone — the cost any
 	// exhaustive consumer pays before it can answer anything.
@@ -29,7 +28,7 @@ type DemandEntry struct {
 	// a round; fastest round kept.
 	WarmQueryNs int64 `json:"warm_query_ns"`
 	// Speedup is WholeProgramNs/WarmQueryNs: how much cheaper answering
-	// one warm demand query is than re-running the exhaustive analysis.
+	// one warm point query is than re-running the whole analysis.
 	Speedup float64 `json:"speedup"`
 }
 
@@ -41,7 +40,7 @@ type DemandReport struct {
 	Entries   []DemandEntry `json:"entries"`
 }
 
-// MeasureDemand measures demand-query latency over every suite
+// MeasureDemand measures point-query latency over every suite
 // benchmark. All measurements are the fastest of measureRounds rounds.
 func MeasureDemand() ([]DemandEntry, error) {
 	var entries []DemandEntry
@@ -104,7 +103,7 @@ func measureDemandOne(b workload.Benchmark) (DemandEntry, error) {
 		if err != nil {
 			return DemandEntry{}, fmt.Errorf("%s: cold query: %w", b.Name, err)
 		}
-		pta.DemandQuery(r, sites[0].Proc, sites[0].Line, sites[0].Expr)
+		r.PointsToAt(sites[0].Proc, sites[0].Line, sites[0].Expr)
 		ns := time.Since(start).Nanoseconds()
 		if round == 0 || ns < entry.ColdQueryNs {
 			entry.ColdQueryNs = ns
@@ -112,17 +111,16 @@ func measureDemandOne(b workload.Benchmark) (DemandEntry, error) {
 	}
 
 	// Warm query: per-query cost against the held result. One untimed
-	// sweep first populates the walker's interning and lookup caches —
+	// sweep first fills the query layer's interning and lookup caches —
 	// the steady state a serving daemon reaches immediately.
-	d := res.Demand(nil)
 	for _, s := range sites {
-		d.PointsToAt(s.Proc, s.Line, s.Expr)
+		res.PointsToAt(s.Proc, s.Line, s.Expr)
 	}
 	for round := 0; round < measureRounds; round++ {
 		runtime.GC()
 		start := time.Now()
 		for _, s := range sites {
-			d.PointsToAt(s.Proc, s.Line, s.Expr)
+			res.PointsToAt(s.Proc, s.Line, s.Expr)
 		}
 		ns := time.Since(start).Nanoseconds() / int64(len(sites))
 		if round == 0 || ns < entry.WarmQueryNs {
@@ -135,7 +133,7 @@ func measureDemandOne(b workload.Benchmark) (DemandEntry, error) {
 	return entry, nil
 }
 
-// WriteDemandJSON measures demand-query latency over the suite and
+// WriteDemandJSON measures point-query latency over the suite and
 // writes the report envelope to path as indented JSON.
 func WriteDemandJSON(path string) error {
 	entries, err := MeasureDemand()

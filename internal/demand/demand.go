@@ -1,260 +1,16 @@
 package demand
 
-import (
-	"wlpa/internal/analysis"
-	"wlpa/internal/cfg"
-	"wlpa/internal/memmod"
-)
-
-// DefaultBudget is the default per-query visit budget: the number of
-// dominator-chain nodes one contents query may touch before falling
-// back to the exhaustive query layer. Chains are bounded by procedure
-// depth, so real queries sit far below this; the cap exists to bound
-// pathological inputs, not typical ones.
-const DefaultBudget = 1 << 14
-
-// Options configure a Walker.
-type Options struct {
-	// Budget is the per-query visit budget (dominator-chain nodes per
-	// contents query); 0 or negative selects DefaultBudget. Exhausting
-	// it falls back to the exhaustive query layer for that query, so it
-	// affects cost, never answers.
-	Budget int
-	// NoCallSkip disables the MOD-effect call-skipping certificate,
-	// probing every chain node unconditionally. Kept as a cross-check:
-	// answers are identical either way (pinned by the difftest rung).
-	NoCallSkip bool
-}
-
-// Stats counts what the walker did; advisory (answers never depend on
-// them).
+// Stats reports the point queries one request answered: Queries counts
+// the sites; the other four fields are always zero.
+//
+// Deprecated: the wlpad benchmark (wlpadbench/drive.go, and its traced
+// replica in wlpadbench/trace.go) still compiles against this type and
+// its five fields. ROADMAP item 1's benchmark PR removes it together
+// with the replica.
 type Stats struct {
-	// Queries is the number of contents queries answered (each
-	// PointsToAt issues one per star level per calling context).
-	Queries int `json:"queries"`
-	// NodesVisited is the total dominator-chain nodes walked.
+	Queries      int `json:"queries"`
 	NodesVisited int `json:"nodes_visited"`
-	// Probes is the total per-location record probes issued.
-	Probes int `json:"probes"`
-	// SkippedCalls counts chain call nodes skipped because their MOD
-	// effects provably miss every location the query still needs.
+	Probes       int `json:"probes"`
 	SkippedCalls int `json:"skipped_calls"`
-	// Fallbacks counts queries answered by the exhaustive layer after
-	// the visit budget ran out.
-	Fallbacks int `json:"fallbacks"`
-}
-
-// Walker answers single-site contents queries against a converged
-// analysis by backward dominator-chain traversal. It is not safe for
-// concurrent use (see the package comment).
-type Walker struct {
-	an     *analysis.Analysis
-	mr     *analysis.ModRefTable
-	budget int
-	noSkip bool
-	stats  Stats
-
-	// cands/resolved are per-query scratch, reused across queries.
-	cands    []memmod.LocSet
-	resolved []bool
-}
-
-// New builds a Walker over a converged analysis. The MOD/REF table is
-// built eagerly (it is cached on the analysis, so this is free when a
-// checker already needed it).
-func New(an *analysis.Analysis, opts *Options) *Walker {
-	w := &Walker{an: an, budget: DefaultBudget}
-	if opts != nil {
-		if opts.Budget > 0 {
-			w.budget = opts.Budget
-		}
-		w.noSkip = opts.NoCallSkip
-	}
-	if !w.noSkip {
-		w.mr = an.ModRef()
-	}
-	return w
-}
-
-// Analysis returns the underlying analysis.
-func (w *Walker) Analysis() *analysis.Analysis { return w.an }
-
-// Stats returns the cumulative walk counters.
-func (w *Walker) Stats() Stats { return w.stats }
-
-// ContentsAt answers analysis.ContentsAt demand-driven: the values v
-// may hold flowing INTO node nd in context p.
-func (w *Walker) ContentsAt(p *analysis.PTF, v memmod.LocSet, nd *cfg.Node) memmod.ValueSet {
-	return w.contents(p, v, nd, false)
-}
-
-// ContentsAfter answers analysis.ContentsAfter demand-driven: the
-// values v may hold flowing OUT of node nd in context p.
-func (w *Walker) ContentsAfter(p *analysis.PTF, v memmod.LocSet, nd *cfg.Node) memmod.ValueSet {
-	return w.contents(p, v, nd, true)
-}
-
-// contents mirrors analysis.contentsAt exactly, replacing each
-// candidate's record-row scan with a single shared backward walk of
-// nd's immediate-dominator chain. The dominators of nd are exactly that
-// chain, so for every candidate location the first record met ascending
-// it is the nearest dominating record the exhaustive lookup selects;
-// the first strong record of v above nd is the FindStrongUpdate
-// barrier, past which unresolved candidates see nothing.
-func (w *Walker) contents(p *analysis.PTF, v memmod.LocSet, nd *cfg.Node, includeAt bool) memmod.ValueSet {
-	w.stats.Queries++
-	v = v.Resolve()
-	if v.Base.Kind == memmod.NullBlock {
-		return memmod.ValueSet{}
-	}
-
-	// Candidate set: v plus every interned location of v's block that
-	// overlaps it, resolved and deduplicated — the same set
-	// analysis.contentsAt's consider() visits. v is always cands[0].
-	cands := w.cands[:0]
-	add := func(l memmod.LocSet) {
-		l = l.Resolve()
-		if !l.Overlaps(v) {
-			return
-		}
-		for _, e := range cands {
-			if e == l {
-				return
-			}
-		}
-		cands = append(cands, l)
-	}
-	add(v)
-	for _, l := range v.Base.PtrLocs() {
-		add(l)
-	}
-	w.cands = cands
-
-	resolved := w.resolved[:0]
-	for range cands {
-		resolved = append(resolved, false)
-	}
-	w.resolved = resolved
-
-	precise := v.Precise()
-	unresolved := len(cands)
-	budget := w.budget
-	var result memmod.ValueSet
-	for n := nd; n != nil; n = n.Idom {
-		if budget <= 0 {
-			w.stats.Fallbacks++
-			if includeAt {
-				return w.an.ContentsAfter(p, v, nd)
-			}
-			return w.an.ContentsAt(p, v, nd)
-		}
-		budget--
-		w.stats.NodesVisited++
-		// Records at the query node itself are visible only to the
-		// OUT-state query; the strong-update barrier never is (it wants
-		// strictly earlier updates), so an invisible node has nothing
-		// to probe at all.
-		if n == nd && !includeAt {
-			continue
-		}
-		if n.Kind == cfg.CallNode && w.canSkipCall(p, n, cands, resolved, precise) {
-			w.stats.SkippedCalls++
-			continue
-		}
-		// v first: its record both contributes values and, when strong
-		// and strictly above nd, raises the barrier that hides older
-		// records from every still-unresolved candidate.
-		barrier := false
-		w.stats.Probes++
-		if r := p.Pts.RecordAt(cands[0], n); r != nil {
-			if !resolved[0] {
-				result.AddAll(r.Vals.Resolved())
-				resolved[0] = true
-				unresolved--
-			}
-			if precise && r.Strong && n != nd {
-				barrier = true
-			}
-		}
-		for i := 1; i < len(cands); i++ {
-			if resolved[i] {
-				continue
-			}
-			w.stats.Probes++
-			if r := p.Pts.RecordAt(cands[i], n); r != nil {
-				result.AddAll(r.Vals.Resolved())
-				resolved[i] = true
-				unresolved--
-			}
-		}
-		if barrier || unresolved == 0 {
-			break
-		}
-	}
-	return result
-}
-
-// canSkipCall reports whether the call node provably wrote none of the
-// locations the walk still needs (the unresolved candidates, plus v
-// itself while a strong-update barrier could still matter), so its
-// probes can be skipped. The certificate is deliberately narrow: only
-// direct calls without a return-value destination (RetDst assignment
-// effects are per-procedure, not per-node, in the MOD table), and only
-// for candidates in translation-stable storage (globals, heap, string
-// literals — callee-private blocks are dropped when callee summaries
-// are folded into per-node effects, so a local or extended-parameter
-// candidate could be written without appearing in them). Anything
-// outside the certificate is probed normally; the difftest rung pins
-// that skipping never changes an answer.
-func (w *Walker) canSkipCall(p *analysis.PTF, n *cfg.Node, cands []memmod.LocSet, resolved []bool, precise bool) bool {
-	if w.noSkip || n.Direct == nil || n.RetDst != nil {
-		return false
-	}
-	mod, _ := w.mr.NodeEffects(p, n)
-	for i, l := range cands {
-		if resolved[i] && !(i == 0 && precise) {
-			continue
-		}
-		switch l.Base.Kind {
-		case memmod.GlobalBlock, memmod.HeapBlock, memmod.StringBlock:
-		default:
-			return false
-		}
-		for _, m := range mod.Locs() {
-			if m.Resolve().Overlaps(l) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Lookup answers a single-location record lookup (ptset.LookupIn or
-// LookupOut with no barrier) by the same backward chain walk: the
-// values loc holds at nd and whether any record was found. Used for the
-// program-exit PointsTo query, which reads one global's record directly
-// rather than through the overlap-candidate set.
-func (w *Walker) Lookup(p *analysis.PTF, loc memmod.LocSet, nd *cfg.Node, includeAt bool) (memmod.ValueSet, bool) {
-	w.stats.Queries++
-	loc = loc.Resolve()
-	budget := w.budget
-	for n := nd; n != nil; n = n.Idom {
-		if budget <= 0 {
-			w.stats.Fallbacks++
-			if includeAt {
-				return p.Pts.LookupOut(loc, nd, nil)
-			}
-			return p.Pts.LookupIn(loc, nd, nil)
-		}
-		budget--
-		w.stats.NodesVisited++
-		if n == nd && !includeAt {
-			continue
-		}
-		w.stats.Probes++
-		if r := p.Pts.RecordAt(loc, n); r != nil {
-			return r.Vals.Resolved(), true
-		}
-	}
-	return memmod.ValueSet{}, false
+	Fallbacks    int `json:"fallbacks"`
 }

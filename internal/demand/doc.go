@@ -1,36 +1,6 @@
-// Package demand answers single-site points-to queries by walking the
-// converged analysis state backward from the query site, instead of
-// enumerating it exhaustively.
-//
-// The whole-program query layer (analysis.ContentsAt) answers "what may
-// location v hold at node nd" by scanning every sparse record of every
-// candidate location and selecting the nearest dominating one — a
-// linear pass over a location's full record row per candidate. The
-// demand walker exploits the dual view of the same dominator structure:
-// the nodes that dominate nd are exactly nd's immediate-dominator
-// chain, so the nearest dominating record is the first record
-// encountered walking that chain from nd toward the procedure entry.
-// One backward walk resolves all candidate locations at once, stops at
-// the first strong update of the queried location (the same barrier
-// analysis.ContentsAt derives via FindStrongUpdate), and skips over
-// call nodes whose MOD effects (ModRefTable.NodeEffects) provably miss
-// every still-unresolved candidate.
-//
-// Interprocedural flow needs no special traversal: the engine has
-// already folded every callee's partial transfer function into the
-// caller's sparse records at the call node, and every context's entry
-// values into records at the procedure entry, so the backward chain
-// walk observes exactly the converged interprocedural state.
-//
-// A visit budget bounds the walk. When it is exhausted mid-query the
-// walker falls back to the exhaustive query layer for that query, so
-// answers are always sound and always bit-identical to
-// analysis.ContentsAt — the budget trades time, never precision. The
-// difftest demand-equivalence rung pins this identity over the fuzz
-// corpus and every benchmark at several worker counts.
-//
-// A Walker mutates shared lookup state (the location interner may
-// intern previously unseen location sets); callers sharing one analysis
-// across goroutines must serialize queries externally, exactly as for
-// the analysis query layer itself.
+// Package demand holds the per-request point-query counters that wlpad
+// reports in its /query meta. Every point query is answered by the
+// converged query layer (pta.Result.PointsToAt over
+// analysis.ContentsAfter); this package declares no second
+// implementation of it.
 package demand

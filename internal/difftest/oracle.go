@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -12,7 +13,6 @@ import (
 	"wlpa/internal/cfg"
 	"wlpa/internal/check"
 	"wlpa/internal/cparse"
-	"wlpa/internal/demand"
 	"wlpa/internal/interp"
 	"wlpa/internal/libsum"
 	"wlpa/internal/memmod"
@@ -46,7 +46,7 @@ const (
 	StageLeak        = "leak-oracle"         // static leak checker disagrees with observed leaks
 	StageTypestate   = "typestate-oracle"    // static FILE-protocol checker disagrees with observed violations
 	StageTaint       = "taint-oracle"        // a getenv program's system() call carries no taintflow report
-	StageDemand      = "demand-oracle"       // demand walker answer differs from the exhaustive query layer
+	StageQuery       = "query-oracle"        // query layer answer differs from the uncached idom-chain reference
 	StageBaseline    = "baseline"            // a baseline analysis returned an error
 	StageAndersen    = "lattice-andersen"    // dynamic fact missing from Andersen
 	StageSteensgaard = "lattice-steensgaard" // PTF or Andersen edge missing from Steensgaard
@@ -82,6 +82,10 @@ type Options struct {
 	// seeded unsoundness is caught and reduced (mutation testing the
 	// oracle), without ever shipping a broken analysis.
 	dropSolutionBlock string
+	// queryRef, when not refExact, deliberately breaks the query
+	// rung's reference, so the harness's own tests can prove the rung
+	// catches a wrong answer.
+	queryRef refMutation
 }
 
 func (o Options) maxSteps() int64 {
@@ -148,54 +152,87 @@ func runEngine(prog *sem.Program, e engine) (*fingerprint, error) {
 	}, nil
 }
 
-// demandAgrees sweeps the demand walker against the exhaustive query
-// layer over one converged analysis: for every context, a sample of its
-// recorded locations (plus their block-level widenings) at a sample of
-// its flow nodes, in both IN and OUT query modes. Three walker
-// configurations run: the default, call skipping disabled, and a
-// starvation budget that exercises the exhaustive fallback on every
-// query. Returns "" when every answer matches, else a description of
-// the first divergence.
-func demandAgrees(an *analysis.Analysis) string {
-	const (
-		maxLocsPerPTF = 48
-		nodeStride    = 3
-	)
-	configs := []struct {
-		name string
-		opts *demand.Options
-	}{
-		{"default", nil},
-		{"noskip", &demand.Options{NoCallSkip: true}},
-		{"starved", &demand.Options{Budget: 3}},
+// refMutation selects the query rung's reference: the exact one, or a
+// deliberately broken one for the oracle's own mutation tests.
+type refMutation int
+
+const (
+	refExact     refMutation = iota
+	refUnionAll              // every dominating record, no barrier
+	refNoBarrier             // nearest records, no barrier
+)
+
+// contentsRef is the query rung's uncached reference for
+// analysis.ContentsAt (out false) and ContentsAfter (out true). The
+// nodes that dominate nd are its immediate-dominator chain, so for each
+// location overlapping v it takes the first record met going up the
+// chain (records at nd itself only for out). It stops after the first
+// strong record of a precise v strictly above nd: FindStrongUpdate's
+// barrier, which hides older records from every candidate.
+func contentsRef(p *analysis.PTF, v memmod.LocSet, nd *cfg.Node, out bool, m refMutation) memmod.ValueSet {
+	v = v.Resolve()
+	var vals memmod.ValueSet
+	if v.Base.Kind == memmod.NullBlock {
+		return vals
 	}
-	for _, cfg := range configs {
-		w := demand.New(an, cfg.opts)
-		for _, p := range an.AllPTFs() {
-			var locs []memmod.LocSet
-			seen := map[memmod.LocSet]bool{}
-			for _, l := range p.Pts.Locations() {
-				if len(locs) >= maxLocsPerPTF {
-					break
-				}
-				for _, c := range []memmod.LocSet{l.Resolve(), l.Unknown().Resolve()} {
-					if !seen[c] {
-						seen[c] = true
-						locs = append(locs, c)
-					}
+	cands := []memmod.LocSet{v}
+	for _, l := range v.Base.PtrLocs() {
+		if l = l.Resolve(); l.Overlaps(v) && !slices.Contains(cands, l) {
+			cands = append(cands, l)
+		}
+	}
+	found := make([]bool, len(cands))
+	for n := nd; n != nil; n = n.Idom {
+		if n == nd && !out {
+			continue
+		}
+		for i, l := range cands {
+			if r := p.Pts.RecordAt(l, n); r != nil && (!found[i] || m == refUnionAll) {
+				vals.AddAll(r.Vals.Resolved())
+				found[i] = true
+			}
+		}
+		if m == refExact && n != nd && v.Precise() {
+			if r := p.Pts.RecordAt(v, n); r != nil && r.Strong {
+				break
+			}
+		}
+	}
+	return vals
+}
+
+// queryAgrees checks the query layer (analysis.ContentsAt and
+// ContentsAfter, with their cached ptset lookups) against contentsRef
+// over one converged analysis: for every context, up to maxLocs of its
+// recorded locations (0: all of them) plus their block-level
+// widenings, at every nodeStride-th flow node, in both IN and OUT
+// modes. Returns "" when every answer matches, else the first
+// divergence.
+func queryAgrees(an *analysis.Analysis, maxLocs, nodeStride int, m refMutation) string {
+	for _, p := range an.AllPTFs() {
+		var locs []memmod.LocSet
+		seen := map[memmod.LocSet]bool{}
+		for _, l := range p.Pts.Locations() {
+			if maxLocs > 0 && len(locs) >= maxLocs {
+				break
+			}
+			for _, c := range []memmod.LocSet{l.Resolve(), l.Unknown().Resolve()} {
+				if !seen[c] {
+					seen[c] = true
+					locs = append(locs, c)
 				}
 			}
-			for ni := 0; ni < len(p.Proc.Nodes); ni += nodeStride {
-				nd := p.Proc.Nodes[ni]
-				for _, l := range locs {
-					if got, want := w.ContentsAt(p, l, nd), an.ContentsAt(p, l, nd); !got.Equal(want) {
-						return fmt.Sprintf("%s walker: %s node %d loc %v (in): demand %v, exhaustive %v",
-							cfg.name, p.Proc.Name, nd.ID, l, got, want)
-					}
-					if got, want := w.ContentsAfter(p, l, nd), an.ContentsAfter(p, l, nd); !got.Equal(want) {
-						return fmt.Sprintf("%s walker: %s node %d loc %v (out): demand %v, exhaustive %v",
-							cfg.name, p.Proc.Name, nd.ID, l, got, want)
-					}
+		}
+		for ni := 0; ni < len(p.Proc.Nodes); ni += nodeStride {
+			nd := p.Proc.Nodes[ni]
+			for _, l := range locs {
+				if got, want := an.ContentsAt(p, l, nd), contentsRef(p, l, nd, false, m); !got.Equal(want) {
+					return fmt.Sprintf("%s node %d loc %v (in): query layer %v, reference %v",
+						p.Proc.Name, nd.ID, l, got, want)
+				}
+				if got, want := an.ContentsAfter(p, l, nd), contentsRef(p, l, nd, true, m); !got.Equal(want) {
+					return fmt.Sprintf("%s node %d loc %v (out): query layer %v, reference %v",
+						p.Proc.Name, nd.ID, l, got, want)
 				}
 			}
 		}
@@ -294,14 +331,13 @@ func CheckProgram(name, src string, opt Options) error {
 		}
 	}
 
-	// 1b. Demand-query equivalence: the backward value-flow walker must
-	// answer every sampled contents query bit-identically to the
-	// exhaustive query layer, on every engine's converged state, with
-	// the MOD-effect call skip on and off, and through the
-	// budget-exhaustion fallback.
+	// 1b. Query layer: every sampled contents query, on every engine's
+	// converged state, must answer exactly what the uncached
+	// idom-chain reference answers: 48 locations per context, every
+	// third node, IN and OUT.
 	for i, e := range engines {
-		if detail := demandAgrees(fps[i].an); detail != "" {
-			return fail(StageDemand, "%s: %s", e.name, detail)
+		if detail := queryAgrees(fps[i].an, 48, 3, opt.queryRef); detail != "" {
+			return fail(StageQuery, "%s: %s", e.name, detail)
 		}
 	}
 

@@ -15,22 +15,12 @@
 // analysis would produce (pta's bit-identity guarantee, pinned by
 // TestColdWarmBitIdentity).
 //
-// Alongside the program entry the server maintains a per-procedure
-// ledger: each analyzed procedure is recorded under
-//
-//	H(artifact format, options fingerprint, globals digest,
-//	  closure IR hash, input-domain digest)
-//
-// which is exactly the set of inputs a converged PTF summary depends on
-// (procedure body + transitive callees + input alias pattern + globals
-// + options). After a program-level miss the server probes the ledger
-// and reports, per procedure, whether its summary identity was already
-// known — so editing one procedure shows up as misses for precisely the
-// procedures whose content hash changed (its own closure and its
-// transitive callers'), while everything else hits. The ledger is the
-// accounting and artifact-reuse layer; feeding it back into the engine
-// to skip re-deriving unchanged PTFs is the separate "incremental
-// re-analysis" roadmap item.
+// A miss for an entry that has a warm-edit baseline grafts instead of
+// running cold (pta.AnalyzeIncrementalPrepared): procedures whose
+// closure hash survived the edit keep their converged PTFs, and the
+// response's meta.incremental names the dirty ones — the edited
+// procedures and their transitive callers. /query answers point queries
+// from a held converged result through pta.Result.PointsToAt.
 //
 // Invariants:
 //

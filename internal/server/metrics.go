@@ -53,9 +53,6 @@ type metrics struct {
 	errors          uint64
 	inflight        int
 
-	procHits   uint64
-	procMisses uint64
-
 	warmGrafts    uint64
 	warmFallbacks uint64
 
@@ -94,10 +91,6 @@ type MetricsSnapshot struct {
 		Errors   uint64 `json:"errors"`
 		Inflight int    `json:"inflight"`
 	} `json:"requests"`
-	ProcLedger struct {
-		Hits   uint64 `json:"hits"`
-		Misses uint64 `json:"misses"`
-	} `json:"proc_ledger"`
 	// Incremental counts misses that had a warm-edit baseline available:
 	// grafts reconverged only the edit's dirty cone, fallbacks found the
 	// baseline inapplicable and ran cold.
@@ -136,8 +129,6 @@ func (m *metrics) snapshot() MetricsSnapshot {
 	out.Requests.Misses = m.analyzeMisses
 	out.Requests.Errors = m.errors
 	out.Requests.Inflight = m.inflight
-	out.ProcLedger.Hits = m.procHits
-	out.ProcLedger.Misses = m.procMisses
 	out.Incremental.Grafts = m.warmGrafts
 	out.Incremental.Fallbacks = m.warmFallbacks
 	out.Query.Requests = m.queryRequests

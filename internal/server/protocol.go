@@ -33,12 +33,12 @@ type AnalyzeMeta struct {
 	AnalyzeMS  float64 `json:"analyze_ms"`
 	SnapshotMS float64 `json:"snapshot_ms"`
 	TotalMS    float64 `json:"total_ms"`
-	// On a miss, the per-procedure ledger outcome: procedures whose
-	// summary identity (closure IR + input domain + globals + options)
-	// was already recorded, and those recorded for the first time. A
-	// single-procedure edit shows up here as misses for exactly the
-	// procedures whose content hash changed. Empty on a hit (the
-	// ledger is not consulted — the whole program matched).
+	// ProcHits and ProcMisses are always empty.
+	//
+	// Deprecated: the wlpad benchmark's traced replica
+	// (wlpadbench/trace.go) still assigns them. ROADMAP item 1's
+	// benchmark PR removes them together with the replica. The names of
+	// the procedures an edit dirtied are in Incremental.Dirty.
 	ProcHits   []string `json:"proc_hits,omitempty"`
 	ProcMisses []string `json:"proc_misses,omitempty"`
 	// Incremental is set when a warm-edit baseline was available for the
@@ -73,14 +73,11 @@ type SiteQuery struct {
 }
 
 // QueryRequest is the POST /query body. Files and Entry are as in
-// AnalyzeRequest; Queries are answered in order. Budget optionally
-// overrides the demand walker's per-query visit budget (0 = default);
-// like all budgets it trades time, never answers.
+// AnalyzeRequest; Queries are answered in order.
 type QueryRequest struct {
 	Files   map[string]string `json:"files"`
 	Entry   string            `json:"entry"`
 	Queries []SiteQuery       `json:"queries"`
-	Budget  int               `json:"budget,omitempty"`
 }
 
 // QueryAnswer is one answered site: the query echoed back plus the
@@ -105,12 +102,17 @@ type QueryMeta struct {
 	HashMS    float64 `json:"hash_ms,omitempty"`
 	AnalyzeMS float64 `json:"analyze_ms,omitempty"`
 	TotalMS   float64 `json:"total_ms"`
-	// On a cold run, the per-procedure ledger outcome (see AnalyzeMeta).
+	// ProcHits and ProcMisses are always empty.
+	//
+	// Deprecated: see AnalyzeMeta.ProcHits.
 	ProcHits   []string `json:"proc_hits,omitempty"`
 	ProcMisses []string `json:"proc_misses,omitempty"`
-	// Demand reports the walker work this request performed: nodes
-	// visited, records probed, calls skipped via MOD effects, and
-	// budget-exhaustion fallbacks to the exhaustive layer.
+	// Demand.Queries is the number of sites this request answered; the
+	// other counters are always zero.
+	//
+	// Deprecated: the wlpad benchmark reads it (wlpadbench/drive.go)
+	// and its traced replica assigns it (wlpadbench/trace.go). ROADMAP
+	// item 1's benchmark PR removes it together with the replica.
 	Demand demand.Stats `json:"demand"`
 }
 
@@ -118,16 +120,4 @@ type QueryMeta struct {
 type QueryResponse struct {
 	Meta    QueryMeta     `json:"meta"`
 	Answers []QueryAnswer `json:"answers"`
-}
-
-// delta subtracts two cumulative walker stats snapshots, isolating one
-// request's work.
-func delta(before, after demand.Stats) demand.Stats {
-	return demand.Stats{
-		Queries:      after.Queries - before.Queries,
-		NodesVisited: after.NodesVisited - before.NodesVisited,
-		Probes:       after.Probes - before.Probes,
-		SkippedCalls: after.SkippedCalls - before.SkippedCalls,
-		Fallbacks:    after.Fallbacks - before.Fallbacks,
-	}
 }

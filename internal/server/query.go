@@ -14,7 +14,7 @@ import (
 )
 
 // maxQueryResults bounds how many warm query results the daemon keeps
-// alive. Unlike warm-edit baselines these are never consumed — a demand
+// alive. Unlike warm-edit baselines these are never consumed — a point
 // query reads the converged analysis without invalidating it — but each
 // one pins a full analysis web, so the registry stays small. Kept
 // strictly disjoint from baselineRegistry: a warm-edit graft mutates
@@ -22,15 +22,14 @@ import (
 // sharing it.
 const maxQueryResults = 4
 
-// queryEntry is one warm program held for demand queries. The mutex
-// serializes queries against the shared result: a demand walk may
-// intern new location sets and populates ptset lookup caches, so
-// concurrent readers would race on the underlying analysis.
+// queryEntry is one warm program held for point queries. The mutex
+// serializes queries against the shared result: a query may intern new
+// location sets and fills the ptset lookup caches, so concurrent readers
+// would race on the underlying analysis.
 type queryEntry struct {
 	mu   sync.Mutex
 	root string // irhash root the result was converged for
 	res  *pta.Result
-	d    *pta.Demand // default-budget view, reused across requests
 }
 
 // queryRegistry is a non-consuming LRU of warm query results, keyed by
@@ -122,12 +121,11 @@ func (s *Server) handleQueryGet(w http.ResponseWriter, r *http.Request) {
 	}
 
 	e.mu.Lock()
-	before := e.d.Stats()
-	pts := e.d.PointsToAt(proc, line, expr)
-	stats := delta(before, e.d.Stats())
+	pts := e.res.PointsToAt(proc, line, expr)
 	e.mu.Unlock()
 
-	meta := QueryMeta{Cache: "warm", Key: e.root, Demand: stats, TotalMS: ms(time.Since(t0))}
+	meta := QueryMeta{Cache: "warm", Key: e.root, TotalMS: ms(time.Since(t0))}
+	meta.Demand.Queries = 1
 	s.metrics.mu.Lock()
 	s.metrics.queryWarm++
 	s.metrics.mu.Unlock()
@@ -141,11 +139,10 @@ func (s *Server) handleQueryGet(w http.ResponseWriter, r *http.Request) {
 
 // handleQueryPost answers a batch of site queries, converging the
 // program first if no warm result matches the sources. A cold run pays
-// one engine pass (recorded in the per-procedure ledger like /analyze
-// misses) and leaves the result warm for subsequent GETs; a warm run
-// answers demand-driven without touching the engine or materializing a
-// snapshot. Either way the answers are bit-identical to what /analyze's
-// snapshot would report for the same sites.
+// one engine pass and leaves the result warm for subsequent GETs; a
+// warm run answers from the held result without touching the engine or
+// materializing a snapshot. Either way the answers are bit-identical to
+// what /analyze's snapshot would report for the same sites.
 func (s *Server) handleQueryPost(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	s.metrics.mu.Lock()
@@ -185,10 +182,10 @@ func (s *Server) handleQueryPost(w http.ResponseWriter, r *http.Request) {
 
 	e := s.queries.get(req.Entry)
 	if e == nil || e.root != ir.Root {
-		// Cold: converge the program under the in-flight bound, record
-		// the per-procedure ledger, and register the result warm. The
-		// result is deliberately NOT handed to the warm-edit baseline
-		// registry — grafting would mutate it under our feet.
+		// Cold: converge the program under the in-flight bound and
+		// register the result warm. The result is deliberately NOT
+		// handed to the warm-edit baseline registry — grafting would
+		// mutate it under our feet.
 		select {
 		case s.sem <- struct{}{}:
 			defer func() { <-s.sem }()
@@ -206,8 +203,7 @@ func (s *Server) handleQueryPost(w http.ResponseWriter, r *http.Request) {
 		}
 		meta.AnalyzeMS = ms(time.Since(ta))
 		s.metrics.observe("analyze", meta.AnalyzeMS)
-		meta.ProcHits, meta.ProcMisses = s.recordProcLedger(res, ir)
-		e = &queryEntry{root: ir.Root, res: res, d: res.Demand(nil)}
+		e = &queryEntry{root: ir.Root, res: res}
 		s.queries.put(req.Entry, e)
 		meta.Cache = "cold"
 		s.metrics.mu.Lock()
@@ -221,22 +217,15 @@ func (s *Server) handleQueryPost(w http.ResponseWriter, r *http.Request) {
 	}
 
 	e.mu.Lock()
-	d := e.d
-	if req.Budget > 0 {
-		// A per-request budget gets its own view; the shared default
-		// view keeps cumulative stats meaningful across requests.
-		d = e.res.Demand(&pta.DemandOptions{Budget: req.Budget})
-	}
-	before := d.Stats()
 	answers := make([]QueryAnswer, len(req.Queries))
 	for i, sq := range req.Queries {
 		answers[i] = QueryAnswer{
 			Proc: sq.Proc, Line: sq.Line, Expr: sq.Expr,
-			PointsTo: d.PointsToAt(sq.Proc, sq.Line, sq.Expr),
+			PointsTo: e.res.PointsToAt(sq.Proc, sq.Line, sq.Expr),
 		}
 	}
-	meta.Demand = delta(before, d.Stats())
 	e.mu.Unlock()
+	meta.Demand.Queries = len(answers)
 
 	meta.TotalMS = ms(time.Since(t0))
 	s.metrics.observe("query", meta.TotalMS)

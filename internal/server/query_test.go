@@ -44,18 +44,15 @@ func TestQueryEndpoint(t *testing.T) {
 	want := queryRef(t, editBase, sites)
 	files := map[string]string{"q.c": editBase}
 
-	cold, err := c.Query(ctx, files, "q.c", sites, 0)
+	cold, err := c.Query(ctx, files, "q.c", sites)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.Meta.Cache != "cold" {
 		t.Fatalf("first query: cache=%q, want cold", cold.Meta.Cache)
 	}
-	if cold.Meta.AnalyzeMS == 0 && cold.Meta.Demand.Queries == 0 {
-		t.Fatalf("cold meta recorded no work: %+v", cold.Meta)
-	}
-	if len(cold.Meta.ProcMisses) == 0 {
-		t.Fatalf("cold query did not record the proc ledger: %+v", cold.Meta)
+	if cold.Meta.AnalyzeMS == 0 || cold.Meta.Demand.Queries != len(sites) {
+		t.Fatalf("cold meta: %+v", cold.Meta)
 	}
 	for i, a := range cold.Answers {
 		if !reflect.DeepEqual(nonEmpty(a.PointsTo), nonEmpty(want[i])) {
@@ -74,7 +71,7 @@ func TestQueryEndpoint(t *testing.T) {
 		t.Fatal("cold query leaked a result into the baseline registry")
 	}
 
-	warm, err := c.Query(ctx, files, "q.c", sites, 0)
+	warm, err := c.Query(ctx, files, "q.c", sites)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,21 +82,9 @@ func TestQueryEndpoint(t *testing.T) {
 		t.Fatalf("warm answers differ from cold:\n%v\n%v", warm.Answers, cold.Answers)
 	}
 
-	// A starvation budget answers identically through the fallback.
-	starved, err := c.Query(ctx, files, "q.c", sites, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(starved.Answers, cold.Answers) {
-		t.Fatalf("budget-1 answers differ:\n%v\n%v", starved.Answers, cold.Answers)
-	}
-	if starved.Meta.Demand.Fallbacks == 0 {
-		t.Fatalf("budget 1 never fell back: %+v", starved.Meta.Demand)
-	}
-
 	// An edit changes the IR root: the held result no longer applies and
 	// the query runs cold again.
-	edited, err := c.Query(ctx, map[string]string{"q.c": editChanged}, "q.c", sites[:1], 0)
+	edited, err := c.Query(ctx, map[string]string{"q.c": editChanged}, "q.c", sites[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +96,7 @@ func TestQueryEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Query.Requests != 4 || m.Query.Cold != 2 || m.Query.Warm != 2 {
+	if m.Query.Requests != 3 || m.Query.Cold != 2 || m.Query.Warm != 1 {
 		t.Fatalf("query counters: %+v", m.Query)
 	}
 	if m.Query.Occupancy != 1 {
@@ -120,7 +105,7 @@ func TestQueryEndpoint(t *testing.T) {
 	if m.Baselines.Capacity != defaultBaselineCap || m.Baselines.Occupancy != 0 {
 		t.Fatalf("baseline metrics: %+v", m.Baselines)
 	}
-	if h := m.LatencyMS["query"]; h == nil || h.Count != 4 {
+	if h := m.LatencyMS["query"]; h == nil || h.Count != 3 {
 		t.Fatalf("query latency histogram: %+v", m.LatencyMS["query"])
 	}
 }
@@ -154,7 +139,7 @@ func TestQueryGet(t *testing.T) {
 	}
 
 	sites := []SiteQuery{{Proc: "main", Line: 9, Expr: "fp"}}
-	post, err := c.Query(ctx, map[string]string{"q.c": editBase}, "q.c", sites, 0)
+	post, err := c.Query(ctx, map[string]string{"q.c": editBase}, "q.c", sites)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"sort"
 	"time"
 
 	"wlpa/internal/analysis"
@@ -15,9 +14,6 @@ import (
 	"wlpa/internal/store"
 	"wlpa/pta"
 )
-
-// procArtifactFormat versions the per-procedure ledger entries.
-const procArtifactFormat = "wlpa/procart/v1"
 
 // maxRequestBytes bounds the /analyze request body (source text).
 const maxRequestBytes = 32 << 20
@@ -240,7 +236,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		// one is still correct.
 		s.log.Warn("cache write failed", "key", key.String(), "err", err)
 	}
-	meta.ProcHits, meta.ProcMisses = s.recordProcLedger(res, ir)
 	// Every successful miss leaves a baseline behind for the entry's
 	// next edit. The snapshot above is already built, so consuming this
 	// result later cannot invalidate anything a client was served.
@@ -256,68 +251,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	s.metrics.observe("total", meta.TotalMS)
 	s.logRequest(r, http.StatusOK, t0, "miss", req.Entry, len(data))
 	writeJSON(w, http.StatusOK, AnalyzeResponse{Meta: meta, Snapshot: data})
-}
-
-// procArtifact is one per-procedure ledger value: the sound,
-// context-independent summary identity and the artifacts it licenses
-// reusing (see doc.go — feeding these back into the engine is the
-// separate incremental re-analysis roadmap item).
-type procArtifact struct {
-	Format       string   `json:"format"`
-	Proc         string   `json:"proc"`
-	NumPTFs      int      `json:"num_ptfs"`
-	DomainDigest string   `json:"domain_digest"`
-	ModRef       []string `json:"mod_ref,omitempty"`
-}
-
-// recordProcLedger probes and populates the per-procedure ledger after
-// a program-level miss, returning which procedures' summary identities
-// were already known. Keys fold in everything a converged summary
-// depends on: options, globals, the SCC-condensed transitive closure
-// IR, and the converged input-domain digest.
-func (s *Server) recordProcLedger(res *pta.Result, ir *irhash.Program) (hits, misses []string) {
-	domains := res.DomainDigests()
-	modRefByProc := map[string][]string{}
-	for _, line := range res.ModRefDump() {
-		for i := 0; i < len(line); i++ {
-			if line[i] == ':' {
-				modRefByProc[line[:i]] = append(modRefByProc[line[:i]], line)
-				break
-			}
-		}
-	}
-	procs := res.Procedures()
-	sort.Strings(procs)
-	for _, proc := range procs {
-		ph := ir.ProcHash(proc)
-		dom, ok := domains[proc]
-		if ph == nil || !ok {
-			continue // library model or stub without source IR
-		}
-		pkey := store.KeyOf("proc", procArtifactFormat, s.optsFP, ir.Globals, ph.Closure, dom)
-		if _, found := s.store.Get(pkey); found {
-			hits = append(hits, proc)
-			continue
-		}
-		misses = append(misses, proc)
-		art := procArtifact{
-			Format:       procArtifactFormat,
-			Proc:         proc,
-			NumPTFs:      res.NumPTFs(proc),
-			DomainDigest: dom,
-			ModRef:       modRefByProc[proc],
-		}
-		if data, err := json.Marshal(art); err == nil {
-			if err := s.store.Put(pkey, data); err != nil {
-				s.log.Warn("proc ledger write failed", "proc", proc, "err", err)
-			}
-		}
-	}
-	s.metrics.mu.Lock()
-	s.metrics.procHits += uint64(len(hits))
-	s.metrics.procMisses += uint64(len(misses))
-	s.metrics.mu.Unlock()
-	return hits, misses
 }
 
 func (s *Server) fail(w http.ResponseWriter, r *http.Request, t0 time.Time, status int, err error) {

@@ -35,10 +35,10 @@ func newTestServer(t *testing.T, dir string) (*Server, *httptest.Server) {
 	return srv, ts
 }
 
-// editScenario is a four-procedure program where editing the body of h
-// (the last procedure, so no other line shifts) must invalidate exactly
-// the procedures whose content hash changes: h itself and its caller
-// main — while f and g keep their ledger entries.
+// editBase is a four-procedure program where editing the body of h
+// (the last procedure, so no other line shifts; editChanged) must dirty
+// exactly the procedures whose closure hash changes: h itself and its
+// caller main — while f and g keep their PTFs.
 const editBase = `
 int gx, gy;
 int *fp, *gp;
@@ -105,39 +105,26 @@ func TestColdWarmBitIdentity(t *testing.T) {
 	}
 }
 
-func TestProcLedgerInvalidation(t *testing.T) {
+// TestEditDirtiesClosureCone pins the graft's dirty set through the
+// daemon: after a miss on editBase, the miss on editChanged grafts and
+// reconverges exactly h and main.
+func TestEditDirtiesClosureCone(t *testing.T) {
 	_, ts := newTestServer(t, t.TempDir())
 	c := &Client{Base: ts.URL}
 
-	cold, _, err := c.Analyze(context.Background(), map[string]string{"edit.c": editBase}, "edit.c", false)
-	if err != nil {
+	if _, _, err := c.Analyze(context.Background(), map[string]string{"edit.c": editBase}, "edit.c", false); err != nil {
 		t.Fatal(err)
 	}
-	if cold.Meta.Cache != "miss" || len(cold.Meta.ProcMisses) == 0 {
-		t.Fatalf("cold: meta %+v", cold.Meta)
-	}
-	if len(cold.Meta.ProcHits) != 0 {
-		t.Fatalf("cold request had ledger hits: %v", cold.Meta.ProcHits)
-	}
-
-	// Edit h's body: a program-level miss, but the ledger must hit for
-	// exactly the procedures whose summary identity is unchanged (f, g)
-	// and miss for those it isn't (h's own closure, main's transitive
-	// closure through h).
 	edited, _, err := c.Analyze(context.Background(), map[string]string{"edit.c": editChanged}, "edit.c", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if edited.Meta.Cache != "miss" {
-		t.Fatalf("edited program served from cache: %+v", edited.Meta)
+	inc := edited.Meta.Incremental
+	if edited.Meta.Cache != "miss" || inc == nil || inc.Fallback != "" {
+		t.Fatalf("edited program did not graft: %+v", edited.Meta)
 	}
-	wantHits := []string{"f", "g"}
-	wantMisses := []string{"h", "main"}
-	if !sameStrings(edited.Meta.ProcHits, wantHits) {
-		t.Errorf("proc hits = %v, want %v", edited.Meta.ProcHits, wantHits)
-	}
-	if !sameStrings(edited.Meta.ProcMisses, wantMisses) {
-		t.Errorf("proc misses = %v, want %v", edited.Meta.ProcMisses, wantMisses)
+	if want := []string{"h", "main"}; !sameStrings(inc.Dirty, want) || inc.CleanProcs != 2 {
+		t.Errorf("dirty = %v with %d clean procedures, want %v with 2", inc.Dirty, inc.CleanProcs, want)
 	}
 }
 

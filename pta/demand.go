@@ -1,100 +1,39 @@
 package pta
 
-import (
-	"sort"
+import "wlpa/internal/demand"
 
-	"wlpa/internal/demand"
-	"wlpa/internal/memmod"
-)
+// DemandOptions is Result.Demand's argument; it has no fields.
+//
+// Deprecated: the wlpad benchmark's traced replica (wlpadbench/trace.go)
+// still compiles against it. ROADMAP item 1's benchmark PR removes it
+// together with the replica.
+type DemandOptions struct{}
 
-// DemandOptions configure a demand-query view (see internal/demand).
-type DemandOptions struct {
-	// Budget is the per-query visit budget; 0 selects the default.
-	// Exhausting it falls back to the exhaustive query layer, so it
-	// bounds cost, never changes answers.
-	Budget int
-	// NoCallSkip disables MOD-effect call skipping (cross-check knob).
-	NoCallSkip bool
-}
-
-// Demand is a demand-driven query view over a Result: the same
-// PointsToAt/PointsTo/MayAlias answers, computed by walking backward
-// from each query site instead of consulting the exhaustive lookup
-// machinery. Answers are bit-identical to the Result's (pinned by the
-// difftest demand-equivalence rung); only the cost profile differs.
-// Like the Result query surface it mirrors, a Demand must not be used
-// from multiple goroutines concurrently.
+// Demand is a counting view over a Result: PointsToAt answers exactly
+// Result.PointsToAt and counts the sites it answered.
+//
+// Deprecated: call Result.PointsToAt. The wlpad benchmark's traced
+// replica (wlpadbench/trace.go) still compiles against this type;
+// ROADMAP item 1's benchmark PR removes it together with the replica.
 type Demand struct {
-	r *Result
-	w *demand.Walker
+	r       *Result
+	queries int
 }
 
-// Demand returns a demand-driven query view of the result.
-func (r *Result) Demand(opts *DemandOptions) *Demand {
-	var do demand.Options
-	if opts != nil {
-		do.Budget = opts.Budget
-		do.NoCallSkip = opts.NoCallSkip
-	}
-	return &Demand{r: r, w: demand.New(r.an, &do)}
-}
+// Demand returns a counting query view of the result.
+//
+// Deprecated: call Result.PointsToAt (see the Demand type).
+func (r *Result) Demand(*DemandOptions) *Demand { return &Demand{r: r} }
 
-// DemandQuery answers a single PointsToAt query demand-driven, with
-// default options: identical to r.PointsToAt(proc, line, expr), paying
-// only for the query's backward cone.
-func DemandQuery(r *Result, proc string, line int, expr string) []string {
-	return r.Demand(nil).PointsToAt(proc, line, expr)
-}
+// Stats reports the sites answered so far in Stats.Queries.
+//
+// Deprecated: see the Demand type.
+func (d *Demand) Stats() demand.Stats { return demand.Stats{Queries: d.queries} }
 
-// Stats returns the walker's cumulative counters.
-func (d *Demand) Stats() demand.Stats { return d.w.Stats() }
-
-// PointsToAt mirrors Result.PointsToAt demand-driven: same resolution
-// rules, same per-context union, concretization and ordering.
+// PointsToAt returns d's Result.PointsToAt answer and counts the site.
 func (d *Demand) PointsToAt(proc string, line int, expr string) []string {
-	sym, stars, nd, ok := d.r.resolveQuery(proc, line, expr)
-	if !ok {
-		return nil
-	}
-	return d.r.pointsToAtNodeVia(d.w.ContentsAfter, proc, sym, stars, nd)
-}
-
-// PointsTo mirrors Result.PointsTo demand-driven: the named global's
-// targets at program exit, read from main's context.
-func (d *Demand) PointsTo(global string) []string {
-	sym := d.r.findGlobal(global)
-	if sym == nil {
-		return nil
-	}
-	b := d.r.an.GlobalBlock(sym)
-	ptf := d.r.an.MainPTF()
-	vals, ok := d.w.Lookup(ptf, memmod.Loc(b, 0, 0), ptf.Proc.Exit, true)
-	if !ok {
-		return nil
-	}
-	names := make([]string, 0, vals.Len())
-	for _, l := range vals.Locs() {
-		names = append(names, l.Base.Name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// MayAlias mirrors Result.MayAlias demand-driven: whether two global
-// pointers may point into the same memory block.
-func (d *Demand) MayAlias(p, q string) bool {
-	a := d.PointsTo(p)
-	b := d.PointsTo(q)
-	set := make(map[string]bool, len(a))
-	for _, n := range a {
-		set[n] = true
-	}
-	for _, n := range b {
-		if set[n] {
-			return true
-		}
-	}
-	return false
+	d.queries++
+	return d.r.PointsToAt(proc, line, expr)
 }
 
 // QuerySite is one sampled PointsToAt site (see SampleQuerySites).
@@ -109,8 +48,8 @@ type QuerySite struct {
 // its locals, formals and a few pointerish globals, cycled over the
 // procedure's source lines and star depths 0–2, then stride-sampled
 // down to max. Sites may legitimately answer empty (a non-pointer at
-// that line); the difftest rung wants exactly that variety, and the
-// demand benchmark reports per-query cost over the same spread.
+// that line); the point-query benchmark (ptabench -demandjson) reports
+// per-query cost over exactly that variety.
 func (r *Result) SampleQuerySites(max int) []QuerySite {
 	if max <= 0 {
 		max = 32

@@ -24,80 +24,9 @@ int main(void) {
     return 0;
 }`
 
-// TestDemandMatchesResult pins the pta-level identity: every sampled
-// PointsToAt site, every global PointsTo, and every MayAlias pair
-// answers the same through the demand view as through the Result.
-func TestDemandMatchesResult(t *testing.T) {
-	res, err := pta.AnalyzeSource("demand.c", demandSrc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := res.Demand(nil)
-	for _, site := range res.SampleQuerySites(64) {
-		want := res.PointsToAt(site.Proc, site.Line, site.Expr)
-		got := d.PointsToAt(site.Proc, site.Line, site.Expr)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("PointsToAt(%s:%d %q): demand %v, result %v", site.Proc, site.Line, site.Expr, got, want)
-		}
-	}
-	globals := res.Globals()
-	for _, g := range globals {
-		if got, want := d.PointsTo(g), res.PointsTo(g); !reflect.DeepEqual(got, want) {
-			t.Errorf("PointsTo(%s): demand %v, result %v", g, got, want)
-		}
-	}
-	for _, a := range globals {
-		for _, b := range globals {
-			if got, want := d.MayAlias(a, b), res.MayAlias(a, b); got != want {
-				t.Errorf("MayAlias(%s,%s): demand %v, result %v", a, b, got, want)
-			}
-		}
-	}
-	if st := d.Stats(); st.Queries == 0 {
-		t.Fatalf("demand stats empty: %+v", st)
-	}
-}
-
-// TestDemandQuery pins the one-shot convenience entry point against a
-// known answer and against the Result.
-func TestDemandQuery(t *testing.T) {
-	res, err := pta.AnalyzeSource("demand.c", demandSrc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := pta.DemandQuery(res, "main", 16, "gp")
-	want := res.PointsToAt("main", 16, "gp")
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("DemandQuery = %v, want %v", got, want)
-	}
-	if len(got) == 0 {
-		t.Fatal("DemandQuery answered empty for an assigned pointer")
-	}
-}
-
-// TestDemandBudgetFallback pins that a starvation budget still answers
-// identically (through the exhaustive fallback) and reports it.
-func TestDemandBudgetFallback(t *testing.T) {
-	res, err := pta.AnalyzeSource("demand.c", demandSrc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := res.Demand(&pta.DemandOptions{Budget: 1})
-	for _, site := range res.SampleQuerySites(32) {
-		want := res.PointsToAt(site.Proc, site.Line, site.Expr)
-		got := d.PointsToAt(site.Proc, site.Line, site.Expr)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("budget-1 PointsToAt(%s:%d %q): demand %v, result %v", site.Proc, site.Line, site.Expr, got, want)
-		}
-	}
-	if st := d.Stats(); st.Fallbacks == 0 {
-		t.Fatalf("budget 1 never fell back: %+v", st)
-	}
-}
-
 // TestSampleQuerySitesDeterministic pins that site sampling is a pure
-// function of the result (the difftest rung and the bench protocol both
-// rely on it) and respects its cap.
+// function of the result (the point-query benchmarks rely on it) and
+// respects its cap.
 func TestSampleQuerySitesDeterministic(t *testing.T) {
 	res, err := pta.AnalyzeSource("demand.c", demandSrc, nil)
 	if err != nil {

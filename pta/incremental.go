@@ -17,6 +17,7 @@ package pta
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"wlpa/internal/cast"
@@ -32,6 +33,9 @@ type IncrStats struct {
 	// functions by closure-hash survival against the baseline.
 	CleanProcs int `json:"clean_procs"`
 	DirtyProcs int `json:"dirty_procs"`
+	// Dirty names the dirty procedures, sorted: the edited procedures
+	// and their transitive callers.
+	Dirty []string `json:"dirty,omitempty"`
 	// RestoredPTFs counts converged baseline PTF instances carried over
 	// unchanged; DroppedPTFs counts baseline instances discarded.
 	RestoredPTFs int `json:"restored_ptfs"`
@@ -199,9 +203,17 @@ func AnalyzeIncrementalPrepared(b *Baseline, prog *sem.Program, procs map[*cast.
 	// pattern), so the restored count is only known after Run; cache
 	// survivors nobody demanded count as dropped.
 	restored := an.RestoredPTFs()
+	var dirty []string
+	for _, fd := range prog.Funcs {
+		if !clean[fd.Name] {
+			dirty = append(dirty, fd.Name)
+		}
+	}
+	sort.Strings(dirty)
 	r.incr = &IncrStats{
 		CleanProcs:      st.CleanProcs,
 		DirtyProcs:      st.DirtyProcs,
+		Dirty:           dirty,
 		RestoredPTFs:    restored,
 		DroppedPTFs:     st.KeptPTFs + st.DroppedPTFs - restored,
 		ReconvergedPTFs: an.Stats().PTFs - restored,

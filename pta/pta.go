@@ -220,21 +220,9 @@ func (r *Result) PointsToField(global string, offset int64) []string {
 // concretized to the storage they were bound to. Returns nil if the
 // procedure, the variable, or the line is unknown.
 func (r *Result) PointsToAt(proc string, line int, expr string) []string {
-	sym, stars, nd, ok := r.resolveQuery(proc, line, expr)
-	if !ok {
-		return nil
-	}
-	return r.pointsToAtNode(proc, sym, stars, nd)
-}
-
-// resolveQuery maps a (proc, line, expr) query to its symbol, star
-// depth, and flow node — the resolution shared verbatim by the live
-// query path and the demand walker, so the two can only disagree in the
-// contents lookups themselves.
-func (r *Result) resolveQuery(proc string, line int, expr string) (*cast.Symbol, int, *cfg.Node, bool) {
 	cproc := r.an.Proc(proc)
 	if cproc == nil {
-		return nil, 0, nil, false
+		return nil
 	}
 	stars := 0
 	for stars < len(expr) && expr[stars] == '*' {
@@ -246,12 +234,13 @@ func (r *Result) resolveQuery(proc string, line int, expr string) (*cast.Symbol,
 		sym = r.findGlobal(name)
 	}
 	if sym == nil {
-		return nil, 0, nil, false
+		return nil
 	}
 	// The query point: the last flow node at or before the line. Nodes
 	// are in reverse postorder, so among same-position candidates the
 	// later one wins.
-	return sym, stars, cproc.Nodes[queryNodeIndex(cproc, line)], true
+	nd := cproc.Nodes[queryNodeIndex(cproc, line)]
+	return r.pointsToAtNode(proc, sym, stars, nd)
 }
 
 // queryNodeIndex resolves a source line to the index (in proc.Nodes) of
@@ -280,22 +269,13 @@ func queryNodeIndex(cproc *cfg.Proc, line int) int {
 // concretized, deduplicated, and sorted. Shared between the live query
 // path and the snapshot builder.
 func (r *Result) pointsToAtNode(proc string, sym *cast.Symbol, stars int, nd *cfg.Node) []string {
-	return r.pointsToAtNodeVia(r.an.ContentsAfter, proc, sym, stars, nd)
-}
-
-// contentsFn is the per-context contents query pointsToAtNodeVia is
-// parameterized over: the exhaustive layer (analysis.ContentsAfter) or
-// the demand walker's mirror of it.
-type contentsFn func(p *analysis.PTF, v memmod.LocSet, nd *cfg.Node) memmod.ValueSet
-
-func (r *Result) pointsToAtNodeVia(contents contentsFn, proc string, sym *cast.Symbol, stars int, nd *cfg.Node) []string {
 	var union memmod.ValueSet
 	for _, p := range r.an.PTFs(proc) {
-		vals := contents(p, r.an.VarLoc(p, sym, 0, 0), nd)
+		vals := r.an.ContentsAfter(p, r.an.VarLoc(p, sym, 0, 0), nd)
 		for s := 0; s < stars; s++ {
 			var next memmod.ValueSet
 			for _, l := range vals.Locs() {
-				next.AddAll(contents(p, l, nd))
+				next.AddAll(r.an.ContentsAfter(p, l, nd))
 			}
 			vals = next
 		}

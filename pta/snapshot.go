@@ -449,6 +449,10 @@ func (s *Snapshot) Diagnostics() []Diagnostic {
 }
 
 // DomainDigests exposes the per-procedure input-domain digests of the
-// converged analysis (see analysis.DomainDigests); the daemon folds
-// them into per-procedure cache keys.
+// converged analysis (see analysis.DomainDigests).
+//
+// Deprecated: only the wlpad benchmark's traced replica
+// (wlpadbench/trace.go) calls it, for a per-procedure ledger the daemon
+// does not have. ROADMAP item 1's benchmark PR removes it together with
+// the replica.
 func (r *Result) DomainDigests() map[string]string { return r.an.DomainDigests() }

@@ -6,12 +6,14 @@
 #      program-level cache hits);
 #   2. warm responses carry byte-identical snapshot JSON — including
 #      the embedded checker diagnostics — to their cold counterparts;
-#   3. editing a single procedure invalidates only the per-procedure
-#      ledger entries whose content hash changed (the edited procedure
-#      and its transitive callers), while the rest hit;
-#   4. the edited miss grafts against the warm baseline (meta carries
-#      incremental stats with no fallback) and its snapshot is
-#      byte-identical to a cold daemon's analysis of the edited program;
+#   3. POST /query answers cold, then warm, GET /query answers warm,
+#      and after an edit POST answers cold again, always with the
+#      answers Result.PointsToAt gives;
+#   4. a single-procedure edit grafts against the warm baseline (meta
+#      carries incremental stats with no fallback), dirties exactly the
+#      edited procedure and its transitive callers, and yields a
+#      snapshot byte-identical to a cold daemon's analysis of the edited
+#      program;
 #   5. a daemon with a 200ms -timeout answers a request whose checking
 #      runs past the budget with 422 naming the budget, and then still
 #      serves a benchmark with a snapshot.
@@ -76,9 +78,10 @@ jq -e --argjson n "$benches" \
     { echo "hit/miss counters off:"; jq .requests "$work/metrics.json"; exit 1; }
 echo "ok: warm pass served entirely from cache ($benches/$benches hits)"
 
-# Single-procedure edit invalidation: editing h must miss the ledger
-# for exactly h (its own IR changed) and main (its transitive closure
-# includes h), while f and g hit.
+# Single-procedure edit: editing h must dirty exactly h (its own IR
+# changed) and main (its transitive closure includes h), while f and g
+# keep their PTFs. Point queries on the same file run before and after
+# the edit.
 cat >"$work/edit.c" <<'EOF'
 int gx, gy;
 int *fp, *gp;
@@ -92,23 +95,48 @@ EOF
 analyze "$work/edit.c" "$work/base.json"
 [ "$(jq -r .meta.cache "$work/base.json")" = miss ] || { echo "edit base did not miss"; exit 1; }
 
+query() { # query <out>; POST /query for hp and fp at main's line on edit.c
+    jq -n --rawfile src "$work/edit.c" \
+        '{files: {"edit.c": $src}, entry: "edit.c",
+          queries: [{proc: "main", line: 8, expr: "hp"}, {proc: "main", line: 8, expr: "fp"}]}' |
+        curl -sf -d @- "http://$ADDR/query" >"$1"
+}
+get_hp() { # get_hp <out>; GET /query for hp at main's line on edit.c
+    curl -sf "http://$ADDR/query?entry=edit.c&proc=main&line=8&expr=hp" >"$1"
+}
+expect() { # expect <file> <jq filter> <what>
+    jq -e "$2" "$1" >/dev/null || { echo "$3 off:"; cat "$1"; exit 1; }
+}
+query "$work/q_cold.json"
+expect "$work/q_cold.json" '.meta.cache == "cold" and .meta.demand.queries == 2
+    and [.answers[].points_to] == [["hx"],["gx"]]' "cold POST /query"
+query "$work/q_warm.json"
+expect "$work/q_warm.json" '.meta.cache == "warm"
+    and [.answers[].points_to] == [["hx"],["gx"]]' "warm POST /query"
+get_hp "$work/q_get.json"
+expect "$work/q_get.json" '.meta.cache == "warm" and .answers[0].points_to == ["hx"]' "GET /query"
+echo "ok: /query answered cold, then warm (POST and GET)"
+
 sed 's/hp = &hx;/hp = \&hy;/' "$work/edit.c" >"$work/edit2.c" && mv "$work/edit2.c" "$work/edit.c"
 analyze "$work/edit.c" "$work/edited.json"
-jq -e '.meta.cache == "miss"
-       and .meta.proc_hits == ["f","g"]
-       and .meta.proc_misses == ["h","main"]' "$work/edited.json" >/dev/null ||
-    { echo "edit invalidation off:"; jq .meta "$work/edited.json"; exit 1; }
-echo "ok: single-procedure edit invalidated exactly {h, main}, reused {f, g}"
 
 # The edited miss must have run through the incremental engine: the
 # base miss registered a baseline for edit.c, so the graft reconverges
 # only the dirty cone {h, main} while {f, g} keep their PTFs.
-jq -e '.meta.incremental != null
-       and (.meta.incremental.fallback // "") == ""
-       and .meta.incremental.dirty_procs == 2
-       and .meta.incremental.clean_procs == 2' "$work/edited.json" >/dev/null ||
-    { echo "edited miss did not graft:"; jq .meta "$work/edited.json"; exit 1; }
-echo "ok: edited miss grafted (2 clean, 2 dirty procedures)"
+expect "$work/edited.json" '.meta.cache == "miss"
+    and .meta.incremental != null
+    and (.meta.incremental.fallback // "") == ""
+    and .meta.incremental.dirty == ["h","main"]
+    and .meta.incremental.dirty_procs == 2
+    and .meta.incremental.clean_procs == 2' "edited miss graft"
+echo "ok: edited miss grafted, dirtying exactly {h, main} and keeping {f, g}"
+
+query "$work/q_edited.json"
+expect "$work/q_edited.json" '.meta.cache == "cold"
+    and [.answers[].points_to] == [["hy"],["gx"]]' "POST /query after the edit"
+get_hp "$work/q_edited_get.json"
+expect "$work/q_edited_get.json" '.meta.cache == "warm" and .answers[0].points_to == ["hy"]' "GET /query after the edit"
+echo "ok: /query after the edit answered cold with the edited points-to set"
 
 # Bit-identity of the graft: a second daemon with an empty cache and no
 # baseline must produce the same snapshot bytes for the edited program.
