@@ -12,13 +12,7 @@ import (
 	"fmt"
 	"os"
 
-	"wlpa/internal/analysis"
 	"wlpa/internal/bench"
-	"wlpa/internal/cparse"
-	"wlpa/internal/libsum"
-	"wlpa/internal/parallel"
-	"wlpa/internal/sem"
-	"wlpa/internal/workload"
 )
 
 func main() {
@@ -33,31 +27,7 @@ func main() {
 	if !*detail {
 		return
 	}
-	for _, name := range []string{"alvinn", "ear"} {
-		b, _ := workload.ByName(name)
-		f, err := cparse.ParseSource(name, b.Source)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "parbench: %v\n", err)
-			os.Exit(1)
-		}
-		prog, err := sem.Check(f)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "parbench: %v\n", err)
-			os.Exit(1)
-		}
-		an, err := analysis.New(prog, analysis.Options{Lib: libsum.Summaries(), CollectSolution: true})
-		if err == nil {
-			err = an.Run()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "parbench: %v\n", err)
-			os.Exit(1)
-		}
-		rep, err := parallel.BuildReport(name, prog, parallel.New(prog, an), 80_000_000)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "parbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(rep)
+	for _, r := range rows {
+		fmt.Println(r.Report)
 	}
 }

@@ -1,22 +1,19 @@
 // Command ptabench regenerates the paper's Table 2 (benchmark and
 // analysis measurements), the §7 invocation-graph comparison, and the
-// PTF reuse-policy ablation over the embedded benchmark suite.
+// PTF reuse-policy ablation over the embedded benchmark suite, and
+// writes the library's benchmark record.
 //
 // Usage:
 //
 //	ptabench [-table2] [-invoke] [-ablation benchmark] [-json file]
-//	         [-editjson file] [-demandjson file] [-cpuprofile file]
-//	         [-memprofile file]
+//	         [-cpuprofile file] [-memprofile file]
 //
-// -json writes the Table 2 suite measurements (BENCH_ptabench.json);
-// -editjson writes warm-edit measurements —
-// for each benchmark, a single-procedure statement tweak re-analyzed
-// incrementally against a converged baseline versus analyzed cold
-// (BENCH_incremental.json); -demandjson writes point-query latency —
-// for each benchmark, a single warm Result.PointsToAt query against a
-// held converged result versus a cold converge-and-answer versus the
-// whole-program analysis (BENCH_demand.json). All take the fastest of
-// several runs per cell.
+// -json writes one record per suite program (BENCH_ptabench.json), each
+// the fastest of several runs, frontend excluded: Table 2's slice
+// (analysis.Run alone), the whole-program analysis with collection, a
+// single-procedure statement tweak re-analyzed incrementally against a
+// converged baseline versus cold, and Result.PointsToAt queries cold
+// and against a held converged result.
 package main
 
 import (
@@ -34,9 +31,7 @@ func main() {
 		table2     = flag.Bool("table2", true, "run the Table 2 harness")
 		invokeC    = flag.Bool("invoke", true, "run the invocation-graph comparison")
 		ablation   = flag.String("ablation", "eqntott", "benchmark for the reuse-policy ablation (empty to skip)")
-		jsonOut    = flag.String("json", "", "write per-workload measurements (ns/op, allocs/op, PTFs/proc, engine) to this file")
-		editOut    = flag.String("editjson", "", "write warm-edit (incremental vs cold re-analysis) measurements to this file")
-		demandOut  = flag.String("demandjson", "", "write point-query latency (warm vs cold vs whole-program) measurements to this file")
+		jsonOut    = flag.String("json", "", "write per-program measurements (analysis, whole program, warm edit, point queries) to this file")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
@@ -75,16 +70,6 @@ func main() {
 	}
 	if *jsonOut != "" {
 		if err := bench.WriteJSON(*jsonOut); err != nil {
-			fatal(err)
-		}
-	}
-	if *editOut != "" {
-		if err := bench.WriteIncrementalJSON(*editOut); err != nil {
-			fatal(err)
-		}
-	}
-	if *demandOut != "" {
-		if err := bench.WriteDemandJSON(*demandOut); err != nil {
 			fatal(err)
 		}
 	}

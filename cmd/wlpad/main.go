@@ -43,7 +43,7 @@ func main() {
 		addr        = fs.String("addr", ":8372", "listen address")
 		cacheDir    = fs.String("cache-dir", "", "on-disk cache directory (empty = memory-only)")
 		memBudget   = fs.Int64("mem-budget", store.DefaultMemBudget, "in-memory cache budget in bytes")
-		timeout     = fs.Duration("timeout", 2*time.Minute, "per-request wall-clock budget of the analysis, and again of the checker")
+		timeout     = fs.Duration("timeout", 2*time.Minute, "per-request wall-clock budget of the analysis, and again of the checker (must be positive)")
 		maxInflight = fs.Int("max-inflight", 2, "concurrent engine runs (cache hits are not throttled)")
 		baselineCap = fs.Int("baseline-cap", 8, "warm-edit baselines held for incremental grafting (each pins a converged analysis)")
 		policy      = fs.String("policy", "ptf", "summarization policy: ptf, emami, or single")
@@ -52,6 +52,12 @@ func main() {
 		logFormat   = fs.String("log", "text", "request log format: text or json")
 	)
 	fs.Parse(os.Args[2:])
+	// The budget bounds the HTTP write deadline too, so "no budget"
+	// would cut slow responses off while their analysis runs on.
+	if *timeout <= 0 {
+		fmt.Fprintf(os.Stderr, "wlpad: -timeout must be positive, got %v\n", *timeout)
+		os.Exit(2)
+	}
 
 	opts := pta.Options{
 		MaxPTFs:        *maxPTFs,

@@ -113,8 +113,6 @@ type Options struct {
 	// (Emami-style) policy, whose context count grows exponentially.
 	// 0 means unlimited.
 	MaxTotalPTFs int
-	// MaxPasses bounds top-level fixpoint passes (safety valve).
-	MaxPasses int
 	// Timeout aborts the analysis after a wall-clock budget (0 = none).
 	// Exceeding it returns ErrTimeout; the statistics remain valid for
 	// the work done so far.
@@ -603,9 +601,6 @@ func New(prog *sem.Program, opts Options) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.MaxPasses == 0 {
-		opts.MaxPasses = 64
-	}
 	a := &Analysis{
 		prog:         prog,
 		procs:        procs,
@@ -634,6 +629,9 @@ func New(prog *sem.Program, opts Options) (*Analysis, error) {
 	}
 	return a, nil
 }
+
+// maxPasses bounds top-level fixpoint passes (safety valve).
+const maxPasses = 64
 
 // Run analyzes the whole program starting from main.
 func (a *Analysis) Run() error {
@@ -676,7 +674,7 @@ func (a *Analysis) Run() error {
 		} else if !a.changed && a.versionClock == clock {
 			break
 		}
-		if pass >= a.opts.MaxPasses {
+		if pass >= maxPasses {
 			return &Error{Msg: fmt.Sprintf("analysis did not converge after %d passes", pass)}
 		}
 	}
@@ -977,46 +975,4 @@ func (a *Analysis) appendInitial(p *PTF, e initEntry) {
 		p.initial = ns
 	}
 	p.initial = append(p.initial, e)
-}
-
-// DebugString renders the PTF input domain for diagnostics.
-func (p *PTF) DebugString() string {
-	s := fmt.Sprintf("proc=%s recursive=%v exit=%v entries=[", p.Proc.Name, p.recursive, p.exitReached)
-	for i, e := range p.initial {
-		if i > 0 {
-			s += ", "
-		}
-		switch e.kind {
-		case globalRefEntry:
-			s += fmt.Sprintf("global %s -> %s", e.sym.Name, e.param)
-		case ptrInitEntry:
-			if e.valEmpty {
-				s += fmt.Sprintf("%v -> <empty>", e.ptr)
-			} else {
-				s += fmt.Sprintf("%v -> %v", e.ptr, e.val)
-			}
-		}
-	}
-	return s + "]"
-}
-
-// DumpRecords renders the sparse records of locations whose base block
-// name starts with one of the given prefixes (diagnostics only).
-func (p *PTF) DumpRecords(prefixes ...string) string {
-	s := ""
-	for _, loc := range p.Pts.Locations() {
-		match := false
-		for _, pre := range prefixes {
-			if len(loc.Base.Name) >= len(pre) && loc.Base.Name[:len(pre)] == pre {
-				match = true
-			}
-		}
-		if !match {
-			continue
-		}
-		for _, r := range p.Pts.Records(loc) {
-			s += fmt.Sprintf("    %v @%v strong=%v phi=%v = %v\n", loc, r.Node, r.Strong, r.Phi, r.Vals)
-		}
-	}
-	return s
 }

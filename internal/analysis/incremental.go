@@ -551,7 +551,3 @@ func rewireExpr(e *cfg.Expr, symNew map[*cast.Symbol]*cast.Symbol) {
 // Program returns the program this analysis runs over (the edited
 // program after PrepareIncremental).
 func (a *Analysis) Program() *sem.Program { return a.prog }
-
-// Incremental reports whether this analysis was grafted onto a previous
-// run's surviving state.
-func (a *Analysis) Incremental() bool { return a.incremental }

@@ -122,19 +122,6 @@ func (p *PTF) Home() (*PTF, *cfg.Node) { return p.homePTF, p.homeNode }
 // RetvalLoc returns the location of the procedure's return-value block.
 func (p *PTF) RetvalLoc() memmod.LocSet { return memmod.Loc(p.retval, 0, 0) }
 
-// FuncPtrTargets returns the resolved function symbols of an extended
-// parameter used as an indirect-call target (its PTF input-domain entry,
-// paper §5.1), sorted by name. Empty if b is not a call-target parameter.
-func (p *PTF) FuncPtrTargets(b *memmod.Block) []*cast.Symbol {
-	set := p.fpDomain[b.Representative()]
-	out := make([]*cast.Symbol, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // VarLoc resolves a variable symbol to its location in the PTF's name
 // space without extending the input domain: the retval block, a local
 // block, the real global block (in main), or the PTF's extended parameter

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"sort"
 
 	"wlpa/internal/cast"
@@ -102,12 +101,6 @@ func (s *Solution) Locations() []memmod.LocSet {
 		return out[i].Stride < out[j].Stride
 	})
 	return out
-}
-
-// NumFacts returns the number of distinct concrete location keys.
-func (s *Solution) NumFacts() int {
-	s.materialize()
-	return len(s.resolved)
 }
 
 // recordSolution mirrors an assignment into the collapsed solution in
@@ -240,17 +233,6 @@ func (a *Analysis) bindParamConcrete(owner *frame, p *memmod.Block, vals memmod.
 		return
 	}
 	acc.AddAll(vals)
-}
-
-// DebugParamConcrete renders the accumulated per-parameter bindings
-// (diagnostics only).
-func (a *Analysis) DebugParamConcrete() []string {
-	var out []string
-	for p, v := range a.paramConcrete {
-		out = append(out, fmt.Sprintf("%p %s -> %s", p, p.Name, v.String()))
-	}
-	sort.Strings(out)
-	return out
 }
 
 // recordFormalBindings eagerly mirrors argument-to-formal bindings into

@@ -28,37 +28,40 @@ type Table2Row struct {
 	PaperPTFs    float64
 }
 
-// RunTable2One analyzes one benchmark and produces its row. The timing
-// covers the analysis only, excluding the frontend, matching the paper's
-// methodology ("these times do not include the overhead for reading the
-// procedures ... building flow graphs").
+// RunTable2One analyzes one benchmark and produces its row. The time is
+// the emission's Table 2 slice (measureAnalysis): analysis.Run alone,
+// excluding the frontend and flow-graph construction, matching the
+// paper's methodology ("these times do not include the overhead for
+// reading the procedures ... building flow graphs"), fastest of
+// measureRounds runs.
 func RunTable2One(b workload.Benchmark) (Table2Row, error) {
 	row := Table2Row{
 		Name: b.Name, Lines: workload.CountLines(b.Source),
 		PaperLines: b.PaperLines, PaperProcs: b.PaperProcs,
 		PaperSeconds: b.PaperSeconds, PaperPTFs: b.PaperPTFs,
 	}
-	f, err := cparse.ParseSource(b.Name, b.Source)
-	if err != nil {
-		return row, fmt.Errorf("%s: parse: %w", b.Name, err)
-	}
-	prog, err := sem.Check(f)
-	if err != nil {
-		return row, fmt.Errorf("%s: sem: %w", b.Name, err)
-	}
-	an, err := analysis.New(prog, analysis.Options{Lib: libsum.Summaries()})
+	ns, _, st, err := measureAnalysis(b)
 	if err != nil {
 		return row, err
 	}
-	start := time.Now()
-	if err := an.Run(); err != nil {
-		return row, fmt.Errorf("%s: analysis: %w", b.Name, err)
-	}
-	row.Analysis = time.Since(start)
-	st := an.Stats()
+	row.Analysis = time.Duration(ns)
 	row.Procedures = st.Procedures
 	row.AvgPTFs = st.AvgPTFs()
 	return row, nil
+}
+
+// prepare runs the frontend (parse and typecheck) over one source: the
+// part of the pipeline every harness here leaves out of its timings.
+func prepare(name, src string) (*sem.Program, error) {
+	f, err := cparse.ParseSource(name, src)
+	if err != nil {
+		return nil, fmt.Errorf("%s: parse: %w", name, err)
+	}
+	prog, err := sem.Check(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: sem: %w", name, err)
+	}
+	return prog, nil
 }
 
 // RunTable2 produces every row, in the paper's order.
@@ -113,6 +116,9 @@ type Table3Row struct {
 	PaperMsP      float64 // per loop, milliseconds
 	PaperSpeedup2 float64
 	PaperSpeedup4 float64
+
+	// Report is the per-loop classification the row summarizes.
+	Report *parallel.Report
 }
 
 // RunTable3 reproduces Table 3 for alvinn and ear.
@@ -127,11 +133,7 @@ func RunTable3() ([]Table3Row, error) {
 		if !ok {
 			return rows, fmt.Errorf("benchmark %s missing", name)
 		}
-		f, err := cparse.ParseSource(name, b.Source)
-		if err != nil {
-			return rows, err
-		}
-		prog, err := sem.Check(f)
+		prog, err := prepare(name, b.Source)
 		if err != nil {
 			return rows, err
 		}
@@ -159,6 +161,7 @@ func RunTable3() ([]Table3Row, error) {
 			PaperMsP:        p[1],
 			PaperSpeedup2:   p[2],
 			PaperSpeedup4:   p[3],
+			Report:          rep,
 		})
 	}
 	return rows, nil
@@ -196,11 +199,7 @@ func RunInvokeComparison(names []string, cap int64) ([]InvokeRow, error) {
 		if !ok {
 			return rows, fmt.Errorf("benchmark %s missing", name)
 		}
-		f, err := cparse.ParseSource(name, b.Source)
-		if err != nil {
-			return rows, err
-		}
-		prog, err := sem.Check(f)
+		prog, err := prepare(name, b.Source)
 		if err != nil {
 			return rows, err
 		}
@@ -272,11 +271,7 @@ func RunAblation(name string) ([]AblationRow, error) {
 	}
 	var rows []AblationRow
 	for _, pol := range policies {
-		f, err := cparse.ParseSource(name, b.Source)
-		if err != nil {
-			return rows, err
-		}
-		prog, err := sem.Check(f)
+		prog, err := prepare(name, b.Source)
 		if err != nil {
 			return rows, err
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -112,5 +113,87 @@ func TestAblationHarness(t *testing.T) {
 	out := FormatAblation(rows)
 	if !strings.Contains(out, "alias-pattern") {
 		t.Errorf("format:\n%s", out)
+	}
+}
+
+// TestEmissionRecord measures one suite program through the emission's
+// per-program path and checks the record CI's gates read: every time is
+// positive, the warm edit grafted, queries were sampled, Table 2 reads
+// the same PTF column, and every field of the documented record shape
+// survives JSON encoding. Timing ratios are left to CI.
+func TestEmissionRecord(t *testing.T) {
+	b, ok := workload.ByName("allroots")
+	if !ok {
+		t.Fatal("allroots missing")
+	}
+	rep, err := newReport([]workload.Benchmark{b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Entries) != 1 {
+		t.Fatalf("entries = %d", len(rep.Entries))
+	}
+	e := rep.Entries[0]
+	for name, ns := range map[string]int64{
+		"ns_per_op": e.NsPerOp, "whole_program_ns": e.WholeProgramNs,
+		"edit.cold_ns": e.Edit.ColdNs, "edit.incremental_ns": e.Edit.IncrementalNs,
+		"edit.hash_ns": e.Edit.HashNs, "query.cold_query_ns": e.Query.ColdQueryNs,
+		"query.warm_query_ns": e.Query.WarmQueryNs,
+	} {
+		if ns <= 0 {
+			t.Errorf("%s = %d, want > 0", name, ns)
+		}
+	}
+	if e.Edit.DirtyProcs < 1 || e.Edit.CleanProcs < 1 || e.Edit.RestoredPTFs <= 0 || e.Edit.EditedProc == "" {
+		t.Errorf("edit did not graft a single-procedure tweak: %+v", e.Edit)
+	}
+	if e.Query.Sites <= 0 {
+		t.Errorf("query.sites = %d", e.Query.Sites)
+	}
+	row, err := RunTable2One(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.PTFsPerProc != row.AvgPTFs {
+		t.Errorf("ptfs_per_proc = %v, Table 2 AvgPTFs = %v", e.PTFsPerProc, row.AvgPTFs)
+	}
+
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"generated", "go_version", "protocol"} {
+		if s, _ := doc[key].(string); s == "" {
+			t.Errorf("envelope field %q missing or empty", key)
+		}
+	}
+	entries, _ := doc["entries"].([]any)
+	if len(entries) != 1 {
+		t.Fatalf("entries in JSON = %v", doc["entries"])
+	}
+	entry, _ := entries[0].(map[string]any)
+	paths := [][]string{
+		{"name"}, {"ns_per_op"}, {"allocs_per_op"}, {"ptfs_per_proc"}, {"whole_program_ns"},
+	}
+	for _, f := range []string{"edited_proc", "tweak", "cold_ns", "incremental_ns", "hash_ns", "speedup",
+		"clean_procs", "dirty_procs", "restored_ptfs", "reconverged_ptfs"} {
+		paths = append(paths, []string{"edit", f})
+	}
+	for _, f := range []string{"sites", "cold_query_ns", "warm_query_ns", "speedup"} {
+		paths = append(paths, []string{"query", f})
+	}
+	for _, path := range paths {
+		var v any = entry
+		for _, key := range path {
+			obj, _ := v.(map[string]any)
+			v = obj[key]
+		}
+		if v == nil {
+			t.Errorf("entry path .%s missing", strings.Join(path, "."))
+		}
 	}
 }

@@ -2,9 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
-	"time"
 
+	"wlpa/internal/cast"
 	"wlpa/internal/cfg"
 	"wlpa/internal/irhash"
 	"wlpa/internal/sem"
@@ -12,12 +11,10 @@ import (
 	"wlpa/pta"
 )
 
-// IncrementalEntry is one benchmark's warm-edit measurement in the
-// BENCH_incremental.json emission: the cost of re-analyzing a
-// single-procedure edit against a converged baseline, next to the cost
-// of analyzing the edited program cold.
-type IncrementalEntry struct {
-	Name string `json:"name"`
+// Edit is a program's warm-edit measurement: the cost of re-analyzing
+// a single-procedure edit against a converged baseline, next to the
+// cost of analyzing the edited program cold.
+type Edit struct {
 	// EditedProc is the one procedure whose IR digest the edit changed;
 	// Tweak is the TweakNthStatement index that produced the edit.
 	EditedProc string `json:"edited_proc"`
@@ -45,14 +42,6 @@ type IncrementalEntry struct {
 	DirtyProcs      int `json:"dirty_procs"`
 	RestoredPTFs    int `json:"restored_ptfs"`
 	ReconvergedPTFs int `json:"reconverged_ptfs"`
-}
-
-// IncrementalReport is the envelope written to BENCH_incremental.json.
-type IncrementalReport struct {
-	Generated string             `json:"generated"`
-	GoVersion string             `json:"go_version"`
-	Protocol  string             `json:"protocol"`
-	Entries   []IncrementalEntry `json:"entries"`
 }
 
 // findSingleProcEdit scans tweak indices for one that dirties exactly
@@ -106,76 +95,39 @@ func findSingleProcEdit(name, src string, base *irhash.Program) (int, string, st
 	return bestN, bestSrc, bestProc, nil
 }
 
-// MeasureIncremental measures the warm-edit path over every suite
-// benchmark: analyze the base cold, apply a single-procedure statement
-// tweak, and compare re-analyzing the edit incrementally against
-// analyzing it cold. Rounds re-parse and re-converge from scratch (a
-// baseline is consumed by the graft), and the fastest round is kept.
-func MeasureIncremental() ([]IncrementalEntry, error) {
-	var entries []IncrementalEntry
-	for _, b := range workload.Suite() {
-		e, err := measureIncrementalOne(b)
-		if err != nil {
-			return nil, err
-		}
-		entries = append(entries, e)
-	}
-	return entries, nil
-}
-
-func measureIncrementalOne(b workload.Benchmark) (IncrementalEntry, error) {
+// measureEdit measures the warm-edit path of one program: analyze the
+// base cold, apply a single-procedure statement tweak, and compare
+// re-analyzing the edit incrementally against analyzing it cold. Every
+// round starts from a fresh program (a baseline is consumed by the
+// graft).
+func measureEdit(b workload.Benchmark) (Edit, error) {
 	baseProg, err := prepare(b.Name, b.Source)
 	if err != nil {
-		return IncrementalEntry{}, err
+		return Edit{}, err
 	}
 	baseHash, err := irhash.Hash(baseProg)
 	if err != nil {
-		return IncrementalEntry{}, err
+		return Edit{}, err
 	}
 	tweak, edited, proc, err := findSingleProcEdit(b.Name, b.Source, baseHash)
 	if err != nil {
-		return IncrementalEntry{}, err
+		return Edit{}, err
 	}
-	entry := IncrementalEntry{Name: b.Name, EditedProc: proc, Tweak: tweak}
-
-	editedProgs := make([]*sem.Program, measureRounds)
-	for i := range editedProgs {
-		if editedProgs[i], err = prepare(b.Name, edited); err != nil {
-			return IncrementalEntry{}, err
-		}
-	}
+	e := Edit{EditedProc: proc, Tweak: tweak}
 
 	// Cold side: the edited program from scratch. Flow graphs are built
 	// inside the timed region (AnalyzeProgram), matching the incremental
-	// side's scope; a fresh sem.Program per round keeps the two sides'
-	// cache behavior honest.
-	for round := 0; round < measureRounds; round++ {
-		runtime.GC()
-		start := time.Now()
-		if _, err := pta.AnalyzeProgram(editedProgs[round], nil); err != nil {
-			return IncrementalEntry{}, fmt.Errorf("%s: cold: %w", b.Name, err)
-		}
-		ns := time.Since(start).Nanoseconds()
-		if round == 0 || ns < entry.ColdNs {
-			entry.ColdNs = ns
-		}
+	// side's scope.
+	if e.ColdNs, _, err = bestOf(fresh(b.Name, edited), analyze); err != nil {
+		return Edit{}, fmt.Errorf("%s: cold: %w", b.Name, err)
 	}
 
 	// Hash floor: what identifying the edit costs by itself.
-	for round := 0; round < measureRounds; round++ {
-		prog, err := prepare(b.Name, edited)
-		if err != nil {
-			return IncrementalEntry{}, err
-		}
-		runtime.GC()
-		start := time.Now()
-		if _, err := irhash.Hash(prog); err != nil {
-			return IncrementalEntry{}, err
-		}
-		ns := time.Since(start).Nanoseconds()
-		if round == 0 || ns < entry.HashNs {
-			entry.HashNs = ns
-		}
+	if e.HashNs, _, err = bestOf(fresh(b.Name, edited), func(prog *sem.Program) error {
+		_, err := irhash.Hash(prog)
+		return err
+	}); err != nil {
+		return Edit{}, err
 	}
 
 	// Incremental side: each round converges a fresh baseline (untimed —
@@ -183,67 +135,58 @@ func measureIncrementalOne(b workload.Benchmark) (IncrementalEntry, error) {
 	// The edited flow graphs and hash record are precomputed: the
 	// daemon builds and hashes every request for cache lookup before
 	// the graft is even considered (their cost is HashNs).
-	editedHash, err := irhash.Hash(editedProgs[0])
+	hashed, err := prepare(b.Name, edited)
 	if err != nil {
-		return IncrementalEntry{}, err
+		return Edit{}, err
 	}
-	for round := 0; round < measureRounds; round++ {
-		prog, err := prepare(b.Name, b.Source)
+	editedHash, err := irhash.Hash(hashed)
+	if err != nil {
+		return Edit{}, err
+	}
+	type graft struct {
+		bl    *pta.Baseline
+		prog  *sem.Program
+		procs map[*cast.FuncDecl]*cfg.Proc
+	}
+	var st *pta.IncrStats
+	e.IncrementalNs, _, err = bestOf(func() (graft, error) {
+		base, err := prepare(b.Name, b.Source)
 		if err != nil {
-			return IncrementalEntry{}, err
+			return graft{}, err
 		}
-		res, err := pta.AnalyzeProgram(prog, nil)
+		res, err := pta.AnalyzeProgram(base, nil)
 		if err != nil {
-			return IncrementalEntry{}, err
+			return graft{}, err
 		}
 		bl, err := pta.NewBaseline(res, nil)
 		if err != nil {
-			return IncrementalEntry{}, err
+			return graft{}, err
 		}
-		editedProg, err := prepare(b.Name, edited)
+		prog, err := prepare(b.Name, edited)
 		if err != nil {
-			return IncrementalEntry{}, err
+			return graft{}, err
 		}
-		procs, err := cfg.BuildAll(editedProg.Funcs)
+		procs, err := cfg.BuildAll(prog.Funcs)
+		return graft{bl, prog, procs}, err
+	}, func(g graft) error {
+		r, err := pta.AnalyzeIncrementalPrepared(g.bl, g.prog, g.procs, editedHash, nil)
 		if err != nil {
-			return IncrementalEntry{}, err
+			return fmt.Errorf("%s: incremental: %w", b.Name, err)
 		}
-		runtime.GC()
-		start := time.Now()
-		r, err := pta.AnalyzeIncrementalPrepared(bl, editedProg, procs, editedHash, nil)
-		if err != nil {
-			return IncrementalEntry{}, fmt.Errorf("%s: incremental: %w", b.Name, err)
+		if st = r.Incremental(); st == nil || st.Fallback != "" {
+			return fmt.Errorf("%s: graft refused: %+v", b.Name, st)
 		}
-		ns := time.Since(start).Nanoseconds()
-		st := r.Incremental()
-		if st == nil || st.Fallback != "" {
-			return IncrementalEntry{}, fmt.Errorf("%s: graft refused: %+v", b.Name, st)
-		}
-		if round == 0 || ns < entry.IncrementalNs {
-			entry.IncrementalNs = ns
-			entry.CleanProcs = st.CleanProcs
-			entry.DirtyProcs = st.DirtyProcs
-			entry.RestoredPTFs = st.RestoredPTFs
-			entry.ReconvergedPTFs = st.ReconvergedPTFs
-		}
-	}
-	if entry.IncrementalNs > 0 {
-		entry.Speedup = float64(entry.ColdNs) / float64(entry.IncrementalNs)
-	}
-	return entry, nil
-}
-
-// WriteIncrementalJSON measures the warm-edit path over the suite and
-// writes the report envelope to path as indented JSON.
-func WriteIncrementalJSON(path string) error {
-	entries, err := MeasureIncremental()
-	if err != nil {
-		return err
-	}
-	return writeIndented(path, IncrementalReport{
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		Protocol:  protocolName(),
-		Entries:   entries,
+		return nil
 	})
+	if err != nil {
+		return Edit{}, err
+	}
+	e.CleanProcs = st.CleanProcs
+	e.DirtyProcs = st.DirtyProcs
+	e.RestoredPTFs = st.RestoredPTFs
+	e.ReconvergedPTFs = st.ReconvergedPTFs
+	if e.IncrementalNs > 0 {
+		e.Speedup = float64(e.ColdNs) / float64(e.IncrementalNs)
+	}
+	return e, nil
 }

@@ -8,134 +8,167 @@ import (
 	"time"
 
 	"wlpa/internal/analysis"
-	"wlpa/internal/cparse"
 	"wlpa/internal/libsum"
 	"wlpa/internal/sem"
 	"wlpa/internal/workload"
+	"wlpa/pta"
 )
 
-// measureRounds is how many timed runs each workload gets; the recorded
-// entry is the fastest. A single cold run measures the allocator and
-// collector warming up as much as the analysis; min-of-N is the same
-// discipline `go test -bench` applies across its iterations.
+// measureRounds is how many timed runs each measurement gets; the
+// recorded value is the fastest. A single cold run measures the
+// allocator and collector warming up as much as the analysis; min-of-N
+// is the same discipline `go test -bench` applies across its iterations.
 const measureRounds = 5
 
-// JSONEntry is one workload's measurement in the machine-readable
-// benchmark emission (BENCH_ptabench.json).
-type JSONEntry struct {
-	Name        string  `json:"name"`
-	NsPerOp     int64   `json:"ns_per_op"`
-	AllocsPerOp uint64  `json:"allocs_per_op"`
-	PTFsPerProc float64 `json:"ptfs_per_proc"`
-	// Engine identifies the evaluation engine ("worklist").
-	Engine string `json:"engine"`
-}
-
 // Report is the envelope written to BENCH_ptabench.json: provenance
-// (when, which toolchain, which protocol) around the entries.
+// (when, which toolchain, which protocol) around one entry per suite
+// program.
 type Report struct {
 	// Generated is the emission time in RFC 3339 (ISO-8601) form.
 	Generated string `json:"generated"`
 	// GoVersion is runtime.Version() of the emitting binary.
 	GoVersion string `json:"go_version"`
-	// Protocol names the measurement discipline, e.g. "min-of-3".
-	Protocol string      `json:"protocol"`
-	Entries  []JSONEntry `json:"entries"`
+	// Protocol names the measurement discipline, e.g. "min-of-5".
+	Protocol string  `json:"protocol"`
+	Entries  []Entry `json:"entries"`
 }
 
-// prepare runs the frontend once for a workload (shared across rounds —
-// only the analysis phase is measured).
-func prepare(name, src string) (*sem.Program, error) {
-	f, err := cparse.ParseSource(name, src)
+// Entry is one suite program's record: the stages of the pipeline a
+// client of the analysis pays for, side by side. Every time excludes
+// the frontend (parse and typecheck).
+type Entry struct {
+	Name string `json:"name"`
+	// NsPerOp and AllocsPerOp measure analysis.Run alone: no flow-graph
+	// construction and no solution collection, the slice the paper's
+	// Table 2 times. PTFsPerProc is Table 2's PTF column.
+	NsPerOp     int64   `json:"ns_per_op"`
+	AllocsPerOp uint64  `json:"allocs_per_op"`
+	PTFsPerProc float64 `json:"ptfs_per_proc"`
+	// WholeProgramNs times pta.AnalyzeProgram: flow graphs, fixpoint
+	// and collection, what any exhaustive consumer pays before it can
+	// answer anything.
+	WholeProgramNs int64 `json:"whole_program_ns"`
+	Edit           Edit  `json:"edit"`
+	Query          Query `json:"query"`
+}
+
+// WriteJSON measures every suite program and writes the report to path
+// as indented JSON.
+func WriteJSON(path string) error {
+	rep, err := newReport(workload.Suite())
 	if err != nil {
-		return nil, fmt.Errorf("%s: parse: %w", name, err)
+		return err
 	}
-	prog, err := sem.Check(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: sem: %w", name, err)
-	}
-	return prog, nil
-}
-
-// timedRun builds a fresh analysis over prog and times Run alone,
-// returning elapsed nanoseconds, the heap allocation count of the timed
-// region, and the run's stats. A forced collection precedes the timer so
-// the timed region pays only for collections its own allocation
-// provokes.
-func timedRun(name string, prog *sem.Program, opts analysis.Options) (int64, uint64, analysis.Stats, error) {
-	an, err := analysis.New(prog, opts)
-	if err != nil {
-		return 0, 0, analysis.Stats{}, err
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	if err := an.Run(); err != nil {
-		return 0, 0, analysis.Stats{}, fmt.Errorf("%s: analysis: %w", name, err)
-	}
-	elapsed := time.Since(start).Nanoseconds()
-	runtime.ReadMemStats(&after)
-	return elapsed, after.Mallocs - before.Mallocs, an.Stats(), nil
-}
-
-// MeasureJSON analyzes every suite workload and reports wall-clock
-// nanoseconds, heap allocations (mallocs) and PTFs per procedure for the
-// analysis phase only (frontend excluded, matching RunTable2One). Each
-// workload runs measureRounds times and the fastest round is recorded.
-func MeasureJSON() ([]JSONEntry, error) {
-	entries := make([]JSONEntry, 0, len(workload.Suite()))
-	opts := analysis.Options{Lib: libsum.Summaries()}
-	for _, b := range workload.Suite() {
-		prog, err := prepare(b.Name, b.Source)
-		if err != nil {
-			return nil, err
-		}
-		var best JSONEntry
-		for round := 0; round < measureRounds; round++ {
-			ns, allocs, st, err := timedRun(b.Name, prog, opts)
-			if err != nil {
-				return nil, err
-			}
-			if round > 0 && ns >= best.NsPerOp {
-				continue
-			}
-			best = JSONEntry{
-				Name:        b.Name,
-				NsPerOp:     ns,
-				AllocsPerOp: allocs,
-				PTFsPerProc: st.AvgPTFs(),
-				Engine:      "worklist",
-			}
-		}
-		entries = append(entries, best)
-	}
-	return entries, nil
-}
-
-func writeIndented(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
+	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-func protocolName() string {
-	return fmt.Sprintf("min-of-%d", measureRounds)
-}
-
-// WriteJSON measures the suite and writes the report envelope to path
-// as indented JSON.
-func WriteJSON(path string) error {
-	entries, err := MeasureJSON()
-	if err != nil {
-		return err
-	}
-	return writeIndented(path, Report{
+// newReport measures each benchmark into one report.
+func newReport(benchmarks []workload.Benchmark) (Report, error) {
+	rep := Report{
 		Generated: time.Now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
-		Protocol:  protocolName(),
-		Entries:   entries,
-	})
+		Protocol:  fmt.Sprintf("min-of-%d", measureRounds),
+	}
+	for _, b := range benchmarks {
+		e, err := measure(b)
+		if err != nil {
+			return Report{}, err
+		}
+		rep.Entries = append(rep.Entries, e)
+	}
+	return rep, nil
+}
+
+// measure produces one program's entry.
+func measure(b workload.Benchmark) (Entry, error) {
+	e := Entry{Name: b.Name}
+	ns, allocs, st, err := measureAnalysis(b)
+	if err != nil {
+		return Entry{}, err
+	}
+	e.NsPerOp, e.AllocsPerOp, e.PTFsPerProc = ns, allocs, st.AvgPTFs()
+
+	// A fresh program per round keeps intern-table reuse out of the
+	// timing.
+	if e.WholeProgramNs, _, err = bestOf(fresh(b.Name, b.Source), analyze); err != nil {
+		return Entry{}, fmt.Errorf("%s: whole-program: %w", b.Name, err)
+	}
+	if e.Edit, err = measureEdit(b); err != nil {
+		return Entry{}, err
+	}
+	if e.Query, err = measureQuery(b); err != nil {
+		return Entry{}, err
+	}
+	if e.Query.WarmQueryNs > 0 {
+		e.Query.Speedup = float64(e.WholeProgramNs) / float64(e.Query.WarmQueryNs)
+	}
+	return e, nil
+}
+
+// measureAnalysis times Table 2's slice of one program, analysis.Run
+// over flow graphs built beforehand, and returns the fastest round's
+// nanoseconds and allocation count with the run's statistics.
+func measureAnalysis(b workload.Benchmark) (int64, uint64, analysis.Stats, error) {
+	prog, err := prepare(b.Name, b.Source)
+	if err != nil {
+		return 0, 0, analysis.Stats{}, err
+	}
+	opts := analysis.Options{Lib: libsum.Summaries()}
+	var st analysis.Stats
+	ns, allocs, err := bestOf(
+		func() (*analysis.Analysis, error) { return analysis.New(prog, opts) },
+		func(an *analysis.Analysis) error {
+			if err := an.Run(); err != nil {
+				return fmt.Errorf("%s: analysis: %w", b.Name, err)
+			}
+			st = an.Stats()
+			return nil
+		})
+	return ns, allocs, st, err
+}
+
+// bestOf runs measureRounds rounds and returns the fastest round's
+// wall-clock nanoseconds and heap allocation count. A round calls
+// setup, untimed, and then run on what setup built, under the clock. A
+// forced collection precedes the clock so the timed region pays only
+// for collections its own allocation provokes.
+func bestOf[S any](setup func() (S, error), run func(S) error) (int64, uint64, error) {
+	var ns int64
+	var allocs uint64
+	for round := 0; round < measureRounds; round++ {
+		s, err := setup()
+		if err != nil {
+			return 0, 0, err
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		err = run(s)
+		elapsed := time.Since(start).Nanoseconds()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			return 0, 0, err
+		}
+		if round == 0 || elapsed < ns {
+			ns, allocs = elapsed, after.Mallocs-before.Mallocs
+		}
+	}
+	return ns, allocs, nil
+}
+
+// fresh is a bestOf setup that runs the frontend over src again for
+// every round.
+func fresh(name, src string) func() (*sem.Program, error) {
+	return func() (*sem.Program, error) { return prepare(name, src) }
+}
+
+// analyze is a bestOf run of the whole-program analysis.
+func analyze(prog *sem.Program) error {
+	_, err := pta.AnalyzeProgram(prog, nil)
+	return err
 }

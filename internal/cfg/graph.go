@@ -66,8 +66,6 @@ type Node struct {
 	DomPre, DomPost int
 	// DF is the dominance frontier.
 	DF []*Node
-	// domDepth is the depth in the dominator tree.
-	domDepth int
 }
 
 // Dominates reports whether n dominates m (reflexive).
@@ -227,18 +225,17 @@ func (p *Proc) computeDominators() {
 		}
 	}
 	clock := 0
-	var number func(n *Node, depth int)
-	number = func(nd *Node, depth int) {
+	var number func(n *Node)
+	number = func(nd *Node) {
 		clock++
 		nd.DomPre = clock
-		nd.domDepth = depth
 		for _, c := range childBuf[childStart[nd.ID]:childStart[nd.ID+1]] {
-			number(c, depth+1)
+			number(c)
 		}
 		clock++
 		nd.DomPost = clock
 	}
-	number(entry, 0)
+	number(entry)
 }
 
 // computeDomFrontiers computes dominance frontiers (Cytron et al.).
@@ -265,6 +262,3 @@ func appendUnique(list []*Node, n *Node) []*Node {
 	}
 	return append(list, n)
 }
-
-// DomDepth returns the node's depth in the dominator tree.
-func (n *Node) DomDepth() int { return n.domDepth }

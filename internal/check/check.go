@@ -160,9 +160,6 @@ func (c *Ctx) flow(name string, cl dataflow.Client, p *analysis.PTF) {
 // (program passes use it to fill Diagnostic.Contexts).
 func (c *Ctx) Contexts(proc string) int { return c.ctxs[proc] }
 
-// FreesIn returns the recorded deallocations of one context.
-func (c *Ctx) FreesIn(p *analysis.PTF) []analysis.FreeSite { return c.frees[p] }
-
 // report records one context-local verdict, keeping the worst severity
 // per site within the context.
 func (c *Ctx) report(check string, pos ctok.Pos, sev Severity, msg string) {

@@ -191,14 +191,8 @@ func (t *Type) FieldByName(name string) *Field {
 	return nil
 }
 
-// IsInteger reports whether t is an integer type.
-func (t *Type) IsInteger() bool { return t.Kind == Int }
-
 // IsArith reports whether t is an arithmetic (integer or floating) type.
 func (t *Type) IsArith() bool { return t.Kind == Int || t.Kind == Float }
-
-// IsScalar reports whether t is arithmetic or a pointer.
-func (t *Type) IsScalar() bool { return t.IsArith() || t.Kind == Pointer }
 
 // IsPointerLike reports whether values of type t can hold a pointer: a
 // pointer, or an integer at least as wide as a pointer (C programs store

@@ -115,8 +115,5 @@ func (in *Interner) ResolveID(id LocID) LocID {
 	return rid
 }
 
-// NumInterned returns the number of distinct location sets interned.
-func (in *Interner) NumInterned() int { return len(in.locs) - 1 }
-
 // Stats returns the intern hit/miss counters (for benchmarks).
 func (in *Interner) Stats() (hits, misses uint64) { return in.hits, in.misses }

@@ -153,12 +153,6 @@ func New(proc *cfg.Proc, in *memmod.Interner) *PTS {
 	return &PTS{proc: proc, in: in}
 }
 
-// Proc returns the procedure this points-to function covers.
-func (p *PTS) Proc() *cfg.Proc { return p.proc }
-
-// Interner returns the intern table the keys run through.
-func (p *PTS) Interner() *memmod.Interner { return p.in }
-
 // Hooks receives change notifications: OnChange after any record
 // change to a location (new values, new record, weakened strong flag);
 // OnPhi when a φ-function is first placed at a meet node. An interface

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"embed"
-	"sort"
 	"strings"
 )
 
@@ -94,26 +93,8 @@ func ByName(name string) (Benchmark, bool) {
 	return Benchmark{}, false
 }
 
-// Names lists the available benchmark names, sorted as in the paper.
-func Names() []string {
-	var out []string
-	for _, b := range Suite() {
-		out = append(out, b.Name)
-	}
-	return out
-}
-
 // CountLines returns the number of source lines (as the paper counts
 // them: physical lines).
 func CountLines(src string) int {
 	return len(strings.Split(strings.TrimRight(src, "\n"), "\n"))
-}
-
-// SortedBySize returns the suite sorted by line count (paper order).
-func SortedBySize() []Benchmark {
-	s := Suite()
-	sort.Slice(s, func(i, j int) bool {
-		return CountLines(s[i].Source) < CountLines(s[j].Source)
-	})
-	return s
 }

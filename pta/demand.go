@@ -48,7 +48,7 @@ type QuerySite struct {
 // its locals, formals and a few pointerish globals, cycled over the
 // procedure's source lines and star depths 0–2, then stride-sampled
 // down to max. Sites may legitimately answer empty (a non-pointer at
-// that line); the point-query benchmark (ptabench -demandjson) reports
+// that line); the point-query measurement of ptabench -json reports
 // per-query cost over exactly that variety.
 func (r *Result) SampleQuerySites(max int) []QuerySite {
 	if max <= 0 {

@@ -84,13 +84,6 @@ func BaselineFromHash(r *Result, h *irhash.Program, opts *Options) *Baseline {
 	return &Baseline{res: r, hash: h, opts: o}
 }
 
-// Hash returns the baseline program's IR hash record.
-func (b *Baseline) Hash() *irhash.Program { return b.hash }
-
-// Result returns the wrapped result (invalid once the baseline has been
-// consumed by an incremental run).
-func (b *Baseline) Result() *Result { return b.res }
-
 // Consumed reports whether an incremental run has consumed the
 // baseline.
 func (b *Baseline) Consumed() bool { return b.consumed }
@@ -116,7 +109,7 @@ func AnalyzeIncremental(b *Baseline, files Source, entry string, opts *Options) 
 		return nil, err
 	}
 	parseTime := time.Since(t0)
-	r, err := AnalyzeIncrementalProgram(b, prog, nil, opts)
+	r, err := AnalyzeIncrementalPrepared(b, prog, nil, nil, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -124,16 +117,10 @@ func AnalyzeIncremental(b *Baseline, files Source, entry string, opts *Options) 
 	return r, nil
 }
 
-// AnalyzeIncrementalProgram is AnalyzeIncremental over an already
-// typechecked program (see Frontend). eh, when non-nil, is the
-// program's precomputed hash record.
-func AnalyzeIncrementalProgram(b *Baseline, prog *sem.Program, eh *irhash.Program, opts *Options) (*Result, error) {
-	return AnalyzeIncrementalPrepared(b, prog, nil, eh, opts)
-}
-
-// AnalyzeIncrementalPrepared is AnalyzeIncrementalProgram for callers
-// that already built the edited program's flow graphs — the daemon
-// builds them once to hash every request for cache lookup
+// AnalyzeIncrementalPrepared is AnalyzeIncremental over an already
+// typechecked program (see Frontend), for callers that may also have
+// built the edited program's flow graphs and its hash record — the
+// daemon builds both once to hash every request for cache lookup
 // (irhash.HashProcs) and need not build them again to analyze. procs
 // and eh may be nil, in which case they are computed here.
 func AnalyzeIncrementalPrepared(b *Baseline, prog *sem.Program, procs map[*cast.FuncDecl]*cfg.Proc, eh *irhash.Program, opts *Options) (*Result, error) {
