@@ -10,10 +10,11 @@
 //
 // -json writes one record per suite program (BENCH_ptabench.json), each
 // the fastest of several runs, frontend excluded: Table 2's slice
-// (analysis.Run alone), the whole-program analysis with collection, a
-// single-procedure statement tweak re-analyzed incrementally against a
-// converged baseline versus cold, and Result.PointsToAt queries cold
-// and against a held converged result.
+// (analysis.Run alone), the whole-program analysis with collection, the
+// snapshot build and encode with its size, a single-procedure statement
+// tweak re-analyzed incrementally against a converged baseline versus
+// cold, and Result.PointsToAt queries cold and against a held converged
+// result.
 package main
 
 import (
@@ -31,7 +32,7 @@ func main() {
 		table2     = flag.Bool("table2", true, "run the Table 2 harness")
 		invokeC    = flag.Bool("invoke", true, "run the invocation-graph comparison")
 		ablation   = flag.String("ablation", "eqntott", "benchmark for the reuse-policy ablation (empty to skip)")
-		jsonOut    = flag.String("json", "", "write per-program measurements (analysis, whole program, warm edit, point queries) to this file")
+		jsonOut    = flag.String("json", "", "write per-program measurements (analysis, whole program, snapshot, warm edit, point queries) to this file")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)

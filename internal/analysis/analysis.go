@@ -858,14 +858,7 @@ func (a *Analysis) Deadline() time.Time { return a.deadline }
 func (a *Analysis) MainPTF() *PTF { return a.mainPTF }
 
 // PTFs returns the PTFs of the procedure named name.
-func (a *Analysis) PTFs(name string) []*PTF {
-	for proc, l := range a.ptfs {
-		if proc.Name == name {
-			return l
-		}
-	}
-	return nil
-}
+func (a *Analysis) PTFs(name string) []*PTF { return a.ptfs[a.Proc(name)] }
 
 // Proc returns the flow graph of the named function.
 func (a *Analysis) Proc(name string) *cfg.Proc {

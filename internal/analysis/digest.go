@@ -85,21 +85,3 @@ func (p *PTF) renderDomain() string {
 	fmt.Fprintf(&b, "recursive=%v nparams=%d\n", p.recursive, len(p.params))
 	return b.String()
 }
-
-// RecordNodes returns the IDs of flow nodes at which this PTF holds any
-// points-to record (assignments and φ-functions). Between two nodes
-// with no intervening record on the dominator path, every location's
-// contents are identical — snapshot builders (pta) use this to copy
-// per-node query answers from the immediate dominator instead of
-// re-deriving them.
-func (p *PTF) RecordNodes() map[int]bool {
-	out := map[int]bool{}
-	for _, loc := range p.Pts.Locations() {
-		for _, r := range p.Pts.Records(loc) {
-			if r.Node != nil {
-				out[r.Node.ID] = true
-			}
-		}
-	}
-	return out
-}

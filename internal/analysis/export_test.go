@@ -10,3 +10,14 @@ import (
 func (a *Analysis) EdgeBindings(caller *PTF, nd *cfg.Node, callee *PTF) map[*memmod.Block]memmod.ValueSet {
 	return a.edgeBindings(caller, nd, callee)
 }
+
+// PTFsByScan finds a procedure's PTFs by scanning the whole PTF map:
+// the reference the O(1) PTFs lookup is tested against.
+func (a *Analysis) PTFsByScan(name string) []*PTF {
+	for proc, l := range a.ptfs {
+		if proc.Name == name {
+			return l
+		}
+	}
+	return nil
+}

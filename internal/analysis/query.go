@@ -111,6 +111,24 @@ func (a *Analysis) Concretize(vals memmod.ValueSet) memmod.ValueSet {
 	return a.concretize(nil, vals, 0)
 }
 
+// RecordSites makes one pass over the PTF's sparse points-to records
+// (assignments, φ-functions and entry values). It returns the IDs of
+// the flow nodes holding a record and the representative base of every
+// recorded location. Between two nodes with no record on the dominator
+// path between them every location's contents are identical, and a
+// location whose representative base is not in bases reads the empty
+// set everywhere in this PTF (see contentsAt).
+func (p *PTF) RecordSites() (nodes map[int]bool, bases map[*memmod.Block]bool) {
+	nodes, bases = map[int]bool{}, map[*memmod.Block]bool{}
+	for _, loc := range p.Pts.Locations() {
+		bases[loc.Base.Representative()] = true
+		for _, r := range p.Pts.Records(loc) {
+			nodes[r.Node.ID] = true
+		}
+	}
+	return nodes, bases
+}
+
 // ExitReached reports whether the summary has been computed through the
 // procedure exit (false only for PTFs abandoned mid-recursion).
 func (p *PTF) ExitReached() bool { return p.exitReached }
@@ -253,6 +271,13 @@ func (a *Analysis) ContentsAfter(p *PTF, v memmod.LocSet, nd *cfg.Node) memmod.V
 	return a.contentsAt(p, v, nd, true)
 }
 
+// contentsAt reads only the records of locations that overlap v, and
+// LocSet.Overlaps requires the same representative base. So when no
+// record of p is about v's representative base (see RecordSites), the
+// answer is the empty set at every node, for any offset and stride, and
+// so is every dereference of it. The snapshot builder relies on this to
+// skip such variables without a lookup; it is a fact about the records,
+// not about C types, because casts move pointers through integers.
 func (a *Analysis) contentsAt(p *PTF, v memmod.LocSet, nd *cfg.Node, includeAt bool) memmod.ValueSet {
 	v = v.Resolve()
 	if v.Base.Kind == memmod.NullBlock {

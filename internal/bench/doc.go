@@ -5,5 +5,5 @@
 // table the paper prints. WriteJSON emits one machine-readable record
 // per suite program for regression tracking: Table 2's analysis time
 // (the same measurement RunTable2One reports), the whole-program
-// analysis, a warm edit and point queries.
+// analysis, the snapshot build, a warm edit and point queries.
 package bench

@@ -48,8 +48,14 @@ type Entry struct {
 	// and collection, what any exhaustive consumer pays before it can
 	// answer anything.
 	WholeProgramNs int64 `json:"whole_program_ns"`
-	Edit           Edit  `json:"edit"`
-	Query          Query `json:"query"`
+	// SnapshotNs times Result.Snapshot(nil) and Encode, the stage a
+	// wlpad miss runs after the analysis (checkers excluded), on a
+	// result converged untimed in the same round. SnapshotBytes is the
+	// encoded size.
+	SnapshotNs    int64 `json:"snapshot_ns"`
+	SnapshotBytes int   `json:"snapshot_bytes"`
+	Edit          Edit  `json:"edit"`
+	Query         Query `json:"query"`
 }
 
 // WriteJSON measures every suite program and writes the report to path
@@ -96,6 +102,26 @@ func measure(b workload.Benchmark) (Entry, error) {
 	// timing.
 	if e.WholeProgramNs, _, err = bestOf(fresh(b.Name, b.Source), analyze); err != nil {
 		return Entry{}, fmt.Errorf("%s: whole-program: %w", b.Name, err)
+	}
+	// A build fills the points-to lookup caches, so a second build on
+	// one result would time caches warmer than a daemon's miss has.
+	converged := func() (*pta.Result, error) {
+		prog, err := prepare(b.Name, b.Source)
+		if err != nil {
+			return nil, err
+		}
+		return pta.AnalyzeProgram(prog, nil)
+	}
+	if e.SnapshotNs, _, err = bestOf(converged, func(r *pta.Result) error {
+		snap, err := r.Snapshot(nil)
+		if err != nil {
+			return err
+		}
+		data, err := snap.Encode()
+		e.SnapshotBytes = len(data)
+		return err
+	}); err != nil {
+		return Entry{}, fmt.Errorf("%s: snapshot: %w", b.Name, err)
 	}
 	if e.Edit, err = measureEdit(b); err != nil {
 		return Entry{}, err

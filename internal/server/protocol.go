@@ -28,7 +28,10 @@ type AnalyzeMeta struct {
 	// Key is the program-level cache key, hex-encoded.
 	Key string `json:"key"`
 	// Timings in milliseconds: frontend+hashing, engine (0 on a hit),
-	// snapshot build+encode (0 on a hit), end-to-end.
+	// snapshot (0 on a hit), end-to-end. SnapshotMS spans
+	// Result.Snapshot and Encode; on a diagnostics request that
+	// includes the whole checker suite, whose null-tracking
+	// re-analysis and passes Result.Snapshot runs through Result.Check.
 	HashMS     float64 `json:"hash_ms"`
 	AnalyzeMS  float64 `json:"analyze_ms"`
 	SnapshotMS float64 `json:"snapshot_ms"`

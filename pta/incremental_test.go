@@ -79,14 +79,9 @@ func TestIncrementalNoopEdit(t *testing.T) {
 	}
 }
 
-// TestIncrementalSingleProcEdit applies a one-procedure edit and checks
-// the incremental result bit-identical to a cold analysis of the edited
-// program, with exactly the edit's dirty cone reconverged. It runs with
-// default options on four Ps, as a multi-core daemon does: the graft
-// must engage whatever the host's core count.
-func TestIncrementalSingleProcEdit(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	base := `
+// singleProcEditBase is a program whose edit (singleProcEdited) changes
+// one procedure, h: f and g stay clean, h and its caller main reconverge.
+const singleProcEditBase = `
 int gx, gy;
 int *fp, *gp;
 int hx, hy;
@@ -96,7 +91,19 @@ void f(void) { fp = &gx; g(); }
 void h(void) { hp = &hx; }
 int main(void) { f(); h(); return 0; }
 `
-	edited := strings.Replace(base, "hp = &hx;", "hp = &hy;", 1)
+
+func singleProcEdited() string {
+	return strings.Replace(singleProcEditBase, "hp = &hx;", "hp = &hy;", 1)
+}
+
+// TestIncrementalSingleProcEdit applies a one-procedure edit and checks
+// the incremental result bit-identical to a cold analysis of the edited
+// program, with exactly the edit's dirty cone reconverged. It runs with
+// default options on four Ps, as a multi-core daemon does: the graft
+// must engage whatever the host's core count.
+func TestIncrementalSingleProcEdit(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	base, edited := singleProcEditBase, singleProcEdited()
 	if edited == base {
 		t.Fatal("edit did not apply")
 	}

@@ -266,11 +266,17 @@ func queryNodeIndex(cproc *cfg.Proc, line int) int {
 
 // pointsToAtNode computes the PointsToAt answer for a resolved symbol,
 // star depth, and flow node: the union over every analyzed context,
-// concretized, deduplicated, and sorted. Shared between the live query
-// path and the snapshot builder.
+// concretized, deduplicated, and sorted. It is the live query path and
+// the reference the snapshot builder's two steps must reproduce.
 func (r *Result) pointsToAtNode(proc string, sym *cast.Symbol, stars int, nd *cfg.Node) []string {
+	return r.concreteNames(r.unionAtNode(r.an.PTFs(proc), sym, stars, nd))
+}
+
+// unionAtNode is the symbolic union, over the contexts ptfs, of what
+// sym holds after nd with stars further dereferences.
+func (r *Result) unionAtNode(ptfs []*analysis.PTF, sym *cast.Symbol, stars int, nd *cfg.Node) memmod.ValueSet {
 	var union memmod.ValueSet
-	for _, p := range r.an.PTFs(proc) {
+	for _, p := range ptfs {
 		vals := r.an.ContentsAfter(p, r.an.VarLoc(p, sym, 0, 0), nd)
 		for s := 0; s < stars; s++ {
 			var next memmod.ValueSet
@@ -281,6 +287,12 @@ func (r *Result) pointsToAtNode(proc string, sym *cast.Symbol, stars int, nd *cf
 		}
 		union.AddAll(vals)
 	}
+	return union
+}
+
+// concreteNames concretizes a union and returns the sorted, distinct
+// names of the blocks it denotes.
+func (r *Result) concreteNames(union memmod.ValueSet) []string {
 	union = r.an.Concretize(union)
 	seen := map[string]bool{}
 	var names []string

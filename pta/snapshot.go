@@ -19,20 +19,38 @@ package pta
 // answers are interned in a shared pool (Snapshot.Answers, id 0 =
 // empty), and a per-variable answer vector that is constant across all
 // nodes of a procedure is stored as a single element. The builder
-// avoids recomputing answers at nodes that hold no points-to record in
-// any PTF of the procedure: under the sparse representation a lookup
-// at such a node walks the dominator tree, so its answer equals the
-// immediate dominator's and is copied (analysis.PTF.RecordNodes).
+// computes an answer only where one can differ, and pays for each
+// distinct answer once; one pass over each PTF's records
+// (analysis.PTF.RecordSites) yields what the first two rules read:
+//
+//   - A variable whose location, in every PTF of the procedure, has a
+//     representative base no record of that PTF is about reads the
+//     empty set at every node and depth, and is stored as [[0],[0],[0]]
+//     with no lookup. The test follows the extended parameter VarLoc
+//     binds a global to, and never consults C types.
+//   - A node that holds no points-to record in any PTF of the procedure
+//     answers what its immediate dominator answers (a sparse lookup
+//     walks the dominator tree), so the dominator's id is copied.
+//   - Every other answer is computed in two steps: the symbolic union
+//     over contexts, then its concretized, sorted names. A build
+//     concretizes each distinct union once and reuses its pool id.
+//
+// The live Result.PointsToAt computes the same answers in one step
+// (pointsToAtNode); the snapshot tests compare the two at every node.
 
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
+	"wlpa/internal/analysis"
 	"wlpa/internal/cast"
 	"wlpa/internal/check"
 	"wlpa/internal/ctok"
+	"wlpa/internal/memmod"
 )
 
 // SnapshotFormat versions the serialized layout. DecodeSnapshot rejects
@@ -153,7 +171,7 @@ func (r *Result) Snapshot(opts *SnapshotOptions) (*Snapshot, error) {
 		})
 	}
 
-	pool := newAnswerPool()
+	pool := newAnswerPool(r)
 	for _, proc := range r.Procedures() {
 		ps, err := r.snapProc(proc, pool)
 		if err != nil {
@@ -201,12 +219,17 @@ func (r *Result) snapProc(proc string, pool *answerPool) (*ProcSnap, error) {
 		ps.Cols = append(ps.Cols, nd.Pos.Col)
 	}
 
-	// Nodes holding any points-to record in any context: only these
-	// (plus the entry) can change an answer relative to the immediate
-	// dominator.
+	// One pass over each context's records yields the nodes holding a
+	// record in any context, which (with the entry) are the only nodes
+	// whose answers can differ from their immediate dominator's, and
+	// per context the blocks some record is about.
+	ptfs := r.an.PTFs(proc)
 	hot := map[int]bool{}
-	for _, p := range r.an.PTFs(proc) {
-		for id := range p.RecordNodes() {
+	bases := make([]map[*memmod.Block]bool, len(ptfs))
+	for i, p := range ptfs {
+		var nodes map[int]bool
+		nodes, bases[i] = p.RecordSites()
+		for id := range nodes {
 			hot[id] = true
 		}
 	}
@@ -231,6 +254,13 @@ func (r *Result) snapProc(proc string, pool *answerPool) (*ProcSnap, error) {
 
 	for _, sym := range syms {
 		vs := VarSnap{Name: sym.Name}
+		if !r.mayHold(ptfs, bases, sym) {
+			for d := range vs.Depths {
+				vs.Depths[d] = []int{0}
+			}
+			ps.Vars = append(ps.Vars, vs)
+			continue
+		}
 		for d := 0; d <= MaxQueryDepth; d++ {
 			ids := make([]int, len(cproc.Nodes))
 			constant := true
@@ -238,7 +268,7 @@ func (r *Result) snapProc(proc string, pool *answerPool) (*ProcSnap, error) {
 				if i > 0 && !hot[nd.ID] && nd.Idom != nil {
 					ids[i] = ids[nd.Idom.ID]
 				} else {
-					ids[i] = pool.intern(r.pointsToAtNode(proc, sym, d, nd))
+					ids[i] = pool.unionID(r.unionAtNode(ptfs, sym, d, nd))
 				}
 				if ids[i] != ids[0] {
 					constant = false
@@ -254,21 +284,66 @@ func (r *Result) snapProc(proc string, pool *answerPool) (*ProcSnap, error) {
 	return ps, nil
 }
 
-// answerPool interns answer slices; id 0 is the empty answer.
-type answerPool struct {
-	ids  map[string]int
-	list [][]string
+// mayHold reports whether sym can read a non-empty set in some context
+// of ptfs: whether a record of that context is about the representative
+// base of the location sym names there. Otherwise every answer, at any
+// node and depth, is empty (the argument is beside analysis.contentsAt).
+// It decides from the records and the bound parameters that VarLoc
+// follows, never from sym's C type.
+func (r *Result) mayHold(ptfs []*analysis.PTF, bases []map[*memmod.Block]bool, sym *cast.Symbol) bool {
+	for i, p := range ptfs {
+		if bases[i][r.an.VarLoc(p, sym, 0, 0).Resolve().Base.Representative()] {
+			return true
+		}
+	}
+	return false
 }
 
-func newAnswerPool() *answerPool {
+// answerPool interns answers (id 0 is the empty answer) and remembers
+// the id of every symbolic union it has concretized, so one snapshot
+// build concretizes each distinct union once.
+type answerPool struct {
+	r      *Result
+	ids    map[string]int
+	list   [][]string
+	unions map[uint64][]pooledUnion // by memmod.ValueSet.Fingerprint
+}
+
+type pooledUnion struct {
+	vals memmod.ValueSet
+	id   int
+}
+
+func newAnswerPool(r *Result) *answerPool {
 	return &answerPool{
-		ids:  map[string]int{"0\x00": 0},
-		list: [][]string{{}},
+		r:      r,
+		ids:    map[string]int{"0\x00": 0},
+		list:   [][]string{{}},
+		unions: map[uint64][]pooledUnion{},
 	}
 }
 
+// unionID returns the id of a symbolic union's answer. The answer
+// depends only on the union and the converged parameter bindings that
+// Concretize reads, so equal unions share an id. A fingerprint hit is
+// confirmed member by member in order, not as a set: Concretize stops
+// 64 bindings deep and expands each member once, so past that depth
+// its result can depend on member order. On the suite programs this
+// costs at most five extra concretizations per build.
+func (p *answerPool) unionID(vals memmod.ValueSet) int {
+	fp := vals.Fingerprint()
+	for _, u := range p.unions[fp] {
+		if slices.Equal(u.vals.Locs(), vals.Locs()) {
+			return u.id
+		}
+	}
+	id := p.intern(p.r.concreteNames(vals))
+	p.unions[fp] = append(p.unions[fp], pooledUnion{vals: vals, id: id})
+	return id
+}
+
 func (p *answerPool) intern(names []string) int {
-	key := fmt.Sprintf("%d\x00%s", len(names), strings.Join(names, "\x1f"))
+	key := strconv.Itoa(len(names)) + "\x00" + strings.Join(names, "\x1f")
 	if id, ok := p.ids[key]; ok {
 		return id
 	}

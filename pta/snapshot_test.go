@@ -264,3 +264,159 @@ func TestDecodeSnapshotRejectsBadInput(t *testing.T) {
 		t.Errorf("wrong format version accepted")
 	}
 }
+
+// checkEveryNode compares every answer a snapshot stores with the live
+// pointsToAtNode on the result it froze: every analyzed procedure,
+// every flow node, every variable and every depth 0..MaxQueryDepth.
+// TestSnapshotRoundTrip reaches only the node a line resolves to; this
+// also reaches the nodes the builder copies from a dominator or skips.
+// It returns the number of answers compared.
+func checkEveryNode(t *testing.T, r *Result, snap *Snapshot) int {
+	t.Helper()
+	if got, want := snap.Procedures(), r.Procedures(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("snapshot procedures %v, analyzed %v", got, want)
+	}
+	answers := 0
+	for pi := range snap.Procs {
+		ps := &snap.Procs[pi]
+		cproc := r.an.Proc(ps.Name)
+		if len(ps.Lines) != len(cproc.Nodes) {
+			t.Fatalf("%s: %d node positions for %d nodes", ps.Name, len(ps.Lines), len(cproc.Nodes))
+		}
+		vars := map[string]bool{}
+		for vi := range ps.Vars {
+			vs := &ps.Vars[vi]
+			vars[vs.Name] = true
+			sym := procSymbol(cproc, vs.Name)
+			if sym == nil {
+				sym = r.findGlobal(vs.Name)
+			}
+			if sym == nil {
+				t.Fatalf("%s: snapshot variable %s resolves to nothing", ps.Name, vs.Name)
+			}
+			for d, ids := range vs.Depths {
+				if len(ids) != 1 && len(ids) != len(cproc.Nodes) {
+					t.Fatalf("%s %s depth %d: %d ids for %d nodes", ps.Name, vs.Name, d, len(ids), len(cproc.Nodes))
+				}
+				for i, nd := range cproc.Nodes {
+					id := ids[0]
+					if len(ids) > 1 {
+						id = ids[i]
+					}
+					got := snap.Answers[id]
+					want := r.pointsToAtNode(ps.Name, sym, d, nd)
+					if normNames(got) != normNames(want) {
+						t.Fatalf("%s node %d (%s) %s%s: snapshot %v, live %v",
+							ps.Name, nd.ID, nd.Pos, strings.Repeat("*", d), vs.Name, got, want)
+					}
+					answers++
+				}
+			}
+		}
+		names := []string{}
+		for _, l := range cproc.Locals {
+			names = append(names, l.Name)
+		}
+		for _, p := range cproc.Fn.Params {
+			if p.Sym != nil {
+				names = append(names, p.Sym.Name)
+			}
+		}
+		for _, g := range r.prog.Globals {
+			names = append(names, g.Name)
+		}
+		for _, name := range names {
+			if !vars[name] {
+				t.Errorf("%s: variable %s missing from the snapshot", ps.Name, name)
+			}
+		}
+	}
+	return answers
+}
+
+// suiteAndFixtures returns the suite programs and the bug fixtures
+// (named bug_<fixture>), keyed by name.
+func suiteAndFixtures() map[string]string {
+	progs := map[string]string{}
+	for _, b := range workload.Suite() {
+		progs[b.Name] = b.Source
+	}
+	for name, src := range workload.BugFixtures() {
+		progs["bug_"+name] = src
+	}
+	return progs
+}
+
+// TestSnapshotEveryNode checks every stored answer against the live
+// query path (checkEveryNode) on the suite programs, the bug fixtures,
+// two grafted results, and a program whose pointers travel through
+// integer globals, which a skip decided by C types would answer empty.
+func TestSnapshotEveryNode(t *testing.T) {
+	for name, src := range suiteAndFixtures() {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			r, err := AnalyzeSource(name+".c", src, nil)
+			if err != nil {
+				t.Fatalf("analyze: %v", err)
+			}
+			if checkEveryNode(t, r, roundTrippedSnapshot(t, r, nil)) == 0 {
+				t.Fatal("no answers compared")
+			}
+		})
+	}
+
+	compiler, ok := workload.ByName("compiler")
+	if !ok {
+		t.Fatal("compiler missing from the suite")
+	}
+	compilerEdit, ok := workload.TweakNthStatement(compiler.Source, 1)
+	if !ok {
+		t.Fatal("compiler has no tweak 1")
+	}
+	grafts := []struct{ name, base, edited string }{
+		{"graft/single-proc-edit", singleProcEditBase, singleProcEdited()},
+		{"graft/compiler-tweak-1", compiler.Source, compilerEdit},
+	}
+	for _, g := range grafts {
+		t.Run(g.name, func(t *testing.T) {
+			base, err := AnalyzeSource("edit.c", g.base, nil)
+			if err != nil {
+				t.Fatalf("baseline: %v", err)
+			}
+			bl, err := NewBaseline(base, nil)
+			if err != nil {
+				t.Fatalf("NewBaseline: %v", err)
+			}
+			inc, err := AnalyzeIncremental(bl, Source{"edit.c": g.edited}, "edit.c", nil)
+			if err != nil {
+				t.Fatalf("incremental: %v", err)
+			}
+			if st := inc.Incremental(); st == nil || st.Fallback != "" || st.DirtyProcs == 0 || st.RestoredPTFs == 0 {
+				t.Fatalf("edit did not graft: %+v", st)
+			}
+			checkEveryNode(t, inc, roundTrippedSnapshot(t, inc, nil))
+		})
+	}
+
+	t.Run("pointers-through-integer-globals", func(t *testing.T) {
+		// long is wide enough to count as pointer-like, int is not.
+		r := analyze(t, `
+int x, y;
+long addr = (long)&x;
+int small;
+int f(void) {
+    int *p = (int *)addr;
+    int *q = (int *)small;
+    return *p + *q;
+}
+int main(void) { small = (int)&y; return f(); }
+`)
+		snap := roundTrippedSnapshot(t, r, nil)
+		checkEveryNode(t, r, snap)
+		for expr, want := range map[string]string{"addr": "x", "p": "x", "small": "y", "q": "y"} {
+			if got := snap.PointsToAt("f", 8, expr); normNames(got) != want {
+				t.Errorf("PointsToAt(f, 8, %s) = %v, want [%s]", expr, got, want)
+			}
+		}
+	})
+}
