@@ -555,9 +555,11 @@ type Analysis struct {
 	keptCache    map[*cfg.Proc][]*PTF
 	restoredPTFs int
 	// collecting, when non-nil, marks the final solution-collection
-	// pass: every reachable PTF is visited exactly once so that all
-	// parameter bindings are re-derived from the fixpoint.
+	// pass and holds the PTFs it visited: each reachable PTF exactly
+	// once, in the first context that reaches it (see collectSolution).
 	collecting map[*PTF]bool
+	// collectVisits counts the PTF visits of the last collection pass.
+	collectVisits int
 	// readers registers, per memory block (by representative), the
 	// (PTF, node) pairs whose evaluation read the block's records; a
 	// write to the block re-dirties exactly those nodes.
@@ -623,7 +625,7 @@ func New(prog *sem.Program, opts Options) (*Analysis, error) {
 	if opts.CollectSolution {
 		a.solution = newSolution()
 		a.solution.resolve = func(v memmod.ValueSet) memmod.ValueSet {
-			return a.concretize(nil, v, 0)
+			return a.concretize(v, 0)
 		}
 		a.paramConcrete = make(map[*memmod.Block]*memmod.ValueSet)
 	}

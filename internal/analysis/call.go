@@ -175,11 +175,11 @@ func (a *Analysis) callDefinedRet(f *frame, nd *cfg.Node, fd *cast.FuncDecl, arg
 	ptf, pmap, needVisit := a.getPTF(f, nd, proc, args)
 	f.ptf.siteUsed.put(siteKey{nd, proc}, ptf)
 	f.ptf.callEdges.put(siteKey{nd, proc}, ptf)
-	if a.collecting != nil && !a.collecting[ptf] {
+	if a.collecting != nil {
 		// Solution-collection pass: descend once into every reachable
 		// PTF so its call sites re-derive their parameter bindings.
+		needVisit = !a.collecting[ptf]
 		a.collecting[ptf] = true
-		needVisit = true
 	}
 	cf := a.carveFrame()
 	cf.ptf, cf.caller, cf.callNode = ptf, f, nd
@@ -188,7 +188,7 @@ func (a *Analysis) callDefinedRet(f *frame, nd *cfg.Node, fd *cast.FuncDecl, arg
 	// incremental graft a kept procedure's local symbols are the
 	// baseline's, while the program's FuncDecl is the edited one.
 	a.recordFormalBindings(cf, ptf.Proc.Fn, args)
-	if needVisit || !ptf.exitReached {
+	if needVisit || (!ptf.exitReached && a.collecting == nil) {
 		a.stack = append(a.stack, cf)
 		a.evalProc(cf)
 		a.stack = a.stack[:len(a.stack)-1]
@@ -455,7 +455,7 @@ func (a *Analysis) matchPTFInto(f *frame, nd *cfg.Node, ptf *PTF, args []memmod.
 					return nil, false, false
 				}
 				pmap[p] = actual
-				a.bindParamConcrete(cf, p, actual)
+				a.bindParamConcrete(p, actual)
 			}
 		case ptrInitEntry:
 			actuals, ok := a.entryActuals(cf, e)
@@ -494,7 +494,7 @@ func (a *Analysis) matchPTFInto(f *frame, nd *cfg.Node, ptf *PTF, args []memmod.
 					a.arena.AddAll(&merged, a.arena.ShiftSet(actuals, -val.Off))
 					pmap[p] = merged
 					a.setNotUnique(p)
-					a.bindParamConcrete(cf, p, pmap[p])
+					a.bindParamConcrete(p, pmap[p])
 				}
 			} else {
 				if actuals.IsEmpty() {
@@ -508,7 +508,7 @@ func (a *Analysis) matchPTFInto(f *frame, nd *cfg.Node, ptf *PTF, args []memmod.
 				} else {
 					pmap[p] = a.arena.ShiftSet(actuals, -val.Off)
 				}
-				a.bindParamConcrete(cf, p, pmap[p])
+				a.bindParamConcrete(p, pmap[p])
 			}
 		}
 	}
@@ -716,7 +716,7 @@ func (a *Analysis) replayBindMerge(f *frame, nd *cfg.Node, ptf *PTF, args []memm
 			} else {
 				pmap[p] = actual
 			}
-			a.bindParamConcrete(cf, p, pmap[p])
+			a.bindParamConcrete(p, pmap[p])
 			a.extendFuncPtrVals(p, pmap[p])
 		case ptrInitEntry:
 			actuals, _ := a.entryActuals(cf, e)
@@ -753,7 +753,7 @@ func (a *Analysis) replayBindMerge(f *frame, nd *cfg.Node, ptf *PTF, args []memm
 				}
 			}
 			a.extendParamPtrLocs(p, pmap[p])
-			a.bindParamConcrete(cf, p, pmap[p])
+			a.bindParamConcrete(p, pmap[p])
 			a.extendFuncPtrVals(p, pmap[p])
 			if mergeRecords && !actuals.IsEmpty() {
 				// Recursive call: the entry record of this input
@@ -868,7 +868,7 @@ func (a *Analysis) applySummary(f *frame, nd *cfg.Node, cf *frame, multi, withRe
 		}
 		if f.ptf.Pts.Assign(dl, merged, nd, strong) {
 			changed = true
-			a.recordSolution(f, dl, merged)
+			a.recordSolution(dl, merged)
 		}
 	}
 	a.pendBuf = pend[:0]
@@ -896,7 +896,7 @@ func (a *Analysis) applySummary(f *frame, nd *cfg.Node, cf *frame, multi, withRe
 				}
 				if f.ptf.Pts.Assign(dl, merged, nd, strong) {
 					changed = true
-					a.recordSolution(f, dl, merged)
+					a.recordSolution(dl, merged)
 				}
 			}
 		}

@@ -13,6 +13,9 @@ import (
 // worklist engine seeds the iteration from the PTF's dirty nodes; the
 // full engine re-evaluates every node per sweep.
 func (a *Analysis) evalProc(f *frame) {
+	if a.collecting != nil {
+		a.collectVisits++
+	}
 	if a.track {
 		a.evalProcDirty(f)
 	} else {
@@ -29,9 +32,9 @@ func (a *Analysis) evalProcFull(f *frame) {
 	// work — they re-derive parameter and formal bindings and descend
 	// into callees not yet collected. One reverse-postorder sweep marks
 	// every node evaluated (a node's tree predecessor precedes it), so a
-	// single calls-only sweep reaches every call site. Cold runs keep the
-	// full sweep: the collection pass doubles as a cross-check that the
-	// claimed fixpoint really is one.
+	// single calls-only sweep reaches every call site. Cold runs sweep
+	// each PTF fully, once, in the first context that reaches it: the
+	// collection pass doubles as a cross-check of the claimed fixpoint.
 	callsOnly := a.incremental && a.collecting != nil
 	f.evaluated = make([]bool, len(f.ptf.Proc.Nodes))
 	for iter := 0; ; iter++ {
@@ -202,7 +205,7 @@ func (a *Analysis) evalMeet(f *frame, nd *cfg.Node) bool {
 		}
 		if f.ptf.Pts.AssignPhi(loc, srcs, nd) {
 			changed = true
-			a.recordSolution(f, loc, srcs)
+			a.recordSolution(loc, srcs)
 		}
 	}
 	return changed
@@ -330,7 +333,7 @@ func (a *Analysis) evalAssign(f *frame, nd *cfg.Node) bool {
 		}
 		if f.ptf.Pts.Assign(dst, newSrcs, nd, strong) {
 			changed = true
-			a.recordSolution(f, dst, newSrcs)
+			a.recordSolution(dst, newSrcs)
 		}
 	}
 	return changed
@@ -376,7 +379,7 @@ func (a *Analysis) evalAggregateCopy(f *frame, nd *cfg.Node, dsts memmod.ValueSe
 				}
 				if f.ptf.Pts.Assign(target, merged, nd, false) {
 					changed = true
-					a.recordSolution(f, target, merged)
+					a.recordSolution(target, merged)
 				}
 			}
 		}

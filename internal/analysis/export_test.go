@@ -21,3 +21,7 @@ func (a *Analysis) PTFsByScan(name string) []*PTF {
 	}
 	return nil
 }
+
+// CollectVisits returns the number of PTF visits the last
+// solution-collection pass made, main's included.
+func (a *Analysis) CollectVisits() int { return a.collectVisits }

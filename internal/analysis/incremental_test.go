@@ -64,7 +64,21 @@ func TestPTFsAfterGraft(t *testing.T) {
 	}
 	a, base := runOpts(t, b.Source, analysis.Options{CollectSolution: true})
 	samePTFs(t, a, base)
+	edited, st := graft(t, a, base, src)
+	if st.CleanProcs == 0 || st.DirtyProcs == 0 {
+		t.Fatalf("edit should leave procedures on both sides: %+v", st)
+	}
+	if a.RestoredPTFs() == 0 {
+		t.Fatal("the graft restored no PTF")
+	}
+	samePTFs(t, a, edited)
+}
 
+// graft re-runs a, converged on base, on the edit src: procedures whose
+// closure hash survived the edit keep their PTFs. It returns the edited
+// program and the graft's accounting.
+func graft(t *testing.T, a *analysis.Analysis, base *sem.Program, src string) (*sem.Program, *analysis.IncrementalStats) {
+	t.Helper()
 	baseHash, err := irhash.Hash(base)
 	if err != nil {
 		t.Fatal(err)
@@ -86,14 +100,8 @@ func TestPTFsAfterGraft(t *testing.T) {
 	if err != nil {
 		t.Fatalf("graft refused: %v", err)
 	}
-	if st.CleanProcs == 0 || st.DirtyProcs == 0 {
-		t.Fatalf("edit should leave procedures on both sides: %+v", st)
-	}
 	if err := a.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if a.RestoredPTFs() == 0 {
-		t.Fatal("the graft restored no PTF")
-	}
-	samePTFs(t, a, edited)
+	return edited, st
 }

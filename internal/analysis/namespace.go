@@ -69,7 +69,7 @@ func (a *Analysis) newParam(f *frame, hint string, actuals memmod.ValueSet) *mem
 	}
 	f.ptf.params = append(f.ptf.params, p)
 	f.pmap[p] = a.arena.CloneSet(actuals)
-	a.bindParamConcrete(f, p, actuals)
+	a.bindParamConcrete(p, actuals)
 	return p
 }
 
@@ -98,7 +98,7 @@ func (a *Analysis) globalParam(f *frame, sym *cast.Symbol) *memmod.Block {
 		if _, bound := f.pmap[p]; !bound {
 			actual := memmod.Values(a.callerGlobalLoc(f, sym))
 			f.pmap[p] = actual
-			a.bindParamConcrete(f, p, actual)
+			a.bindParamConcrete(p, actual)
 		}
 		return p
 	}
@@ -352,7 +352,7 @@ func (a *Analysis) bindInitial(f *frame, v memmod.LocSet, actuals memmod.ValueSe
 	a.changed = true
 	vals := memmod.Values(val)
 	f.ptf.Pts.Assign(v, vals, f.ptf.Proc.Entry, false)
-	a.recordSolution(f, v, vals)
+	a.recordSolution(v, vals)
 	return vals
 }
 

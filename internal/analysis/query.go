@@ -108,7 +108,7 @@ func (a *Analysis) Concretize(vals memmod.ValueSet) memmod.ValueSet {
 	if a.paramConcrete == nil {
 		return vals.Resolved()
 	}
-	return a.concretize(nil, vals, 0)
+	return a.concretize(vals, 0)
 }
 
 // RecordSites makes one pass over the PTF's sparse points-to records

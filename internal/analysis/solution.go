@@ -105,11 +105,10 @@ func (s *Solution) Locations() []memmod.LocSet {
 
 // recordSolution mirrors an assignment into the collapsed solution in
 // parametrized form; resolution happens at query time.
-func (a *Analysis) recordSolution(f *frame, loc memmod.LocSet, vals memmod.ValueSet) {
+func (a *Analysis) recordSolution(loc memmod.LocSet, vals memmod.ValueSet) {
 	if a.solution == nil {
 		return
 	}
-	_ = f
 	a.solution.add(loc, vals)
 }
 
@@ -132,7 +131,7 @@ func (a *Analysis) mirrorSummary(cf *frame) {
 			if r.Vals.IsEmpty() {
 				continue
 			}
-			a.recordSolution(cf, loc, r.Vals)
+			a.recordSolution(loc, r.Vals)
 		}
 	}
 }
@@ -142,9 +141,12 @@ func (a *Analysis) mirrorSummary(cf *frame) {
 // parameter bindings accumulated while iterating include transient
 // intermediate values that depend on evaluation order (and so differ
 // between the worklist engine and the full-pass fallback). A final
-// full-evaluation pass over the fixpoint — which changes no analysis
-// fact — re-derives every parameter binding and formal binding, and the
-// final sparse records of every PTF are then mirrored wholesale.
+// pass over the fixpoint — which changes no analysis fact — re-derives
+// every parameter binding and formal binding, and the final sparse
+// records of every PTF are then mirrored wholesale. The pass descends
+// into each PTF once; later call sites only bind, since a revisit would
+// re-record the callee's own sites' raw values, which concretize
+// resolves the same way whichever caller reached it.
 func (a *Analysis) collectSolution(mf *frame) {
 	for k := range a.solution.raw {
 		delete(a.solution.raw, k)
@@ -157,6 +159,7 @@ func (a *Analysis) collectSolution(mf *frame) {
 	track := a.track
 	a.track = false
 	a.collecting = map[*PTF]bool{mf.ptf: true}
+	a.collectVisits = 0
 	a.stack = append(a.stack[:0], mf)
 	a.evalProc(mf)
 	a.stack = a.stack[:0]
@@ -171,7 +174,7 @@ func (a *Analysis) collectSolution(mf *frame) {
 					if r.Vals.IsEmpty() {
 						continue
 					}
-					a.recordSolution(nil, loc, r.Vals)
+					a.recordSolution(loc, r.Vals)
 				}
 			}
 		}
@@ -182,8 +185,7 @@ func (a *Analysis) collectSolution(mf *frame) {
 // extended parameter stands for the union of every actual binding it
 // ever received (context-collapsed), resolved transitively since
 // bindings may themselves name parameters of outer procedures.
-func (a *Analysis) concretize(f *frame, vals memmod.ValueSet, depth int) memmod.ValueSet {
-	_ = f
+func (a *Analysis) concretize(vals memmod.ValueSet, depth int) memmod.ValueSet {
 	var out memmod.ValueSet
 	a.concretizeInto(vals, &out, make(map[memmod.LocSet]bool), depth)
 	return out
@@ -217,8 +219,7 @@ func (a *Analysis) concretizeInto(vals memmod.ValueSet, out *memmod.ValueSet, se
 
 // bindParamConcrete accumulates the raw actual values a parameter was
 // bound to in some context; they resolve transitively in concretize.
-func (a *Analysis) bindParamConcrete(owner *frame, p *memmod.Block, vals memmod.ValueSet) {
-	_ = owner
+func (a *Analysis) bindParamConcrete(p *memmod.Block, vals memmod.ValueSet) {
 	if a.paramConcrete == nil || vals.IsEmpty() {
 		return
 	}
@@ -249,6 +250,6 @@ func (a *Analysis) recordFormalBindings(cf *frame, fd *cast.FuncDecl, args []mem
 			continue
 		}
 		loc := memmod.Loc(cf.ptf.localBlock(p.Sym), 0, 0)
-		a.recordSolution(cf, loc, args[i])
+		a.recordSolution(loc, args[i])
 	}
 }
