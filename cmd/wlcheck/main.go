@@ -103,17 +103,29 @@ func main() {
 		diags = snap.Diagnostics()
 		modrefLines = snap.ModRefDump()
 	} else {
-		res, err := pta.Analyze(files, entry, &pta.Options{MaxPTFs: *maxPTFs})
+		opts := &pta.Options{MaxPTFs: *maxPTFs}
+		prog, err := pta.Frontend(files, entry, nil)
 		if err != nil {
 			fail(err)
 		}
-		siteOut := os.Stdout
-		if *format != "text" {
-			siteOut = os.Stderr
-		}
-		for _, s := range sites {
-			pts := res.PointsToAt(s.proc, s.line, s.expr)
-			fmt.Fprintf(siteOut, "%s:%d %s => {%s}\n", s.proc, s.line, s.expr, strings.Join(pts, ", "))
+		// Only the site answers and the MOD/REF dump read the main
+		// analysis; the checker converges its own.
+		if len(sites) > 0 || *modref {
+			res, err := pta.AnalyzeProgram(prog, opts)
+			if err != nil {
+				fail(err)
+			}
+			siteOut := os.Stdout
+			if *format != "text" {
+				siteOut = os.Stderr
+			}
+			for _, s := range sites {
+				pts := res.PointsToAt(s.proc, s.line, s.expr)
+				fmt.Fprintf(siteOut, "%s:%d %s => {%s}\n", s.proc, s.line, s.expr, strings.Join(pts, ", "))
+			}
+			if *modref {
+				modrefLines = res.ModRefDump()
+			}
 		}
 		copts := &pta.CheckOptions{}
 		if *checks != "" {
@@ -122,12 +134,9 @@ func main() {
 		if *passes != "" {
 			copts.Passes = strings.Split(*passes, ",")
 		}
-		diags, err = res.Check(copts)
+		diags, err = pta.CheckProgram(prog, opts, copts)
 		if err != nil {
 			fail(err)
-		}
-		if *modref {
-			modrefLines = res.ModRefDump()
 		}
 	}
 	if *modref {

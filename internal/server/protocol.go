@@ -28,13 +28,16 @@ type AnalyzeMeta struct {
 	// Key is the program-level cache key, hex-encoded.
 	Key string `json:"key"`
 	// Timings in milliseconds: frontend+hashing, engine (0 on a hit),
-	// snapshot (0 on a hit), end-to-end. SnapshotMS spans
-	// Result.Snapshot and Encode; on a diagnostics request that
-	// includes the whole checker suite, whose null-tracking
-	// re-analysis and passes Result.Snapshot runs through Result.Check.
+	// snapshot (0 on a hit), checker, end-to-end. SnapshotMS spans
+	// Result.Snapshot, built without diagnostics, and Encode. CheckMS
+	// is the wall time of the checker suite, the null-tracking analysis
+	// plus the passes (0 unless the miss asked for diagnostics). When a
+	// second in-flight slot was free it ran beside the analysis and the
+	// snapshot build, so TotalMS may be less than the sum of the parts.
 	HashMS     float64 `json:"hash_ms"`
 	AnalyzeMS  float64 `json:"analyze_ms"`
 	SnapshotMS float64 `json:"snapshot_ms"`
+	CheckMS    float64 `json:"check_ms"`
 	TotalMS    float64 `json:"total_ms"`
 	// ProcHits and ProcMisses are always empty.
 	//

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 
 	"wlpa/internal/cfg"
 	"wlpa/internal/irhash"
+	"wlpa/internal/sem"
 	"wlpa/pta"
 )
 
@@ -182,29 +184,11 @@ func (s *Server) handleQueryPost(w http.ResponseWriter, r *http.Request) {
 
 	e := s.queries.get(req.Entry)
 	if e == nil || e.root != ir.Root {
-		// Cold: converge the program under the in-flight bound and
-		// register the result warm. The result is deliberately NOT
-		// handed to the warm-edit baseline registry — grafting would
-		// mutate it under our feet.
-		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-		case <-r.Context().Done():
-			s.fail(w, r, t0, http.StatusServiceUnavailable,
-				fmt.Errorf("no analysis slot available: %w", r.Context().Err()))
+		var status int
+		if e, status, err = s.queryMiss(r.Context(), req.Entry, prog, ir.Root, &meta); err != nil {
+			s.fail(w, r, t0, status, err)
 			return
 		}
-		ta := time.Now()
-		opts := s.cfg.Options
-		res, err := pta.AnalyzeProgram(prog, &opts)
-		if err != nil {
-			s.fail(w, r, t0, http.StatusUnprocessableEntity, err)
-			return
-		}
-		meta.AnalyzeMS = ms(time.Since(ta))
-		s.metrics.observe("analyze", meta.AnalyzeMS)
-		e = &queryEntry{root: ir.Root, res: res}
-		s.queries.put(req.Entry, e)
 		meta.Cache = "cold"
 		s.metrics.mu.Lock()
 		s.metrics.queryCold++
@@ -231,4 +215,28 @@ func (s *Server) handleQueryPost(w http.ResponseWriter, r *http.Request) {
 	s.metrics.observe("query", meta.TotalMS)
 	s.logRequest(r, http.StatusOK, t0, meta.Cache, req.Entry, 0)
 	writeJSON(w, http.StatusOK, QueryResponse{Meta: meta, Answers: answers})
+}
+
+// queryMiss converges prog cold under the in-flight bound and registers
+// the result warm under entry. The result is deliberately NOT handed to
+// the warm-edit baseline registry — grafting would mutate it under our
+// feet. The slot is freed on return, before the caller answers the
+// queries and writes the reply. On failure the returned status is the
+// one to answer with.
+func (s *Server) queryMiss(ctx context.Context, entry string, prog *sem.Program, root string, meta *QueryMeta) (*queryEntry, int, error) {
+	if err := s.acquire(ctx); err != nil {
+		return nil, http.StatusServiceUnavailable, err
+	}
+	defer s.release()
+	ta := time.Now()
+	opts := s.cfg.Options
+	res, err := analyzeProgram(prog, &opts)
+	if err != nil {
+		return nil, http.StatusUnprocessableEntity, err
+	}
+	meta.AnalyzeMS = ms(time.Since(ta))
+	s.metrics.observe("analyze", meta.AnalyzeMS)
+	e := &queryEntry{root: root, res: res}
+	s.queries.put(entry, e)
+	return e, http.StatusOK, nil
 }

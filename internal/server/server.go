@@ -1,16 +1,20 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
+	"runtime/debug"
 	"time"
 
 	"wlpa/internal/analysis"
+	"wlpa/internal/cast"
 	"wlpa/internal/cfg"
 	"wlpa/internal/irhash"
+	"wlpa/internal/sem"
 	"wlpa/internal/store"
 	"wlpa/pta"
 )
@@ -29,8 +33,15 @@ type Config struct {
 	// MaxInflight bounds concurrent engine runs (cache hits are not
 	// throttled); 0 means 2. Each run is one sequential analysis that
 	// shares no memory with the others, so this is also the number of
-	// cores the engine can keep busy. A request that cannot get a slot
-	// before its context is done gets 503.
+	// cores the engine can keep busy. A miss holds one slot; a
+	// diagnostics miss that finds a second slot free at once takes it
+	// too and runs its checker beside the main analysis (giving its own
+	// slot back while it waits for the checker), and otherwise runs the
+	// checker after it. A miss that arrives while a diagnostics miss
+	// holds both slots therefore waits for the rest of that miss's main
+	// analysis and snapshot build. A request that cannot get its first
+	// slot before its context is done gets 503. Slots are freed before
+	// the reply is written.
 	MaxInflight int
 	// BaselineCap bounds how many warm-edit baselines are held for
 	// incremental grafting; 0 means 8. Each baseline pins a full
@@ -168,14 +179,55 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Miss: run the engine under the in-flight bound.
-	select {
-	case s.sem <- struct{}{}:
-		defer func() { <-s.sem }()
-	case <-r.Context().Done():
-		s.fail(w, r, t0, http.StatusServiceUnavailable,
-			fmt.Errorf("no analysis slot available: %w", r.Context().Err()))
+	data, status, err := s.analyzeMiss(r.Context(), &req, prog, procs, ir, key, &meta)
+	if err != nil {
+		s.fail(w, r, t0, status, err)
 		return
+	}
+	meta.Cache = "miss"
+	meta.TotalMS = ms(time.Since(t0))
+	s.metrics.mu.Lock()
+	s.metrics.analyzeMisses++
+	s.metrics.mu.Unlock()
+	s.metrics.observe("total", meta.TotalMS)
+	s.logRequest(r, http.StatusOK, t0, "miss", req.Entry, len(data))
+	writeJSON(w, http.StatusOK, AnalyzeResponse{Meta: meta, Snapshot: data})
+}
+
+// Engine entry points, variables so that tests can observe the runs.
+var (
+	analyzeProgram = pta.AnalyzeProgram
+	checkProgram   = pta.CheckProgram
+)
+
+// analyzeMiss runs the engine for a cache miss, writes the encoded
+// snapshot back to the store and registers the entry's warm-edit
+// baseline. It holds an in-flight slot while it runs and frees it on
+// return, before the caller writes the reply, so a client that reads
+// slowly does not keep an engine slot. A diagnostics miss also tries
+// for a second slot without waiting: with one, the checker runs on its
+// own goroutine beside the main analysis (startCheck), and joining it
+// trades this goroutine's slot for the checker's (join); without one it
+// runs after the snapshot build, on this goroutine. Waiting for a
+// second slot could deadlock two requests that each hold one. On
+// failure the returned status is the one to answer with.
+func (s *Server) analyzeMiss(ctx context.Context, req *AnalyzeRequest, prog *sem.Program, procs map[*cast.FuncDecl]*cfg.Proc, ir *irhash.Program, key store.Key, meta *AnalyzeMeta) ([]byte, int, error) {
+	if err := s.acquire(ctx); err != nil {
+		return nil, http.StatusServiceUnavailable, err
+	}
+	defer s.release()
+	opts := s.cfg.Options
+	var chk *checkRun
+	if req.Diagnostics {
+		select {
+		case s.sem <- struct{}{}:
+			chk = s.startCheck(prog, &opts)
+			// Joined on every path, errors included: both runs share
+			// Options.Timeout, so a failing main analysis and its
+			// checker end at about the same time.
+			defer s.join(chk)
+		default:
+		}
 	}
 
 	// A registered baseline for this entry turns the miss into a
@@ -184,19 +236,18 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// path (pinned by difftest.CheckIncremental), so the snapshot bytes
 	// and cache entry are the same either way.
 	ta := time.Now()
-	opts := s.cfg.Options
 	var res *pta.Result
+	var err error
 	if bl := s.baselines.take(req.Entry); bl != nil {
 		res, err = pta.AnalyzeIncrementalPrepared(bl, prog, procs, ir, &opts)
 	} else {
-		res, err = pta.AnalyzeProgram(prog, &opts)
+		res, err = analyzeProgram(prog, &opts)
 	}
 	if err != nil {
-		s.fail(w, r, t0, http.StatusUnprocessableEntity, err)
-		return
+		return nil, http.StatusUnprocessableEntity, err
 	}
-	analyzeDur := time.Since(ta)
-	s.metrics.observe("analyze", ms(analyzeDur))
+	meta.AnalyzeMS = ms(time.Since(ta))
+	s.metrics.observe("analyze", meta.AnalyzeMS)
 	if inc := res.Incremental(); inc != nil {
 		meta.Incremental = inc
 		s.metrics.mu.Lock()
@@ -209,27 +260,37 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ts := time.Now()
-	snap, err := res.Snapshot(&pta.SnapshotOptions{
-		Fingerprint: key.String(),
-		Diagnostics: req.Diagnostics,
-	})
+	snap, err := res.Snapshot(&pta.SnapshotOptions{Fingerprint: key.String()})
 	if err != nil {
-		// The checker shares the analysis' budget: running past it is
-		// the same named failure as an analysis timeout.
-		status := http.StatusInternalServerError
-		if errors.Is(err, analysis.ErrTimeout) {
-			status = http.StatusUnprocessableEntity
-		}
-		s.fail(w, r, t0, status, err)
-		return
-	}
-	data, err := snap.Encode()
-	if err != nil {
-		s.fail(w, r, t0, http.StatusInternalServerError, err)
-		return
+		return nil, afterAnalysisStatus(err), err
 	}
 	snapDur := time.Since(ts)
-	s.metrics.observe("snapshot", ms(snapDur))
+	if req.Diagnostics {
+		var diags []pta.Diagnostic
+		var checkDur time.Duration
+		if chk != nil {
+			diags, checkDur, err = s.join(chk)
+		} else {
+			s.metrics.mu.Lock()
+			s.metrics.sequentialChecks++
+			s.metrics.mu.Unlock()
+			diags, checkDur, err = runCheck(prog, &opts)
+		}
+		if err != nil {
+			return nil, afterAnalysisStatus(err), err
+		}
+		meta.CheckMS = ms(checkDur)
+		s.metrics.observe("check", meta.CheckMS)
+		snap.SetDiagnostics(diags)
+	}
+	te := time.Now()
+	data, err := snap.Encode()
+	if err != nil {
+		return nil, http.StatusInternalServerError, err
+	}
+	snapDur += time.Since(te)
+	meta.SnapshotMS = ms(snapDur)
+	s.metrics.observe("snapshot", meta.SnapshotMS)
 
 	if err := s.store.Put(key, data); err != nil {
 		// A failed write-back degrades future requests to misses; this
@@ -240,17 +301,88 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// next edit. The snapshot above is already built, so consuming this
 	// result later cannot invalidate anything a client was served.
 	s.baselines.put(req.Entry, pta.BaselineFromHash(res, ir, &opts))
+	return data, http.StatusOK, nil
+}
 
-	meta.Cache = "miss"
-	meta.AnalyzeMS = ms(analyzeDur)
-	meta.SnapshotMS = ms(snapDur)
-	meta.TotalMS = ms(time.Since(t0))
-	s.metrics.mu.Lock()
-	s.metrics.analyzeMisses++
-	s.metrics.mu.Unlock()
-	s.metrics.observe("total", meta.TotalMS)
-	s.logRequest(r, http.StatusOK, t0, "miss", req.Entry, len(data))
-	writeJSON(w, http.StatusOK, AnalyzeResponse{Meta: meta, Snapshot: data})
+// acquire waits for an in-flight engine slot until ctx is done. The
+// holder frees the slot with release.
+func (s *Server) acquire(ctx context.Context) error {
+	select {
+	case s.sem <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("no analysis slot available: %w", ctx.Err())
+	}
+}
+
+func (s *Server) release() { <-s.sem }
+
+// afterAnalysisStatus maps a failure of the snapshot build or the
+// checker. The checker shares the analysis' budget: running past it is
+// the same named failure as an analysis timeout.
+func afterAnalysisStatus(err error) int {
+	if errors.Is(err, analysis.ErrTimeout) {
+		return http.StatusUnprocessableEntity
+	}
+	return http.StatusInternalServerError
+}
+
+// checkRun is a checker run on its own goroutine, holding the second
+// in-flight slot of a diagnostics miss until the request joins it.
+type checkRun struct {
+	done     chan struct{} // closed once the run is over
+	joined   bool          // set by join, on the request's goroutine
+	diags    []pta.Diagnostic
+	dur      time.Duration
+	err      error
+	panicked error // a panic of the run and its stack, re-raised by join
+}
+
+// startCheck runs the checker suite over prog on a new goroutine, in a
+// slot the caller has taken for it. The goroutine does not free the
+// slot: join hands it to the request.
+func (s *Server) startCheck(prog *sem.Program, opts *pta.Options) *checkRun {
+	c := &checkRun{done: make(chan struct{})}
+	go func() {
+		defer close(c.done)
+		// A panic here would end the daemon; re-raised on the request's
+		// goroutine, it fails only the request, as it did before the
+		// checker had a goroutine of its own. The stack is taken here,
+		// where the failing frames still are.
+		defer func() {
+			if v := recover(); v != nil {
+				c.panicked = fmt.Errorf("checker panic: %v\n%s", v, debug.Stack())
+			}
+		}()
+		c.diags, c.dur, c.err = runCheck(prog, opts)
+	}()
+	return c
+}
+
+// join frees the calling request's slot, waits until the checker run
+// is over and takes over the slot the run held, so a request waiting
+// on a checker that outlasts its main analysis keeps no slot idle. It
+// returns the run's findings, wall time and error, or re-raises the
+// run's panic; later calls only return the results again.
+func (s *Server) join(c *checkRun) ([]pta.Diagnostic, time.Duration, error) {
+	if c.joined {
+		return c.diags, c.dur, c.err
+	}
+	c.joined = true
+	s.release()
+	<-c.done
+	if c.panicked != nil {
+		panic(c.panicked)
+	}
+	return c.diags, c.dur, c.err
+}
+
+// runCheck runs the checker suite (the null-tracking analysis, then the
+// passes) over prog and times it.
+func runCheck(prog *sem.Program, opts *pta.Options) ([]pta.Diagnostic, time.Duration, error) {
+	t := time.Now()
+	diags, err := checkProgram(prog, opts, nil)
+	return diags, time.Since(t), err
 }
 
 func (s *Server) fail(w http.ResponseWriter, r *http.Request, t0 time.Time, status int, err error) {

@@ -8,6 +8,7 @@ import (
 	"wlpa/internal/analysis"
 	"wlpa/internal/check"
 	"wlpa/internal/memmod"
+	"wlpa/internal/sem"
 )
 
 // Diagnostic is one pointer-bug report (see internal/check for the
@@ -59,28 +60,45 @@ type CheckOptions struct {
 }
 
 // Check runs the pointer-bug checker suite over the analyzed program
-// and returns the diagnostics sorted by source position. The analysis
-// is re-run with null tracking enabled (the checkers must distinguish
-// "definitely NULL" from "uninitialized"; the extra pseudo-location
-// would perturb the PTF statistics of the main analysis, so it is kept
-// out of Analyze's run). The re-analysis and the checker walks share one
-// Options.Timeout budget, which starts with the re-analysis; exceeding
-// it returns analysis.ErrTimeout and no diagnostics.
+// and returns the diagnostics sorted by source position. It is
+// CheckProgram over the result's program and options: the checker does
+// not read this analysis but converges its own, with null tracking on.
 func (r *Result) Check(opts *CheckOptions) ([]Diagnostic, error) {
-	if opts == nil {
-		opts = &CheckOptions{}
+	return checkProgram(r.prog, r.aopts, opts)
+}
+
+// CheckProgram runs the pointer-bug checker suite over a typechecked
+// program (see Frontend) and returns the diagnostics sorted by source
+// position. The checkers must tell "definitely NULL" from
+// "uninitialized", so the program is analyzed with null tracking on;
+// the extra pseudo-location would perturb the PTF statistics of the
+// main analysis, so AnalyzeProgram keeps it out of its run, and the two
+// are independent analyses. They share only the read-only program and
+// library summaries, so a caller may run them at once on two
+// goroutines, as the daemon does with a spare in-flight slot. The
+// null-tracking analysis and the checker walks share one
+// opts.Timeout budget, which starts with the analysis; exceeding it
+// returns analysis.ErrTimeout and no diagnostics.
+func CheckProgram(prog *sem.Program, opts *Options, copts *CheckOptions) ([]Diagnostic, error) {
+	return checkProgram(prog, analysisOptions(opts), copts)
+}
+
+// checkProgram is CheckProgram under an engine configuration: the one
+// path every checker run takes.
+func checkProgram(prog *sem.Program, aopts analysis.Options, copts *CheckOptions) ([]Diagnostic, error) {
+	if copts == nil {
+		copts = &CheckOptions{}
 	}
-	aopts := r.aopts
 	aopts.TrackNull = true
 	aopts.CollectSolution = true
-	an, err := analysis.New(r.prog, aopts)
+	an, err := analysis.New(prog, aopts)
 	if err != nil {
 		return nil, err
 	}
 	if err := an.Run(); err != nil {
 		return nil, err
 	}
-	return check.Run(an, check.Options{Checks: opts.Checks, Passes: opts.Passes})
+	return check.Run(an, check.Options{Checks: copts.Checks, Passes: copts.Passes})
 }
 
 // ModRef returns the context-collapsed MOD and REF summary of the named

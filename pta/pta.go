@@ -68,8 +68,8 @@ type Result struct {
 	prog *sem.Program
 	an   *analysis.Analysis
 
-	// aopts are the analysis options used, kept so Check can re-run
-	// the analysis with the same configuration.
+	// aopts are the analysis options used, kept so Check can run the
+	// checker's analysis under the same configuration.
 	aopts analysis.Options
 
 	parseTime time.Duration
@@ -127,15 +127,22 @@ func Frontend(files Source, entry string, predefined map[string]string) (*sem.Pr
 	return sem.Check(f)
 }
 
-// AnalyzeProgram runs the pointer analysis over an already-typechecked
-// program (see Frontend).
-func AnalyzeProgram(prog *sem.Program, opts *Options) (*Result, error) {
+// The library-function summaries every analysis reads. They are built
+// once and never written, so concurrent analyses (a request's main run
+// and its checker's run among them) share them.
+var (
+	libSummaries = libsum.Summaries()
+	libEffects   = libsum.Effects()
+)
+
+// analysisOptions translates opts into the engine's configuration.
+func analysisOptions(opts *Options) analysis.Options {
 	if opts == nil {
 		opts = &Options{}
 	}
 	aopts := analysis.Options{
-		Lib:             libsum.Summaries(),
-		LibEffects:      libsum.Effects(),
+		Lib:             libSummaries,
+		LibEffects:      libEffects,
 		CollectSolution: true,
 		MaxPTFs:         opts.MaxPTFs,
 		CombineOffsets:  opts.CombineOffsets,
@@ -148,6 +155,13 @@ func AnalyzeProgram(prog *sem.Program, opts *Options) (*Result, error) {
 	case OneSummary:
 		aopts.Reuse = analysis.SingleSummary
 	}
+	return aopts
+}
+
+// AnalyzeProgram runs the pointer analysis over an already-typechecked
+// program (see Frontend).
+func AnalyzeProgram(prog *sem.Program, opts *Options) (*Result, error) {
+	aopts := analysisOptions(opts)
 	an, err := analysis.New(prog, aopts)
 	if err != nil {
 		return nil, err

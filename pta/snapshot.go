@@ -188,23 +188,32 @@ func (r *Result) Snapshot(opts *SnapshotOptions) (*Snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.HasDiags = true
-		s.Diags = make([]SnapshotDiag, 0, len(diags))
-		for _, d := range diags {
-			s.Diags = append(s.Diags, SnapshotDiag{
-				Check:    d.Check,
-				Severity: d.Sev.String(),
-				File:     d.Pos.File,
-				Line:     d.Pos.Line,
-				Col:      d.Pos.Col,
-				Proc:     d.Proc,
-				Message:  d.Message,
-				Contexts: d.Contexts,
-				Trace:    d.Trace,
-			})
-		}
+		s.SetDiagnostics(diags)
 	}
 	return s, nil
+}
+
+// SetDiagnostics embeds checker findings in the snapshot, replacing any
+// it holds, exactly as SnapshotOptions.Diagnostics does: a caller that
+// ran the checker itself (CheckProgram, perhaps beside the main
+// analysis) builds the snapshot without diagnostics and then sets them,
+// and the encoded bytes are the same.
+func (s *Snapshot) SetDiagnostics(diags []Diagnostic) {
+	s.HasDiags = true
+	s.Diags = make([]SnapshotDiag, 0, len(diags))
+	for _, d := range diags {
+		s.Diags = append(s.Diags, SnapshotDiag{
+			Check:    d.Check,
+			Severity: d.Sev.String(),
+			File:     d.Pos.File,
+			Line:     d.Pos.Line,
+			Col:      d.Pos.Col,
+			Proc:     d.Proc,
+			Message:  d.Message,
+			Contexts: d.Contexts,
+			Trace:    d.Trace,
+		})
+	}
 }
 
 // snapProc precomputes one procedure's answer vectors.

@@ -16,7 +16,9 @@
 #      program;
 #   5. a daemon with a 200ms -timeout answers a request whose checking
 #      runs past the budget with 422 naming the budget, and then still
-#      serves a benchmark with a snapshot.
+#      serves a benchmark with a snapshot;
+#   6. /metrics' check histogram counts one checker run per
+#      diagnostics miss.
 #
 # Writes a /metrics snapshot to $METRICS_OUT (default
 # wlpad-metrics.json) for upload as a CI artifact. Requires jq + curl.
@@ -190,6 +192,11 @@ echo "ok: over-budget check failed with 422, then the daemon served allroots"
 curl -sf "http://$ADDR/metrics" >"$METRICS_OUT"
 jq -e '.incremental.grafts >= 1 and .incremental.fallbacks == 0' "$METRICS_OUT" >/dev/null ||
     { echo "incremental counters off:"; jq .incremental "$METRICS_OUT"; exit 1; }
+# Every diagnostics miss on the first daemon (one per benchmark, the
+# edit base and the edited program) timed its checker once, whether it
+# ran beside the main analysis or after it.
+jq -e --argjson n "$((benches + 2))" '.latency_ms.check.count == $n' "$METRICS_OUT" >/dev/null ||
+    { echo "check histogram counted $(jq .latency_ms.check.count "$METRICS_OUT") checker runs, want $((benches + 2))"; exit 1; }
 kill "$daemon_pid"
 wait "$daemon_pid" 2>/dev/null || true
 echo "ok: metrics snapshot written to $METRICS_OUT"
