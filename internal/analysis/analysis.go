@@ -599,9 +599,20 @@ type frame struct {
 
 // New prepares an analysis of prog.
 func New(prog *sem.Program, opts Options) (*Analysis, error) {
-	procs, err := cfg.BuildAll(prog.Funcs)
-	if err != nil {
-		return nil, err
+	return NewPrepared(prog, nil, opts)
+}
+
+// NewPrepared is New over flow graphs the caller has built
+// (cfg.BuildAll of prog.Funcs); nil procs means build them here. The
+// analysis only reads the flow graphs, so several analyses may share
+// them at once, until one of them is grafted onto an edited program
+// (PrepareIncremental rewires the kept flow graphs in place).
+func NewPrepared(prog *sem.Program, procs map[*cast.FuncDecl]*cfg.Proc, opts Options) (*Analysis, error) {
+	if procs == nil {
+		var err error
+		if procs, err = cfg.BuildAll(prog.Funcs); err != nil {
+			return nil, err
+		}
 	}
 	a := &Analysis{
 		prog:         prog,

@@ -3,6 +3,7 @@ package cpp
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"wlpa/internal/ctok"
 )
@@ -28,14 +29,35 @@ type Error struct {
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
 type state struct {
-	files   Source
-	macros  map[string]*Macro
-	out     []ctok.Token
-	include []string // include stack for cycle detection
-	depth   int
+	files  Source
+	macros map[string]*Macro
+	out    []ctok.Token
+	depth  int
 }
 
 const maxIncludeDepth = 64
+
+// outSlack is the room the output reserves beyond the entry file's own
+// tokens, for the built-in headers it includes and its macro
+// expansions: the headers add under 1,000 tokens to each suite program.
+const outSlack = 1024
+
+// headerTokens lexes every built-in header once per process. Every
+// preprocessor run shares the slices, so they are read-only: each is
+// clipped, and so is every directive line processTokens cuts from one,
+// so that no append can write into them. Each is a copy of exactly its
+// length, because the process keeps it.
+var headerTokens = sync.OnceValues(func() (map[string][]ctok.Token, error) {
+	hs := make(map[string][]ctok.Token, len(BuiltinHeaders))
+	for name, src := range BuiltinHeaders {
+		toks, err := ctok.Tokenize(name, src)
+		if err != nil {
+			return nil, err
+		}
+		hs[name] = append(make([]ctok.Token, 0, len(toks)), toks...)
+	}
+	return hs, nil
+})
 
 // Preprocess expands the translation unit rooted at entry and returns the
 // resulting token stream (ending in EOF). Files named in #include <...>
@@ -50,7 +72,7 @@ func Preprocess(files Source, entry string, predefined map[string]string) ([]cto
 		}
 		st.macros[name] = &Macro{Name: name, Body: toks[:len(toks)-1]}
 	}
-	if err := st.processFile(entry, ctok.Pos{}); err != nil {
+	if err := st.processFile(entry, false, ctok.Pos{}); err != nil {
 		return nil, err
 	}
 	st.out = append(st.out, ctok.Token{Kind: ctok.EOF, LeadingNewline: true})
@@ -61,45 +83,42 @@ func (st *state) errorf(p ctok.Pos, format string, args ...any) error {
 	return &Error{Pos: p, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (st *state) lookupFile(name string, system bool) (string, bool) {
-	if !system {
-		if src, ok := st.files[name]; ok {
-			return src, true
-		}
+// fileTokens returns the tokens of the file an #include at from names
+// (the entry file has no position). A quoted include (system false)
+// looks in the request's files before the built-in headers, an angle
+// include the other way round. A built-in header's tokens are the
+// shared ones (headerTokens); a request's file is lexed here.
+func (st *state) fileTokens(name string, system bool, from ctok.Pos) ([]ctok.Token, error) {
+	src, user := st.files[name]
+	if _, builtin := BuiltinHeaders[name]; builtin && (system || !user) {
+		hs, err := headerTokens()
+		return hs[name], err
 	}
-	if src, ok := BuiltinHeaders[name]; ok {
-		return src, true
+	switch {
+	case user:
+		return ctok.Tokenize(name, src)
+	case system:
+		return nil, st.errorf(from, "system header <%s> not available", name)
+	default:
+		return nil, st.errorf(from, "include file %q not found", name)
 	}
-	// Fall back to user files for <...> includes too.
-	if src, ok := st.files[name]; ok {
-		return src, true
-	}
-	return "", false
 }
 
-func (st *state) processFile(name string, from ctok.Pos) error {
+// processFile preprocesses the file an #include at from names. The
+// depth limit is what stops an include cycle.
+func (st *state) processFile(name string, system bool, from ctok.Pos) error {
 	if st.depth >= maxIncludeDepth {
 		return st.errorf(from, "#include nesting too deep (cycle including %q?)", name)
 	}
-	for _, f := range st.include {
-		if f == name {
-			// Repeated inclusion is permitted (headers are
-			// idempotent here), but a direct cycle is not.
-			break
-		}
+	toks, err := st.fileTokens(name, system, from)
+	if err != nil {
+		return err
 	}
-	src, ok := st.files[name]
-	if !ok {
-		if b, okb := BuiltinHeaders[name]; okb {
-			src = b
-		} else {
-			return st.errorf(from, "include file %q not found", name)
-		}
+	if st.depth == 0 {
+		st.out = make([]ctok.Token, 0, min(len(toks)+outSlack, ctok.MaxReserve))
 	}
 	st.depth++
-	st.include = append(st.include, name)
-	err := st.processTokens(name, src)
-	st.include = st.include[:len(st.include)-1]
+	err = st.processTokens(toks)
 	st.depth--
 	return err
 }
@@ -113,11 +132,7 @@ type condState struct {
 	pos        ctok.Pos
 }
 
-func (st *state) processTokens(file, src string) error {
-	toks, err := ctok.Tokenize(file, src)
-	if err != nil {
-		return err
-	}
+func (st *state) processTokens(toks []ctok.Token) error {
 	var conds []condState
 	live := func() bool {
 		for _, c := range conds {
@@ -139,7 +154,7 @@ func (st *state) processTokens(file, src string) error {
 			for j < len(toks) && toks[j].Kind != ctok.EOF && !toks[j].LeadingNewline {
 				j++
 			}
-			line := toks[i+1 : j]
+			line := toks[i+1 : j : j]
 			n, err := st.directive(t.Pos, line, &conds, live)
 			if err != nil {
 				return err
@@ -270,21 +285,13 @@ func (st *state) doInclude(pos ctok.Pos, line []ctok.Token) error {
 		return st.errorf(pos, "#include expects a file name")
 	}
 	if line[0].Kind == ctok.StringLit {
-		return st.processFile(line[0].Text, pos)
+		return st.processFile(line[0].Text, false, pos)
 	}
 	if line[0].Kind == ctok.Lt {
 		var sb strings.Builder
 		for _, t := range line[1:] {
 			if t.Kind == ctok.Gt {
-				name := sb.String()
-				if _, ok := st.lookupFile(name, true); !ok {
-					return st.errorf(pos, "system header <%s> not available", name)
-				}
-				src, _ := st.lookupFile(name, true)
-				st.depth++
-				err := st.processTokens(name, src)
-				st.depth--
-				return err
+				return st.processFile(sb.String(), true, pos)
 			}
 			switch t.Kind {
 			case ctok.Ident, ctok.Keyword:

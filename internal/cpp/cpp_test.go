@@ -1,6 +1,10 @@
 package cpp
 
 import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -189,6 +193,17 @@ func TestMissingInclude(t *testing.T) {
 	}
 }
 
+// TestIncludeCycle checks that the include depth limit stops a cycle
+// through a request file, named in quotes or in angle brackets.
+func TestIncludeCycle(t *testing.T) {
+	for _, inc := range []string{`#include "a.h"`, "#include <a.h>"} {
+		_, err := Preprocess(Source{"a.c": inc + "\n", "a.h": inc + "\n"}, "a.c", nil)
+		if err == nil || !strings.Contains(err.Error(), "nesting too deep") {
+			t.Errorf("%s: got %v, want the nesting error", inc, err)
+		}
+	}
+}
+
 func TestErrorDirective(t *testing.T) {
 	if _, err := Preprocess(Source{"a.c": "#error bad config"}, "a.c", nil); err == nil {
 		t.Error("expected #error to fail")
@@ -253,6 +268,88 @@ func TestAllBuiltinHeadersPreprocess(t *testing.T) {
 		src := "#include <" + name + ">\nint main_marker;"
 		if _, err := Preprocess(Source{"a.c": src}, "a.c", nil); err != nil {
 			t.Errorf("header %s: %v", name, err)
+		}
+	}
+}
+
+// TestBuiltinHeadersShared preprocesses a source that includes every
+// built-in header from parallel subtests, expanding the headers' macros
+// as it goes: every run must read the same output from the shared
+// header tokens (and, under -race, touch them only to read). Afterwards
+// the shared tokens still equal a fresh lex of each header, each slice
+// and every macro body cut from one is clipped, so no append can write
+// into them.
+func TestBuiltinHeadersShared(t *testing.T) {
+	var names []string
+	for name := range BuiltinHeaders {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	for _, name := range names {
+		fmt.Fprintf(&b, "#include <%s>\n", name)
+	}
+	b.WriteString("int f(char *s, ...) { va_list ap; char *p = malloc(4); va_start(ap, s);\n" +
+		"assert(p != NULL); va_end(ap); return EXIT_SUCCESS; }\n")
+	src := Source{"a.c": b.String()}
+	want := pp(t, src, "a.c")
+	t.Run("parallel", func(t *testing.T) {
+		for i := 0; i < 8; i++ {
+			t.Run(fmt.Sprint(i), func(t *testing.T) {
+				t.Parallel()
+				if got := pp(t, src, "a.c"); got != want {
+					t.Errorf("run %d preprocessed differently:\n got %.200s\nwant %.200s", i, got, want)
+				}
+			})
+		}
+	})
+
+	hs, err := headerTokens()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, text := range BuiltinHeaders {
+		toks, err := ctok.Tokenize(name, text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(hs[name], toks) {
+			t.Errorf("%s: shared tokens differ from a fresh lex", name)
+		}
+		if cap(hs[name]) != len(hs[name]) {
+			t.Errorf("%s: shared tokens not clipped", name)
+		}
+	}
+	st := &state{files: src, macros: map[string]*Macro{}}
+	if err := st.processFile("a.c", false, ctok.Pos{}); err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range st.macros {
+		if cap(m.Body) != len(m.Body) {
+			t.Errorf("macro %s: body not clipped (len %d, cap %d)", name, len(m.Body), cap(m.Body))
+		}
+	}
+}
+
+// TestBlankSourceReservesLittle guards the output reservation's cap: a
+// megabyte of blanks or of comments preprocesses to no tokens, and must
+// not reserve memory in proportion to its length.
+func TestBlankSourceReservesLittle(t *testing.T) {
+	for name, text := range map[string]string{
+		"spaces":   strings.Repeat(" ", 1<<20),
+		"comments": strings.Repeat("/* c */\n", 1<<17),
+	} {
+		var toks []ctok.Token
+		var err error
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		toks, err = Preprocess(Source{"big.c": text}, "big.c", nil)
+		runtime.ReadMemStats(&after)
+		if err != nil || len(toks) != 1 {
+			t.Fatalf("%s: %d tokens, %v", name, len(toks), err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: Preprocess allocated %d bytes for 1 MB of source, want under 1 MB", name, got)
 		}
 	}
 }

@@ -5,6 +5,8 @@ package cpp
 // summaries registered in internal/libsum; the analysis never sees the
 // bodies of these functions (the paper likewise supplies hand-written
 // summaries of the potential pointer assignments in each library routine).
+// The table is read-only: each header is lexed once per process, on
+// first use (headerTokens).
 var BuiltinHeaders = map[string]string{
 	"stddef.h": `
 #ifndef _STDDEF_H

@@ -464,11 +464,17 @@ func (l *Lexer) scanOperator(tok Token) (Token, error) {
 	return tok, nil
 }
 
+// MaxReserve caps the tokens a slice reserves ahead of lexing (640 KB):
+// blanks and comments yield no tokens, so a reservation in proportion
+// to the source length needs a ceiling.
+const MaxReserve = 1 << 13
+
 // Tokenize scans all of src and returns the token stream including the
-// trailing EOF token.
+// trailing EOF token. It reserves one token per four bytes of source,
+// about the density of the benchmark suite, up to MaxReserve.
 func Tokenize(file, src string) ([]Token, error) {
 	l := New(file, src)
-	var toks []Token
+	toks := make([]Token, 0, min(len(src)/4+1, MaxReserve))
 	for {
 		t, err := l.Next()
 		if err != nil {

@@ -1,6 +1,7 @@
 package ctok
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -253,5 +254,35 @@ func TestKindString(t *testing.T) {
 	}
 	if Kind(9999).String() == "" {
 		t.Error("unknown kind should still format")
+	}
+}
+
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestBlankSourceReservesLittle guards the token reservation's cap: a
+// megabyte of blanks or of comments lexes to one token, so reserving
+// one token per four bytes without a ceiling (21 MB here) would let a
+// small request allocate far more than its tokens need.
+func TestBlankSourceReservesLittle(t *testing.T) {
+	for name, src := range map[string]string{
+		"spaces":   strings.Repeat(" ", 1<<20),
+		"comments": strings.Repeat("/* c */\n", 1<<17),
+	} {
+		var toks []Token
+		var err error
+		got := allocated(func() { toks, err = Tokenize("big.c", src) })
+		if err != nil || len(toks) != 1 {
+			t.Fatalf("%s: %d tokens, %v", name, len(toks), err)
+		}
+		if got >= 1<<20 {
+			t.Errorf("%s: Tokenize allocated %d bytes for 1 MB of source, want under 1 MB", name, got)
+		}
 	}
 }

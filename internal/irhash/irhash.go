@@ -6,12 +6,15 @@ package irhash
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"hash"
+	"reflect"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 
 	"wlpa/internal/cast"
 	"wlpa/internal/cfg"
+	"wlpa/internal/ctok"
 	"wlpa/internal/ctype"
 	"wlpa/internal/sem"
 )
@@ -72,11 +75,23 @@ func Hash(prog *sem.Program) (*Program, error) {
 
 // HashProcs is Hash for callers that already hold built flow graphs.
 func HashProcs(prog *sem.Program, procs map[*cast.FuncDecl]*cfg.Proc) *Program {
-	out := &Program{byName: map[string]*Proc{}}
+	// Size the symbol memo for every global, extern and local once.
+	nsyms := len(prog.Globals) + len(prog.Externs)
+	for _, p := range procs {
+		nsyms += len(p.Locals)
+	}
+	r := &renderer{
+		memo:  make([]byte, 0, 64*nsyms),
+		syms:  make(map[*cast.Symbol]span, nsyms),
+		types: make(map[*ctype.Type]span),
+		h:     sha256.New(),
+	}
+	out := &Program{byName: make(map[string]*Proc, len(procs))}
 	if prog.Main != nil {
 		out.Entry = prog.Main.Name
 	}
-	out.Globals = globalsDigest(prog)
+	r.globals(prog)
+	out.Globals = r.digest("globals")
 
 	// Per-procedure IR digests, in name order.
 	type procIR struct {
@@ -84,11 +99,18 @@ func HashProcs(prog *sem.Program, procs map[*cast.FuncDecl]*cfg.Proc) *Program {
 		proc *cfg.Proc
 		ir   string
 	}
-	var list []procIR
+	list := make([]procIR, 0, len(procs))
 	for fd, p := range procs {
-		list = append(list, procIR{fd.Name, p, digest("proc", renderProc(p))})
+		r.proc(p)
+		list = append(list, procIR{fd.Name, p, r.digest("proc")})
 	}
 	sort.Slice(list, func(i, j int) bool { return list[i].name < list[j].name })
+	// keyIR[i] is "name=IR", the line procedure i contributes to the
+	// closure and root payloads.
+	keyIR := make([]string, len(list))
+	for i, e := range list {
+		keyIR[i] = e.name + "=" + e.ir
+	}
 
 	// Static call graph over name-indexed procedures. Indirect calls
 	// conservatively reach every address-taken defined function.
@@ -104,11 +126,11 @@ func HashProcs(prog *sem.Program, procs map[*cast.FuncDecl]*cfg.Proc) *Program {
 		}
 	}
 	adj := make([][]int, len(list))
+	mark := make([]int, len(list)) // mark[j] == i+1: edge i->j added
 	for i, e := range list {
-		seen := map[int]bool{}
 		add := func(j int) {
-			if !seen[j] {
-				seen[j] = true
+			if mark[j] != i+1 {
+				mark[j] = i + 1
 				adj[i] = append(adj[i], j)
 			}
 		}
@@ -126,15 +148,19 @@ func HashProcs(prog *sem.Program, procs map[*cast.FuncDecl]*cfg.Proc) *Program {
 				add(j)
 			}
 		}
-		sort.Ints(adj[i])
+		slices.Sort(adj[i])
 	}
 
 	// Closure digests over the SCC condensation: members of one SCC
 	// share a closure digest built from every member's IR plus the
-	// closures of all out-of-SCC callees.
+	// closures of all out-of-SCC callees. Callee components are built
+	// before a component gathers its lines, so the reused line slices are
+	// never in use by two components at once.
 	comp, comps := cfg.SCC(len(list), func(i int) []int { return adj[i] })
 	closure := make([]string, len(list))
+	keyClosure := make([]string, len(list)) // "name=Closure"
 	done := make([]bool, len(comps))
+	var irs, ext []string
 	var build func(c int)
 	build = func(c int) {
 		if done[c] {
@@ -142,219 +168,316 @@ func HashProcs(prog *sem.Program, procs map[*cast.FuncDecl]*cfg.Proc) *Program {
 		}
 		done[c] = true
 		members := comps[c]
-		var irs, ext []string
-		extSeen := map[string]bool{}
 		for _, i := range members {
-			irs = append(irs, list[i].name+"="+list[i].ir)
 			for _, j := range adj[i] {
-				if comp[j] == c {
-					continue
-				}
-				build(comp[j])
-				key := list[j].name + "=" + closure[j]
-				if !extSeen[key] {
-					extSeen[key] = true
-					ext = append(ext, key)
+				if comp[j] != c {
+					build(comp[j])
 				}
 			}
 		}
-		sort.Strings(irs)
-		sort.Strings(ext)
-		d := digest("closure", strings.Join(irs, "\n")+"\n--\n"+strings.Join(ext, "\n"))
+		irs, ext = irs[:0], ext[:0]
+		for _, i := range members {
+			irs = append(irs, keyIR[i])
+			for _, j := range adj[i] {
+				if comp[j] != c {
+					ext = append(ext, keyClosure[j])
+				}
+			}
+		}
+		slices.Sort(irs)
+		slices.Sort(ext)
+		r.lines(irs).str("\n--\n").lines(slices.Compact(ext))
+		d := r.digest("closure")
 		for _, i := range members {
 			closure[i] = d
+			keyClosure[i] = list[i].name + "=" + d
 		}
 	}
 	for c := range comps {
 		build(c)
 	}
 
-	var rootParts []string
+	out.Procs = make([]Proc, len(list))
 	for i, e := range list {
-		out.Procs = append(out.Procs, Proc{Name: e.name, IR: e.ir, Closure: closure[i]})
-		rootParts = append(rootParts, e.name+"="+e.ir)
+		out.Procs[i] = Proc{Name: e.name, IR: e.ir, Closure: closure[i]}
+		out.byName[e.name] = &out.Procs[i]
 	}
-	for i := range out.Procs {
-		out.byName[out.Procs[i].Name] = &out.Procs[i]
-	}
-	out.Root = digest("program", out.Entry+"\n"+out.Globals+"\n"+strings.Join(rootParts, "\n"))
+	r.str(out.Entry).byte('\n').str(out.Globals).byte('\n').lines(keyIR)
+	out.Root = r.digest("program")
 	return out
 }
 
-// digest hashes a domain-separated payload to a hex string.
-func digest(domain, payload string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "wlpa/irhash/v1 %s %d\n", domain, len(payload))
-	h.Write([]byte(payload))
-	return hex.EncodeToString(h.Sum(nil))
+// renderer renders a program's IR deterministically into one reused
+// buffer and hashes it. Within one HashProcs call it renders each
+// symbol and each type once: later uses copy the remembered bytes.
+type renderer struct {
+	buf []byte // the payload being rendered
+	hdr []byte // the digest header being rendered
+
+	// memo holds the renderings of symbols and types back to back;
+	// syms and types locate each one in it.
+	memo  []byte
+	syms  map[*cast.Symbol]span
+	types map[*ctype.Type]span
+
+	h   hash.Hash
+	sum [sha256.Size]byte
 }
 
-// renderProc renders a flow graph deterministically: signature, locals,
-// then every node in reverse postorder with its expressions, positions
-// and successor IDs. Positions are part of the rendering on purpose —
-// analysis outputs (diagnostics, heap block names) embed them, so a
-// cache entry must not survive a position change.
-func renderProc(p *cfg.Proc) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "proc %s\n", p.Name)
+// span locates one rendering in renderer.memo.
+type span struct{ start, end int }
+
+// digest hashes the rendered payload, domain-separated, to a hex
+// string and empties the buffer for the next payload.
+func (r *renderer) digest(domain string) string {
+	r.hdr = append(r.hdr[:0], "wlpa/irhash/v1 "...)
+	r.hdr = append(r.hdr, domain...)
+	r.hdr = append(r.hdr, ' ')
+	r.hdr = strconv.AppendInt(r.hdr, int64(len(r.buf)), 10)
+	r.hdr = append(r.hdr, '\n')
+	r.h.Reset()
+	r.h.Write(r.hdr)
+	r.h.Write(r.buf)
+	r.buf = r.buf[:0]
+	return hex.EncodeToString(r.h.Sum(r.sum[:0]))
+}
+
+// The rendering primitives append to the payload and return r, so
+// that one line of code renders one line of payload.
+func (r *renderer) str(s string) *renderer   { r.buf = append(r.buf, s...); return r }
+func (r *renderer) byte(c byte) *renderer    { r.buf = append(r.buf, c); return r }
+func (r *renderer) int(v int64) *renderer    { r.buf = strconv.AppendInt(r.buf, v, 10); return r }
+func (r *renderer) bool(v bool) *renderer    { r.buf = strconv.AppendBool(r.buf, v); return r }
+func (r *renderer) quote(s string) *renderer { r.buf = strconv.AppendQuote(r.buf, s); return r }
+
+// lines renders ss joined by newlines.
+func (r *renderer) lines(ss []string) *renderer {
+	for i, s := range ss {
+		if i > 0 {
+			r.byte('\n')
+		}
+		r.str(s)
+	}
+	return r
+}
+
+// proc renders a flow graph: signature, locals, then every node in
+// reverse postorder with its expressions, positions and successor IDs.
+// Positions are part of the rendering on purpose — analysis outputs
+// (diagnostics, heap block names) embed them, so a cache entry must
+// not survive a position change.
+func (r *renderer) proc(p *cfg.Proc) {
+	r.str("proc ").str(p.Name).byte('\n')
 	if p.Fn != nil {
 		for _, prm := range p.Fn.Params {
-			fmt.Fprintf(&b, "param %s\n", renderSym(prm.Sym))
+			r.str("param ").sym(prm.Sym).byte('\n')
 		}
-		fmt.Fprintf(&b, "type %s\n", typeString(p.Fn.Type))
+		r.str("type ").typ(p.Fn.Type).byte('\n')
 	}
 	for _, l := range p.Locals {
-		fmt.Fprintf(&b, "local %s\n", renderSym(l))
+		r.str("local ").sym(l).byte('\n')
 	}
 	for _, nd := range p.Nodes {
-		fmt.Fprintf(&b, "n%d %s @%s succs=", nd.ID, nd.Kind, nd.Pos)
+		r.byte('n').int(int64(nd.ID)).byte(' ').str(nd.Kind.String()).str(" @").pos(nd.Pos).str(" succs=")
 		for i, s := range nd.Succs {
 			if i > 0 {
-				b.WriteByte(',')
+				r.byte(',')
 			}
-			fmt.Fprintf(&b, "%d", s.ID)
+			r.int(int64(s.ID))
 		}
-		b.WriteByte('\n')
+		r.byte('\n')
 		switch nd.Kind {
 		case cfg.AssignNode:
-			fmt.Fprintf(&b, "  dst=%s src=%s size=%d agg=%v\n",
-				renderExpr(nd.Dst), renderExpr(nd.Src), nd.Size, nd.Aggregate)
+			r.str("  dst=").expr(nd.Dst).str(" src=").expr(nd.Src).
+				str(" size=").int(nd.Size).str(" agg=").bool(nd.Aggregate).byte('\n')
 		case cfg.CallNode:
 			if nd.Direct != nil {
-				fmt.Fprintf(&b, "  call %s\n", renderSym(nd.Direct))
+				r.str("  call ").sym(nd.Direct).byte('\n')
 			} else {
-				fmt.Fprintf(&b, "  call fun=%s\n", renderExpr(nd.Fun))
+				r.str("  call fun=").expr(nd.Fun).byte('\n')
 			}
 			for _, a := range nd.Args {
-				fmt.Fprintf(&b, "  arg %s\n", renderExpr(a))
+				r.str("  arg ").expr(a).byte('\n')
 			}
 			if nd.RetDst != nil {
-				fmt.Fprintf(&b, "  ret %s\n", renderExpr(nd.RetDst))
+				r.str("  ret ").expr(nd.RetDst).byte('\n')
 			}
 		}
 	}
-	return b.String()
 }
 
-// renderSym identifies a symbol unambiguously: name, scope
-// disambiguator, storage and type.
-func renderSym(s *cast.Symbol) string {
+// pos renders a position as ctok.Pos.String does.
+func (r *renderer) pos(p ctok.Pos) *renderer {
+	if p.File != "" {
+		r.str(p.File).byte(':')
+	}
+	return r.int(int64(p.Line)).byte(':').int(int64(p.Col))
+}
+
+// sym renders a symbol unambiguously: name, scope disambiguator,
+// storage and type.
+func (r *renderer) sym(s *cast.Symbol) *renderer {
 	if s == nil {
-		return "<nil>"
+		return r.str("<nil>")
 	}
-	return fmt.Sprintf("%s#%d/g=%v,s=%v:%s", s.Name, s.Uniq, s.Global, s.Static, typeString(s.Type))
+	sp, ok := r.syms[s]
+	if !ok {
+		ts := r.typeSpan(s.Type)
+		start := len(r.memo)
+		r.memo = append(r.memo, s.Name...)
+		r.memo = append(r.memo, '#')
+		r.memo = strconv.AppendInt(r.memo, int64(s.Uniq), 10)
+		r.memo = append(r.memo, "/g="...)
+		r.memo = strconv.AppendBool(r.memo, s.Global)
+		r.memo = append(r.memo, ",s="...)
+		r.memo = strconv.AppendBool(r.memo, s.Static)
+		r.memo = append(r.memo, ':')
+		r.memo = append(r.memo, r.memo[ts.start:ts.end]...)
+		sp = span{start, len(r.memo)}
+		r.syms[s] = sp
+	}
+	r.buf = append(r.buf, r.memo[sp.start:sp.end]...)
+	return r
 }
 
-func typeString(t *ctype.Type) string {
-	if t == nil {
-		return "<nil>"
-	}
-	return t.String()
+func (r *renderer) typ(t *ctype.Type) *renderer {
+	sp := r.typeSpan(t)
+	r.buf = append(r.buf, r.memo[sp.start:sp.end]...)
+	return r
 }
 
-// renderExpr renders an IR expression with fully disambiguated symbols
+// typeSpan locates t's rendering in memo, rendering it on first use.
+func (r *renderer) typeSpan(t *ctype.Type) span {
+	sp, ok := r.types[t]
+	if !ok {
+		start := len(r.memo)
+		if t == nil {
+			r.memo = append(r.memo, "<nil>"...)
+		} else {
+			r.memo = append(r.memo, t.String()...)
+		}
+		sp = span{start, len(r.memo)}
+		r.types[t] = sp
+	}
+	return sp
+}
+
+// expr renders an IR expression with fully disambiguated symbols
 // (cfg.Expr.String prints bare names, which shadowed locals share).
-func renderExpr(e *cfg.Expr) string {
+func (r *renderer) expr(e *cfg.Expr) *renderer {
 	if e.IsEmpty() {
-		return "bot"
+		return r.str("bot")
 	}
-	parts := make([]string, len(e.Terms))
-	for i, t := range e.Terms {
-		var core string
+	r.byte('(')
+	for i := range e.Terms {
+		t := &e.Terms[i]
+		if i > 0 {
+			r.byte('|')
+		}
+		r.byte('(')
 		switch t.Kind {
 		case cfg.TermVar:
-			core = "&" + renderSym(t.Sym)
+			r.byte('&').sym(t.Sym)
 		case cfg.TermFunc:
-			core = "fn:" + renderSym(t.Sym)
+			r.str("fn:").sym(t.Sym)
 		case cfg.TermStr:
-			core = fmt.Sprintf("str%d=%q", t.StrID, t.StrVal)
+			r.str("str").int(int64(t.StrID)).byte('=').quote(t.StrVal)
 		case cfg.TermDeref:
-			core = "*" + renderExpr(t.Base)
+			r.byte('*').expr(t.Base)
 		case cfg.TermNull:
-			core = "null"
+			r.str("null")
 		}
-		parts[i] = fmt.Sprintf("(%s+%d%%%d)", core, t.Off, t.Stride)
+		r.byte('+').int(t.Off).byte('%').int(t.Stride).byte(')')
 	}
-	return "(" + strings.Join(parts, "|") + ")"
+	return r.byte(')')
 }
 
-// globalsDigest renders the extra-procedural program surface.
-func globalsDigest(prog *sem.Program) string {
-	var b strings.Builder
+// globals renders the extra-procedural program surface: global
+// declarations and their static initializers, string literals, and
+// extern (library) declarations.
+func (r *renderer) globals(prog *sem.Program) {
 	for _, g := range prog.Globals {
-		fmt.Fprintf(&b, "global %s\n", renderSym(g))
+		r.str("global ").sym(g).byte('\n')
 	}
 	for _, vd := range prog.GlobalInits {
-		fmt.Fprintf(&b, "init %s = %s\n", renderSym(vd.Sym), renderAST(vd.Init))
+		r.str("init ").sym(vd.Sym).str(" = ").ast(vd.Init).byte('\n')
 	}
-	var strIDs []int
+	strIDs := make([]int, 0, len(prog.Strings))
 	for id := range prog.Strings {
 		strIDs = append(strIDs, id)
 	}
-	sort.Ints(strIDs)
+	slices.Sort(strIDs)
 	for _, id := range strIDs {
-		fmt.Fprintf(&b, "str %d %q\n", id, prog.Strings[id].Value)
+		r.str("str ").int(int64(id)).byte(' ').quote(prog.Strings[id].Value).byte('\n')
 	}
-	var externs []string
-	for name, sym := range prog.Externs {
-		externs = append(externs, fmt.Sprintf("extern %s %s", name, renderSym(sym)))
+	// Sorting by name sorts the "extern <name> ..." lines: names are
+	// unique, and the space after a name sorts below every identifier
+	// byte.
+	externs := make([]string, 0, len(prog.Externs))
+	for name := range prog.Externs {
+		externs = append(externs, name)
 	}
-	sort.Strings(externs)
-	for _, e := range externs {
-		b.WriteString(e)
-		b.WriteByte('\n')
+	slices.Sort(externs)
+	for _, name := range externs {
+		r.str("extern ").str(name).byte(' ').sym(prog.Externs[name]).byte('\n')
 	}
-	return digest("globals", b.String())
 }
 
-// renderAST renders a typed AST expression (global initializers keep
-// their AST form; procedure bodies are hashed via the flow graph).
-func renderAST(e cast.Expr) string {
+// ast renders a typed AST expression (global initializers keep their
+// AST form; procedure bodies are hashed via the flow graph).
+func (r *renderer) ast(e cast.Expr) *renderer {
 	switch e := e.(type) {
 	case nil:
-		return "<nil>"
+		return r.str("<nil>")
 	case *cast.Ident:
-		return "id:" + renderSym(e.Sym)
+		return r.str("id:").sym(e.Sym)
 	case *cast.IntLit:
-		return fmt.Sprintf("int:%d", e.Value)
+		return r.str("int:").int(e.Value)
 	case *cast.FloatLit:
-		return fmt.Sprintf("float:%g", e.Value)
+		r.buf = strconv.AppendFloat(append(r.buf, "float:"...), e.Value, 'g', -1, 64)
+		return r
 	case *cast.StrLit:
-		return fmt.Sprintf("str%d:%q", e.ID, e.Value)
+		return r.str("str").int(int64(e.ID)).byte(':').quote(e.Value)
 	case *cast.Unary:
-		return fmt.Sprintf("(%s %s)", e.Op, renderAST(e.X))
+		return r.byte('(').str(e.Op.String()).byte(' ').ast(e.X).byte(')')
 	case *cast.Binary:
-		return fmt.Sprintf("(%s %s %s)", renderAST(e.L), e.Op, renderAST(e.R))
+		return r.byte('(').ast(e.L).byte(' ').str(e.Op.String()).byte(' ').ast(e.R).byte(')')
 	case *cast.Assign:
-		return fmt.Sprintf("(%s =[%d] %s)", renderAST(e.L), int(e.Op), renderAST(e.R))
+		return r.byte('(').ast(e.L).str(" =[").int(int64(e.Op)).str("] ").ast(e.R).byte(')')
 	case *cast.Cond:
-		return fmt.Sprintf("(%s ? %s : %s)", renderAST(e.C), renderAST(e.T), renderAST(e.F))
+		return r.byte('(').ast(e.C).str(" ? ").ast(e.T).str(" : ").ast(e.F).byte(')')
 	case *cast.Call:
-		var args []string
-		for _, a := range e.Args {
-			args = append(args, renderAST(a))
+		r.str("call(").ast(e.Fun).str(")(")
+		for i, a := range e.Args {
+			if i > 0 {
+				r.byte(',')
+			}
+			r.ast(a)
 		}
-		return fmt.Sprintf("call(%s)(%s)", renderAST(e.Fun), strings.Join(args, ","))
+		return r.byte(')')
 	case *cast.Index:
-		return fmt.Sprintf("(%s[%s])", renderAST(e.X), renderAST(e.I))
+		return r.byte('(').ast(e.X).byte('[').ast(e.I).str("])")
 	case *cast.Member:
-		return fmt.Sprintf("(%s.%s arrow=%v)", renderAST(e.X), e.Name, e.Arrow)
+		return r.byte('(').ast(e.X).byte('.').str(e.Name).str(" arrow=").bool(e.Arrow).byte(')')
 	case *cast.Cast:
-		return fmt.Sprintf("(cast %s %s)", typeString(e.To), renderAST(e.X))
+		return r.str("(cast ").typ(e.To).byte(' ').ast(e.X).byte(')')
 	case *cast.SizeofExpr:
-		return fmt.Sprintf("sizeof(%s)", renderAST(e.X))
+		return r.str("sizeof(").ast(e.X).byte(')')
 	case *cast.SizeofType:
-		return fmt.Sprintf("sizeof-t(%s)", typeString(e.Of))
+		return r.str("sizeof-t(").typ(e.Of).byte(')')
 	case *cast.Comma:
-		return fmt.Sprintf("(%s , %s)", renderAST(e.L), renderAST(e.R))
+		return r.byte('(').ast(e.L).str(" , ").ast(e.R).byte(')')
 	case *cast.InitList:
-		var el []string
-		for _, x := range e.Elems {
-			el = append(el, renderAST(x))
+		r.byte('{')
+		for i, x := range e.Elems {
+			if i > 0 {
+				r.byte(',')
+			}
+			r.ast(x)
 		}
-		return "{" + strings.Join(el, ",") + "}"
+		return r.byte('}')
 	default:
-		return fmt.Sprintf("<%T>", e)
+		return r.byte('<').str(reflect.TypeOf(e).String()).byte('>')
 	}
 }
 

@@ -8,12 +8,16 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"wlpa/internal/cast"
+	"wlpa/internal/cfg"
+	"wlpa/internal/irhash"
 	"wlpa/internal/sem"
 	"wlpa/internal/store"
 	"wlpa/internal/workload"
@@ -89,33 +93,116 @@ func librarySnapshot(t *testing.T, name, src, key string) []byte {
 
 // engineRuns counts the engine runs of one test: the cold analyses and
 // the checker runs the daemon starts, and how many were live at once.
+// It also records, by identity, the flow-graph maps irhash hashed and
+// the ones each run was given.
 type engineRuns struct {
 	live, peak, checks atomic.Int32
+
+	mu                        sync.Mutex
+	hashed, analyzed, checked []uintptr
 }
 
-// observeEngine wraps the daemon's engine entry points for the rest of
-// the test.
+// procsID identifies a flow-graph map; 0 is the nil map.
+func procsID(procs map[*cast.FuncDecl]*cfg.Proc) uintptr {
+	return reflect.ValueOf(procs).Pointer()
+}
+
+// flowGraphs returns the maps recorded since the last call.
+func (e *engineRuns) flowGraphs() (hashed, analyzed, checked []uintptr) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	hashed, analyzed, checked = e.hashed, e.analyzed, e.checked
+	e.hashed, e.analyzed, e.checked = nil, nil, nil
+	return hashed, analyzed, checked
+}
+
+func (e *engineRuns) record(list *[]uintptr, procs map[*cast.FuncDecl]*cfg.Proc) {
+	e.mu.Lock()
+	*list = append(*list, procsID(procs))
+	e.mu.Unlock()
+}
+
+// observeEngine wraps the daemon's hash and engine entry points for the
+// rest of the test.
 func observeEngine(t *testing.T) *engineRuns {
 	e := &engineRuns{}
-	analyze, check := analyzeProgram, checkProgram
-	t.Cleanup(func() { analyzeProgram, checkProgram = analyze, check })
+	hash, analyze, check := hashProcs, analyzeProgram, checkProgram
+	t.Cleanup(func() { hashProcs, analyzeProgram, checkProgram = hash, analyze, check })
 	enter := func() {
 		n := e.live.Add(1)
 		for p := e.peak.Load(); n > p && !e.peak.CompareAndSwap(p, n); p = e.peak.Load() {
 		}
 	}
-	analyzeProgram = func(prog *sem.Program, opts *pta.Options) (*pta.Result, error) {
+	hashProcs = func(prog *sem.Program, procs map[*cast.FuncDecl]*cfg.Proc) *irhash.Program {
+		e.record(&e.hashed, procs)
+		return hash(prog, procs)
+	}
+	analyzeProgram = func(prog *sem.Program, procs map[*cast.FuncDecl]*cfg.Proc, opts *pta.Options) (*pta.Result, error) {
+		e.record(&e.analyzed, procs)
 		enter()
 		defer e.live.Add(-1)
-		return analyze(prog, opts)
+		return analyze(prog, procs, opts)
 	}
-	checkProgram = func(prog *sem.Program, opts *pta.Options, copts *pta.CheckOptions) ([]pta.Diagnostic, error) {
+	checkProgram = func(prog *sem.Program, procs map[*cast.FuncDecl]*cfg.Proc, opts *pta.Options, copts *pta.CheckOptions) ([]pta.Diagnostic, error) {
+		e.record(&e.checked, procs)
 		e.checks.Add(1)
 		enter()
 		defer e.live.Add(-1)
-		return check(prog, opts, copts)
+		return check(prog, procs, opts, copts)
 	}
 	return e
+}
+
+// TestRequestSharesItsFlowGraphs pins one flow-graph build per request:
+// each engine run a miss starts is given the map irhash hashed for the
+// request, whether the checker runs beside the main analysis or after
+// it, on a plain miss and on a cold POST /query.
+func TestRequestSharesItsFlowGraphs(t *testing.T) {
+	wb, _ := workload.ByName("allroots")
+	files := map[string]string{"allroots.c": wb.Source}
+	cases := []struct {
+		name       string
+		target     string
+		body       any
+		holdSlot   bool // the checker finds no spare slot and runs after
+		checks     int
+		sequential uint64
+	}{
+		{"diagnostics miss, checker beside", "/analyze",
+			AnalyzeRequest{Files: files, Entry: "allroots.c", Diagnostics: true}, false, 1, 0},
+		{"diagnostics miss, checker after", "/analyze",
+			AnalyzeRequest{Files: files, Entry: "allroots.c", Diagnostics: true}, true, 1, 1},
+		{"plain miss", "/analyze",
+			AnalyzeRequest{Files: files, Entry: "allroots.c"}, false, 0, 0},
+		{"cold POST /query", "/query",
+			QueryRequest{Files: files, Entry: "allroots.c", Queries: []SiteQuery{{Proc: "main", Line: 1, Expr: "p"}}}, false, 0, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			runs := observeEngine(t)
+			srv := newHandlerServer(t, pta.Options{}, 2)
+			if c.holdSlot {
+				srv.sem <- struct{}{}
+				defer func() { <-srv.sem }()
+			}
+			if code, body := post(context.Background(), srv.Handler(), c.target, c.body); code != http.StatusOK {
+				t.Fatalf("status %d: %.200s", code, body)
+			}
+			hashed, analyzed, checked := runs.flowGraphs()
+			if len(hashed) != 1 || hashed[0] == 0 {
+				t.Fatalf("irhash hashed %v, want one non-nil flow-graph map", hashed)
+			}
+			if len(analyzed) != 1 || analyzed[0] != hashed[0] {
+				t.Errorf("main analysis given %v, want the hashed map %v", analyzed, hashed[0])
+			}
+			if len(checked) != c.checks || (c.checks > 0 && checked[0] != hashed[0]) {
+				t.Errorf("checker given %v, want the hashed map %v %d times", checked, hashed[0], c.checks)
+			}
+			if seq := srv.metrics.snapshot().Check.Sequential; seq != c.sequential {
+				t.Errorf("%d sequential checks, want %d", seq, c.sequential)
+			}
+		})
+	}
 }
 
 // TestDiagnosticsMissBytes pins the served bytes of diagnostics misses
@@ -217,6 +304,29 @@ func TestConcurrentDiagnosticsMisses(t *testing.T) {
 	if n := len(srv.sem); n != 0 {
 		t.Errorf("%d slots still held after every reply", n)
 	}
+	// The main analysis and the checker of each miss read the flow
+	// graphs the request hashed, beside each other or one after the
+	// other: under -race this checks that sharing them is safe.
+	hashed, analyzed, checked := runs.flowGraphs()
+	uses := map[uintptr]int{}
+	for _, id := range hashed {
+		uses[id] = 0
+	}
+	for _, id := range append(analyzed, checked...) {
+		if _, ok := uses[id]; !ok || id == 0 {
+			t.Errorf("an engine run was given flow graphs no request hashed")
+			continue
+		}
+		uses[id]++
+	}
+	if len(uses) != len(suite) {
+		t.Errorf("%d distinct flow-graph maps hashed for %d requests", len(uses), len(suite))
+	}
+	for _, n := range uses {
+		if n != 2 {
+			t.Errorf("a request's flow graphs went to %d engine runs, want 2", n)
+		}
+	}
 }
 
 // TestDiagnosticsMissErrors pins the failing diagnostics misses: a
@@ -272,10 +382,10 @@ func TestSlotFreedWhileCheckerRuns(t *testing.T) {
 	check := checkProgram
 	t.Cleanup(func() { checkProgram = check })
 	started, release := make(chan struct{}), make(chan struct{})
-	checkProgram = func(prog *sem.Program, opts *pta.Options, copts *pta.CheckOptions) ([]pta.Diagnostic, error) {
+	checkProgram = func(prog *sem.Program, procs map[*cast.FuncDecl]*cfg.Proc, opts *pta.Options, copts *pta.CheckOptions) ([]pta.Diagnostic, error) {
 		close(started)
 		<-release
-		return check(prog, opts, copts)
+		return check(prog, procs, opts, copts)
 	}
 	srv := newHandlerServer(t, pta.Options{}, 2)
 	h := srv.Handler()
@@ -314,7 +424,7 @@ func TestSlotFreedWhileCheckerRuns(t *testing.T) {
 func TestCheckerPanicReraised(t *testing.T) {
 	check := checkProgram
 	t.Cleanup(func() { checkProgram = check })
-	checkProgram = func(*sem.Program, *pta.Options, *pta.CheckOptions) ([]pta.Diagnostic, error) {
+	checkProgram = func(*sem.Program, map[*cast.FuncDecl]*cfg.Proc, *pta.Options, *pta.CheckOptions) ([]pta.Diagnostic, error) {
 		panic("boom")
 	}
 	srv := newHandlerServer(t, pta.Options{}, 2)

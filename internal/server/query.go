@@ -9,9 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"wlpa/internal/cfg"
-	"wlpa/internal/irhash"
-	"wlpa/internal/sem"
 	"wlpa/pta"
 )
 
@@ -167,25 +164,19 @@ func (s *Server) handleQueryPost(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	prog, err := pta.Frontend(pta.Source(req.Files), req.Entry, s.cfg.Options.Predefined)
+	p, err := s.prepare(req.Files, req.Entry)
 	if err != nil {
 		s.fail(w, r, t0, http.StatusUnprocessableEntity, err)
 		return
 	}
-	procs, err := cfg.BuildAll(prog.Funcs)
-	if err != nil {
-		s.fail(w, r, t0, http.StatusUnprocessableEntity, err)
-		return
-	}
-	ir := irhash.HashProcs(prog, procs)
 	hashDur := time.Since(t0)
 	s.metrics.observe("hash", ms(hashDur))
-	meta := QueryMeta{Key: ir.Root, HashMS: ms(hashDur)}
+	meta := QueryMeta{Key: p.ir.Root, HashMS: ms(hashDur)}
 
 	e := s.queries.get(req.Entry)
-	if e == nil || e.root != ir.Root {
+	if e == nil || e.root != p.ir.Root {
 		var status int
-		if e, status, err = s.queryMiss(r.Context(), req.Entry, prog, ir.Root, &meta); err != nil {
+		if e, status, err = s.queryMiss(r.Context(), req.Entry, p, &meta); err != nil {
 			s.fail(w, r, t0, status, err)
 			return
 		}
@@ -217,26 +208,26 @@ func (s *Server) handleQueryPost(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, QueryResponse{Meta: meta, Answers: answers})
 }
 
-// queryMiss converges prog cold under the in-flight bound and registers
+// queryMiss converges p cold under the in-flight bound and registers
 // the result warm under entry. The result is deliberately NOT handed to
 // the warm-edit baseline registry — grafting would mutate it under our
 // feet. The slot is freed on return, before the caller answers the
 // queries and writes the reply. On failure the returned status is the
 // one to answer with.
-func (s *Server) queryMiss(ctx context.Context, entry string, prog *sem.Program, root string, meta *QueryMeta) (*queryEntry, int, error) {
+func (s *Server) queryMiss(ctx context.Context, entry string, p *prepared, meta *QueryMeta) (*queryEntry, int, error) {
 	if err := s.acquire(ctx); err != nil {
 		return nil, http.StatusServiceUnavailable, err
 	}
 	defer s.release()
 	ta := time.Now()
 	opts := s.cfg.Options
-	res, err := analyzeProgram(prog, &opts)
+	res, err := analyzeProgram(p.prog, p.procs, &opts)
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity, err
 	}
 	meta.AnalyzeMS = ms(time.Since(ta))
 	s.metrics.observe("analyze", meta.AnalyzeMS)
-	e := &queryEntry{root: root, res: res}
+	e := &queryEntry{root: p.ir.Root, res: res}
 	s.queries.put(entry, e)
 	return e, http.StatusOK, nil
 }

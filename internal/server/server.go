@@ -147,24 +147,17 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Frontend + content hash: cheap relative to the engine, and the
-	// only work a warm request pays. The flow graphs are built once and
-	// shared between hashing and the incremental graft below.
-	prog, err := pta.Frontend(pta.Source(req.Files), req.Entry, s.cfg.Options.Predefined)
+	// only work a warm request pays.
+	p, err := s.prepare(req.Files, req.Entry)
 	if err != nil {
 		s.fail(w, r, t0, http.StatusUnprocessableEntity, err)
 		return
 	}
-	procs, err := cfg.BuildAll(prog.Funcs)
-	if err != nil {
-		s.fail(w, r, t0, http.StatusUnprocessableEntity, err)
-		return
-	}
-	ir := irhash.HashProcs(prog, procs)
 	hashDur := time.Since(t0)
 	s.metrics.observe("hash", ms(hashDur))
 
 	key := store.KeyOf("program", pta.SnapshotFormat, s.optsFP,
-		fmt.Sprintf("diags=%v", req.Diagnostics), ir.Root)
+		fmt.Sprintf("diags=%v", req.Diagnostics), p.ir.Root)
 	meta := AnalyzeMeta{Key: key.String(), HashMS: ms(hashDur)}
 
 	if data, ok := s.store.Get(key); ok {
@@ -179,7 +172,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	data, status, err := s.analyzeMiss(r.Context(), &req, prog, procs, ir, key, &meta)
+	data, status, err := s.analyzeMiss(r.Context(), &req, p, key, &meta)
 	if err != nil {
 		s.fail(w, r, t0, status, err)
 		return
@@ -194,11 +187,38 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, AnalyzeResponse{Meta: meta, Snapshot: data})
 }
 
-// Engine entry points, variables so that tests can observe the runs.
+// The hash and the engine entry points, variables so that tests can
+// observe the runs and the flow graphs each is given.
 var (
-	analyzeProgram = pta.AnalyzeProgram
-	checkProgram   = pta.CheckProgram
+	hashProcs      = irhash.HashProcs
+	analyzeProgram = pta.AnalyzeProgramPrepared
+	checkProgram   = pta.CheckProgramPrepared
 )
+
+// prepared is a request's program, prepared once: typechecked, its flow
+// graphs built and hashed. Every analysis the request starts (a cold
+// run, a graft and its cold fallback, the checker) takes these flow
+// graphs; the result kept as the entry's baseline or query entry owns
+// them afterwards (pta.AnalyzeProgramPrepared).
+type prepared struct {
+	prog  *sem.Program
+	procs map[*cast.FuncDecl]*cfg.Proc
+	ir    *irhash.Program
+}
+
+// prepare runs the frontend over a request's files, builds the flow
+// graphs and hashes them.
+func (s *Server) prepare(files map[string]string, entry string) (*prepared, error) {
+	prog, err := pta.Frontend(pta.Source(files), entry, s.cfg.Options.Predefined)
+	if err != nil {
+		return nil, err
+	}
+	procs, err := cfg.BuildAll(prog.Funcs)
+	if err != nil {
+		return nil, err
+	}
+	return &prepared{prog: prog, procs: procs, ir: hashProcs(prog, procs)}, nil
+}
 
 // analyzeMiss runs the engine for a cache miss, writes the encoded
 // snapshot back to the store and registers the entry's warm-edit
@@ -211,7 +231,7 @@ var (
 // runs after the snapshot build, on this goroutine. Waiting for a
 // second slot could deadlock two requests that each hold one. On
 // failure the returned status is the one to answer with.
-func (s *Server) analyzeMiss(ctx context.Context, req *AnalyzeRequest, prog *sem.Program, procs map[*cast.FuncDecl]*cfg.Proc, ir *irhash.Program, key store.Key, meta *AnalyzeMeta) ([]byte, int, error) {
+func (s *Server) analyzeMiss(ctx context.Context, req *AnalyzeRequest, p *prepared, key store.Key, meta *AnalyzeMeta) ([]byte, int, error) {
 	if err := s.acquire(ctx); err != nil {
 		return nil, http.StatusServiceUnavailable, err
 	}
@@ -221,7 +241,7 @@ func (s *Server) analyzeMiss(ctx context.Context, req *AnalyzeRequest, prog *sem
 	if req.Diagnostics {
 		select {
 		case s.sem <- struct{}{}:
-			chk = s.startCheck(prog, &opts)
+			chk = s.startCheck(p, &opts)
 			// Joined on every path, errors included: both runs share
 			// Options.Timeout, so a failing main analysis and its
 			// checker end at about the same time.
@@ -239,9 +259,9 @@ func (s *Server) analyzeMiss(ctx context.Context, req *AnalyzeRequest, prog *sem
 	var res *pta.Result
 	var err error
 	if bl := s.baselines.take(req.Entry); bl != nil {
-		res, err = pta.AnalyzeIncrementalPrepared(bl, prog, procs, ir, &opts)
+		res, err = pta.AnalyzeIncrementalPrepared(bl, p.prog, p.procs, p.ir, &opts)
 	} else {
-		res, err = analyzeProgram(prog, &opts)
+		res, err = analyzeProgram(p.prog, p.procs, &opts)
 	}
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity, err
@@ -274,7 +294,7 @@ func (s *Server) analyzeMiss(ctx context.Context, req *AnalyzeRequest, prog *sem
 			s.metrics.mu.Lock()
 			s.metrics.sequentialChecks++
 			s.metrics.mu.Unlock()
-			diags, checkDur, err = runCheck(prog, &opts)
+			diags, checkDur, err = runCheck(p, &opts)
 		}
 		if err != nil {
 			return nil, afterAnalysisStatus(err), err
@@ -300,7 +320,7 @@ func (s *Server) analyzeMiss(ctx context.Context, req *AnalyzeRequest, prog *sem
 	// Every successful miss leaves a baseline behind for the entry's
 	// next edit. The snapshot above is already built, so consuming this
 	// result later cannot invalidate anything a client was served.
-	s.baselines.put(req.Entry, pta.BaselineFromHash(res, ir, &opts))
+	s.baselines.put(req.Entry, pta.BaselineFromHash(res, p.ir, &opts))
 	return data, http.StatusOK, nil
 }
 
@@ -338,10 +358,10 @@ type checkRun struct {
 	panicked error // a panic of the run and its stack, re-raised by join
 }
 
-// startCheck runs the checker suite over prog on a new goroutine, in a
+// startCheck runs the checker suite over p on a new goroutine, in a
 // slot the caller has taken for it. The goroutine does not free the
 // slot: join hands it to the request.
-func (s *Server) startCheck(prog *sem.Program, opts *pta.Options) *checkRun {
+func (s *Server) startCheck(p *prepared, opts *pta.Options) *checkRun {
 	c := &checkRun{done: make(chan struct{})}
 	go func() {
 		defer close(c.done)
@@ -354,7 +374,7 @@ func (s *Server) startCheck(prog *sem.Program, opts *pta.Options) *checkRun {
 				c.panicked = fmt.Errorf("checker panic: %v\n%s", v, debug.Stack())
 			}
 		}()
-		c.diags, c.dur, c.err = runCheck(prog, opts)
+		c.diags, c.dur, c.err = runCheck(p, opts)
 	}()
 	return c
 }
@@ -378,10 +398,10 @@ func (s *Server) join(c *checkRun) ([]pta.Diagnostic, time.Duration, error) {
 }
 
 // runCheck runs the checker suite (the null-tracking analysis, then the
-// passes) over prog and times it.
-func runCheck(prog *sem.Program, opts *pta.Options) ([]pta.Diagnostic, time.Duration, error) {
+// passes) over p and times it.
+func runCheck(p *prepared, opts *pta.Options) ([]pta.Diagnostic, time.Duration, error) {
 	t := time.Now()
-	diags, err := checkProgram(prog, opts, nil)
+	diags, err := checkProgram(p.prog, p.procs, opts, nil)
 	return diags, time.Since(t), err
 }
 

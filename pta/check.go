@@ -6,6 +6,8 @@ import (
 	"sort"
 
 	"wlpa/internal/analysis"
+	"wlpa/internal/cast"
+	"wlpa/internal/cfg"
 	"wlpa/internal/check"
 	"wlpa/internal/memmod"
 	"wlpa/internal/sem"
@@ -64,7 +66,7 @@ type CheckOptions struct {
 // CheckProgram over the result's program and options: the checker does
 // not read this analysis but converges its own, with null tracking on.
 func (r *Result) Check(opts *CheckOptions) ([]Diagnostic, error) {
-	return checkProgram(r.prog, r.aopts, opts)
+	return checkProgram(r.prog, nil, r.aopts, opts)
 }
 
 // CheckProgram runs the pointer-bug checker suite over a typechecked
@@ -80,18 +82,28 @@ func (r *Result) Check(opts *CheckOptions) ([]Diagnostic, error) {
 // opts.Timeout budget, which starts with the analysis; exceeding it
 // returns analysis.ErrTimeout and no diagnostics.
 func CheckProgram(prog *sem.Program, opts *Options, copts *CheckOptions) ([]Diagnostic, error) {
-	return checkProgram(prog, analysisOptions(opts), copts)
+	return CheckProgramPrepared(prog, nil, opts, copts)
 }
 
-// checkProgram is CheckProgram under an engine configuration: the one
-// path every checker run takes.
-func checkProgram(prog *sem.Program, aopts analysis.Options, copts *CheckOptions) ([]Diagnostic, error) {
+// CheckProgramPrepared is CheckProgram over flow graphs the caller has
+// built for prog (cfg.BuildAll of prog.Funcs); nil procs means build
+// them here. The checker's analysis only reads them and is over when
+// the call returns, so it may share them with a main analysis running
+// at the same time, as the daemon's diagnostics misses do (see
+// AnalyzeProgramPrepared for who owns them afterwards).
+func CheckProgramPrepared(prog *sem.Program, procs map[*cast.FuncDecl]*cfg.Proc, opts *Options, copts *CheckOptions) ([]Diagnostic, error) {
+	return checkProgram(prog, procs, analysisOptions(opts), copts)
+}
+
+// checkProgram is CheckProgramPrepared under an engine configuration:
+// the one path every checker run takes.
+func checkProgram(prog *sem.Program, procs map[*cast.FuncDecl]*cfg.Proc, aopts analysis.Options, copts *CheckOptions) ([]Diagnostic, error) {
 	if copts == nil {
 		copts = &CheckOptions{}
 	}
 	aopts.TrackNull = true
 	aopts.CollectSolution = true
-	an, err := analysis.New(prog, aopts)
+	an, err := analysis.NewPrepared(prog, procs, aopts)
 	if err != nil {
 		return nil, err
 	}

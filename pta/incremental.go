@@ -122,13 +122,25 @@ func AnalyzeIncremental(b *Baseline, files Source, entry string, opts *Options) 
 // built the edited program's flow graphs and its hash record — the
 // daemon builds both once to hash every request for cache lookup
 // (irhash.HashProcs) and need not build them again to analyze. procs
-// and eh may be nil, in which case they are computed here.
+// and eh may be nil, in which case they are computed here, once, for
+// the graft and its cold fallback alike.
+//
+// The result owns the flow graphs it analyzed: procs' for the
+// procedures it reconverged (all of them on a fallback) and the
+// baseline's for the ones it kept, rewired onto prog's symbols. The
+// sharing rule of AnalyzeProgramPrepared applies.
 func AnalyzeIncrementalPrepared(b *Baseline, prog *sem.Program, procs map[*cast.FuncDecl]*cfg.Proc, eh *irhash.Program, opts *Options) (*Result, error) {
 	if opts == nil {
 		opts = &Options{}
 	}
+	if procs == nil {
+		var err error
+		if procs, err = cfg.BuildAll(prog.Funcs); err != nil {
+			return nil, err
+		}
+	}
 	cold := func(reason string) (*Result, error) {
-		r, err := AnalyzeProgram(prog, opts)
+		r, err := AnalyzeProgramPrepared(prog, procs, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -150,12 +162,6 @@ func AnalyzeIncrementalPrepared(b *Baseline, prog *sem.Program, procs map[*cast.
 		return cold("PTF cap in effect")
 	case prog.Main == nil:
 		return cold("edited program has no main")
-	}
-	if procs == nil {
-		var err error
-		if procs, err = cfg.BuildAll(prog.Funcs); err != nil {
-			return nil, err
-		}
 	}
 	if eh == nil {
 		eh = irhash.HashProcs(prog, procs)

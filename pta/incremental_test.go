@@ -7,6 +7,10 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"wlpa/internal/cast"
+	"wlpa/internal/cfg"
+	"wlpa/internal/sem"
 )
 
 // snapshotBytes analyzes and encodes the full query snapshot including
@@ -217,4 +221,54 @@ int main(void) { f(); return 0; }
 			t.Errorf("Analyze with Options.Baseline did not run incrementally: %+v", st)
 		}
 	})
+}
+
+// TestPreparedFlowGraphsAreAnalyzed checks that the prepared entry
+// points analyze the flow graphs they are given instead of building
+// their own: Analysis().Proc(name) is the *cfg.Proc passed in, for a
+// cold run and for a graft's cold fallback.
+func TestPreparedFlowGraphsAreAnalyzed(t *testing.T) {
+	const src = "int x, y;\nint *p;\nvoid f(void) { p = &x; }\nint main(void) { f(); return 0; }\n"
+	prepare := func(src string) (*sem.Program, map[*cast.FuncDecl]*cfg.Proc) {
+		t.Helper()
+		prog, err := Frontend(Source{"t.c": src}, "t.c", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		procs, err := cfg.BuildAll(prog.Funcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog, procs
+	}
+	prog, procs := prepare(src)
+	cold, err := AnalyzeProgramPrepared(prog, procs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bl, err := NewBaseline(cold, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A new global changes the globals digest, so the graft refuses.
+	eprog, eprocs := prepare(strings.Replace(src, "int x, y;", "int x, y, z;", 1))
+	fallback, err := AnalyzeIncrementalPrepared(bl, eprog, eprocs, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inc := fallback.Incremental(); inc == nil || inc.Fallback != "globals changed" {
+		t.Fatalf("edited run %+v, want the globals-changed fallback", inc)
+	}
+	for _, c := range []struct {
+		name  string
+		r     *Result
+		prog  *sem.Program
+		procs map[*cast.FuncDecl]*cfg.Proc
+	}{{"cold", cold, prog, procs}, {"fallback", fallback, eprog, eprocs}} {
+		for _, fd := range c.prog.Funcs {
+			if got := c.r.Analysis().Proc(fd.Name); got != c.procs[fd] {
+				t.Errorf("%s: Proc(%s) is not the flow graph passed in", c.name, fd.Name)
+			}
+		}
+	}
 }

@@ -161,8 +161,24 @@ func analysisOptions(opts *Options) analysis.Options {
 // AnalyzeProgram runs the pointer analysis over an already-typechecked
 // program (see Frontend).
 func AnalyzeProgram(prog *sem.Program, opts *Options) (*Result, error) {
+	return AnalyzeProgramPrepared(prog, nil, opts)
+}
+
+// AnalyzeProgramPrepared is AnalyzeProgram over flow graphs the caller
+// has built for prog (cfg.BuildAll of prog.Funcs, which the daemon
+// builds once per request to hash it); nil procs means build them here.
+//
+// The result owns its flow graphs: a later graft against it
+// (AnalyzeIncrementalPrepared) rewires the ones it keeps in place. So
+// one set of flow graphs may be shared only among analyses that are
+// over before such a graft can start, and the one result kept for
+// grafting or querying. The daemon shares a request's flow graphs
+// between its main analysis, its checker (CheckProgramPrepared) and
+// hashing, and keeps the main result as the entry's baseline or query
+// entry.
+func AnalyzeProgramPrepared(prog *sem.Program, procs map[*cast.FuncDecl]*cfg.Proc, opts *Options) (*Result, error) {
 	aopts := analysisOptions(opts)
-	an, err := analysis.New(prog, aopts)
+	an, err := analysis.NewPrepared(prog, procs, aopts)
 	if err != nil {
 		return nil, err
 	}
