@@ -103,29 +103,22 @@ func main() {
 		diags = snap.Diagnostics()
 		modrefLines = snap.ModRefDump()
 	} else {
-		opts := &pta.Options{MaxPTFs: *maxPTFs}
-		prog, err := pta.Frontend(files, entry, nil)
+		// One analysis serves the site answers, the MOD/REF dump and
+		// the checks.
+		res, err := pta.Analyze(files, entry, &pta.Options{MaxPTFs: *maxPTFs})
 		if err != nil {
 			fail(err)
 		}
-		// Only the site answers and the MOD/REF dump read the main
-		// analysis; the checker converges its own.
-		if len(sites) > 0 || *modref {
-			res, err := pta.AnalyzeProgram(prog, opts)
-			if err != nil {
-				fail(err)
-			}
-			siteOut := os.Stdout
-			if *format != "text" {
-				siteOut = os.Stderr
-			}
-			for _, s := range sites {
-				pts := res.PointsToAt(s.proc, s.line, s.expr)
-				fmt.Fprintf(siteOut, "%s:%d %s => {%s}\n", s.proc, s.line, s.expr, strings.Join(pts, ", "))
-			}
-			if *modref {
-				modrefLines = res.ModRefDump()
-			}
+		siteOut := os.Stdout
+		if *format != "text" {
+			siteOut = os.Stderr
+		}
+		for _, s := range sites {
+			pts := res.PointsToAt(s.proc, s.line, s.expr)
+			fmt.Fprintf(siteOut, "%s:%d %s => {%s}\n", s.proc, s.line, s.expr, strings.Join(pts, ", "))
+		}
+		if *modref {
+			modrefLines = res.ModRefDump()
 		}
 		copts := &pta.CheckOptions{}
 		if *checks != "" {
@@ -134,7 +127,7 @@ func main() {
 		if *passes != "" {
 			copts.Passes = strings.Split(*passes, ",")
 		}
-		diags, err = pta.CheckProgram(prog, opts, copts)
+		diags, err = res.Check(copts)
 		if err != nil {
 			fail(err)
 		}

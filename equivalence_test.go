@@ -24,8 +24,8 @@ import (
 )
 
 // runAnalysis runs one source through the analysis with the base
-// options (lib summaries, solution collection, null tracking) plus the
-// engine selector force.
+// options (lib summaries, solution collection) plus the engine
+// selector force.
 func runAnalysis(name, src string, force bool) (*analysis.Analysis, error) {
 	f, err := cparse.ParseSource(name, src)
 	if err != nil {
@@ -39,7 +39,6 @@ func runAnalysis(name, src string, force bool) (*analysis.Analysis, error) {
 		Lib:             libsum.Summaries(),
 		LibEffects:      libsum.Effects(),
 		CollectSolution: true,
-		TrackNull:       true,
 		ForceFullPasses: force,
 	})
 	if err != nil {

@@ -123,11 +123,11 @@ type Options struct {
 	// treating those as matching (with merged parameter bindings)
 	// trades a little context sensitivity for fewer PTFs.
 	CombineOffsets bool
-	// TrackNull models the null pointer constant as a distinct
-	// pseudo-location instead of the empty value set, so that checkers
-	// can distinguish "definitely null" from "uninitialized". Off by
-	// default: the extra value costs a little precision in PTF
-	// matching and is only needed by bug-checking clients.
+	// TrackNull is ignored: every analysis models the null pointer
+	// constant as a value (the <null> pseudo-location), which never
+	// names storage or enters a callee, so it changes no PTF.
+	//
+	// Deprecated: null tracking is always on.
 	TrackNull bool
 	// ForceFullPasses disables the dependency-tracked worklist engine
 	// and re-evaluates every node of every PTF per top-level pass (the
@@ -492,7 +492,9 @@ type Analysis struct {
 	// the run — the table dies with the Analysis.
 	intern *memmod.Interner
 
-	// nullBlock is the null pseudo-location (nil unless TrackNull).
+	// nullBlock is the null pseudo-location: a value that rides in
+	// points-to sets but is dropped from every write-destination set,
+	// every callee's actuals and the collapsed solution.
 	nullBlock *memmod.Block
 	// frees records the freed value set per (PTF, call node), merged
 	// across iterations; populated by library summaries via
@@ -623,14 +625,12 @@ func NewPrepared(prog *sem.Program, procs map[*cast.FuncDecl]*cfg.Proc, opts Opt
 		strBlocks:    make(map[int]*memmod.Block),
 		heapBlocks:   make(map[string]*memmod.Block),
 		intern:       memmod.NewInterner(),
+		nullBlock:    memmod.NewNull(),
 		ptfs:         make(map[*cfg.Proc][]*PTF, len(procs)),
 		track:        !opts.ForceFullPasses,
 	}
 	if a.track {
 		a.readers = make(map[*memmod.Block]readerSet)
-	}
-	if opts.TrackNull {
-		a.nullBlock = memmod.NewNull()
 	}
 	a.stats.PTFsPerProc = make(map[string]int)
 	if opts.CollectSolution {
@@ -863,7 +863,7 @@ func (a *Analysis) Stats() Stats { return a.stats }
 // Deadline returns the wall-clock deadline the last Run derived from
 // Options.Timeout (zero when there is none). Clients that keep working
 // on the converged analysis — the checker and its dataflow walks —
-// stop at it too and return ErrTimeout, so a re-analysis and the
+// stop at it too and return ErrTimeout, so the analysis and the
 // checking that follows share one budget.
 func (a *Analysis) Deadline() time.Time { return a.deadline }
 

@@ -56,7 +56,6 @@ func TestBindingsAtMatchesFreshDerivation(t *testing.T) {
 			Lib:             libsum.Summaries(),
 			LibEffects:      libsum.Effects(),
 			CollectSolution: true,
-			TrackNull:       true,
 		})
 		if err != nil {
 			t.Fatalf("%s: analysis.New: %v", in.name, err)

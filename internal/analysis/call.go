@@ -244,7 +244,7 @@ func (a *Analysis) applyFingerprint(f *frame, nd *cfg.Node, cf *frame, multi, wi
 		h ^= (memmod.Loc(p, 0, 0).Fingerprint() + 0x9e3779b97f4a7c15) * (v.Fingerprint() | 1)
 	}
 	if withRet && nd.RetDst != nil {
-		h ^= a.evalExpr(f, nd.RetDst, nd).Fingerprint() * 0x2545f4914f6cdd1d
+		h ^= a.evalExpr(f, nd.RetDst, nd).WithoutNull().Fingerprint() * 0x2545f4914f6cdd1d
 	}
 	return h
 }
@@ -353,7 +353,7 @@ func (a *Analysis) getPTF(f *frame, nd *cfg.Node, proc *cfg.Proc, args []memmod.
 		// population.
 		if p, _ := f.ptf.siteUsed.get(siteKey{nd, proc}); p != nil {
 			if a.keptCache != nil {
-				a.adoptKept(proc, p)
+				a.adoptKept(proc, p, f.ptf, nd)
 			}
 			return p, a.replayBind(f, nd, p, args), true
 		}
@@ -375,7 +375,7 @@ func (a *Analysis) getPTF(f *frame, nd *cfg.Node, proc *cfg.Proc, args []memmod.
 		if a.keptCache != nil {
 			for _, p := range a.keptCache[proc] {
 				if pmap, needVisit, ok := a.matchPTF(f, nd, p, args); ok {
-					a.adoptKept(proc, p)
+					a.adoptKept(proc, p, f.ptf, nd)
 					if !needVisit {
 						if a.track {
 							needVisit = p.dirtyN > 0
@@ -585,7 +585,8 @@ func (a *Analysis) aliasesExisting(pmap map[*memmod.Block]memmod.ValueSet, actua
 }
 
 // entryActuals computes the current-context actual values of an input
-// pointer named by a ptrInit entry, mirroring getInitial's resolution.
+// pointer named by a ptrInit entry, mirroring getInitial's resolution:
+// without null, which never enters a callee.
 func (a *Analysis) entryActuals(cf *frame, e initEntry) (memmod.ValueSet, bool) {
 	v := e.ptr.Resolve()
 	switch v.Base.Kind {
@@ -595,7 +596,7 @@ func (a *Analysis) entryActuals(cf *frame, e initEntry) (memmod.ValueSet, bool) 
 			return memmod.ValueSet{}, true
 		}
 		if idx < len(cf.args) {
-			return cf.args[idx], true
+			return cf.args[idx].WithoutNull(), true
 		}
 		return memmod.ValueSet{}, true
 	case memmod.ParamBlock:
@@ -613,9 +614,9 @@ func (a *Analysis) entryActuals(cf *frame, e initEntry) (memmod.ValueSet, bool) 
 			}
 			a.arena.AddAll(&out, a.evalContents(cf.caller, target, cf.callNode))
 		}
-		return out, true
+		return out.WithoutNull(), true
 	case memmod.GlobalBlock:
-		return a.evalContents(cf.caller, v, cf.callNode), true
+		return a.evalContents(cf.caller, v, cf.callNode).WithoutNull(), true
 	}
 	return memmod.ValueSet{}, true
 }
@@ -877,7 +878,7 @@ func (a *Analysis) applySummary(f *frame, nd *cfg.Node, cf *frame, multi, withRe
 		rloc := memmod.Loc(ptf.retval, 0, 0)
 		if rvals, ok := ptf.Pts.LookupOut(rloc, exit, nil); ok {
 			tvals := a.translateVals(cf, rvals)
-			dsts := a.evalExpr(f, nd.RetDst, nd)
+			dsts := a.evalExpr(f, nd.RetDst, nd).WithoutNull()
 			for _, dl := range dsts.Locs() {
 				a.registerRead(f, dl.Base, nd)
 				strong := dsts.Len() == 1 && dl.Precise() && !multi && !f.multiTarget

@@ -284,9 +284,7 @@ func (a *Analysis) evalExpr(f *frame, e *cfg.Expr, nd *cfg.Node) memmod.ValueSet
 				a.arena.AddAll(&base, a.evalContents(f, pl, nd))
 			}
 		case cfg.TermNull:
-			if a.nullBlock != nil {
-				base.Add(memmod.Loc(a.nullBlock, 0, 0))
-			}
+			base.Add(memmod.Loc(a.nullBlock, 0, 0))
 		}
 		if t.Off != 0 {
 			base = a.arena.ShiftSet(base, t.Off)
@@ -301,7 +299,7 @@ func (a *Analysis) evalExpr(f *frame, e *cfg.Expr, nd *cfg.Node) memmod.ValueSet
 
 // evalAssign evaluates a pointer-form assignment (paper Figure 11).
 func (a *Analysis) evalAssign(f *frame, nd *cfg.Node) bool {
-	dsts := a.evalExpr(f, nd.Dst, nd)
+	dsts := a.evalExpr(f, nd.Dst, nd).WithoutNull()
 	if dsts.IsEmpty() {
 		// Destination locations unknown yet: defer (paper §4.1).
 		return false

@@ -156,6 +156,21 @@ func (a *Analysis) PrepareIncremental(edited *sem.Program, editedProcs map[*cast
 	}
 	rekeyBlocks(a.globalBlocks, symNew)
 	rekeyBlocks(a.funcBlocks, symNew)
+	// Heap blocks are keyed by source position. A dirty procedure's
+	// positions may now hold other calls (a defined function where a
+	// malloc was), so its sites are forgotten and come back only if the
+	// re-analysis reaches an allocation there, as in a cold run. A
+	// clean procedure's body, positions included, is unchanged.
+	for _, bp := range a.procs {
+		if keptProcs[bp] {
+			continue
+		}
+		for _, nd := range bp.Nodes {
+			if nd.Kind == cfg.CallNode {
+				delete(a.heapBlocks, nd.Pos.String())
+			}
+		}
+	}
 
 	// Survivors: every PTF of a kept procedure, minus any instance
 	// entangled with a dropped one. Because a clean procedure's closure
@@ -317,9 +332,6 @@ func (a *Analysis) PrepareIncremental(edited *sem.Program, editedProcs map[*cast
 	for _, b := range a.heapBlocks {
 		b.ResetPtrLocs()
 	}
-	if a.nullBlock != nil {
-		a.nullBlock.ResetPtrLocs()
-	}
 	for _, l := range newPtfs {
 		for _, p := range l {
 			replayPtrLocs(p)
@@ -369,25 +381,36 @@ func replayPtrLocs(p *PTF) {
 // memoized summary applications intact. Its pointer-location cache
 // entries are replayed now rather than at graft time, so shared blocks
 // never advertise extents that only an unadopted (hence invisible)
-// instance justifies. Reports whether p was in fact cached.
-func (a *Analysis) adoptKept(proc *cfg.Proc, p *PTF) bool {
-	l := a.keptCache[proc]
-	at := -1
-	for i, q := range l {
-		if q == p {
-			at = i
-			break
-		}
-	}
+// instance justifies. The checkers' context traces walk the home
+// chain, so an instance keeps its creator as home only if the creator
+// is live; one whose creator the graft dropped, or has not adopted, is
+// homed at the adopting call site (homePTF, homeNode), where a cold run
+// creates it. Reports whether p was in fact cached.
+func (a *Analysis) adoptKept(proc *cfg.Proc, p *PTF, homePTF *PTF, homeNode *cfg.Node) bool {
+	at := a.cachedAt(proc, p)
 	if at < 0 {
 		return false
 	}
+	l := a.keptCache[proc]
 	a.keptCache[proc] = append(l[:at], l[at+1:]...)
+	if p.homePTF == nil || a.cachedAt(p.homePTF.Proc, p.homePTF) >= 0 {
+		p.homePTF, p.homeNode = homePTF, homeNode
+	}
 	a.ptfs[proc] = append(a.ptfs[proc], p)
 	a.numPTFs++
 	a.restoredPTFs++
 	replayPtrLocs(p)
 	return true
+}
+
+// cachedAt returns p's index in proc's adoption cache, or -1.
+func (a *Analysis) cachedAt(proc *cfg.Proc, p *PTF) int {
+	for i, q := range a.keptCache[proc] {
+		if q == p {
+			return i
+		}
+	}
+	return -1
 }
 
 // sweepKept discards the residual side state of kept-cache instances

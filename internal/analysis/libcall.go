@@ -49,7 +49,7 @@ func (c *libCall) Store(dsts, vals memmod.ValueSet) {
 	if vals.IsEmpty() {
 		return
 	}
-	for _, dl := range dsts.Locs() {
+	for _, dl := range dsts.WithoutNull().Locs() {
 		c.a.registerRead(c.f, dl.Base, c.nd)
 		// Library stores are always weak updates (the summary does
 		// not know which byte is written).
@@ -104,7 +104,7 @@ func (c *libCall) Return(v memmod.ValueSet) {
 	if c.nd.RetDst == nil || v.IsEmpty() {
 		return
 	}
-	dsts := c.a.evalExpr(c.f, c.nd.RetDst, c.nd)
+	dsts := c.a.evalExpr(c.f, c.nd.RetDst, c.nd).WithoutNull()
 	for _, dl := range dsts.Locs() {
 		c.a.registerRead(c.f, dl.Base, c.nd)
 		strong := dsts.Len() == 1 && dl.Precise() && !c.multi && !c.f.multiTarget

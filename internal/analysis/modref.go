@@ -83,7 +83,11 @@ type AllocSite struct {
 	Callee string // allocating function (malloc, strdup, fopen, ...)
 }
 
-// AllocSites returns every reached allocation site, sorted by position.
+// AllocSites returns every reached allocation site, sorted by position:
+// the direct library allocations some live PTF evaluated. After a graft
+// a clean procedure's sites can outlive the instances that reached them
+// (an edit can stop calling the procedure), so the blocks alone do not
+// say what this run reached.
 func (a *Analysis) AllocSites() []AllocSite {
 	var out []AllocSite
 	for _, fd := range a.prog.Funcs {
@@ -96,7 +100,7 @@ func (a *Analysis) AllocSites() []AllocSite {
 				continue
 			}
 			hb := a.heapBlocks[nd.Pos.String()]
-			if hb == nil {
+			if hb == nil || !evaluatedIn(a.ptfs[proc], nd) {
 				continue
 			}
 			out = append(out, AllocSite{Proc: proc, Node: nd, Block: hb, Callee: nd.Direct.Name})
@@ -109,6 +113,17 @@ func (a *Analysis) AllocSites() []AllocSite {
 		return out[i].Proc.Name < out[j].Proc.Name
 	})
 	return out
+}
+
+// evaluatedIn reports whether some PTF of ptfs evaluated nd. The
+// full-pass engine keeps no per-PTF record, so there every node counts.
+func evaluatedIn(ptfs []*PTF, nd *cfg.Node) bool {
+	for _, p := range ptfs {
+		if p.evaluated == nil || p.evaluated[nd.ID] {
+			return true
+		}
+	}
+	return false
 }
 
 // ModRefTable holds the converged MOD/REF summaries, per PTF and per

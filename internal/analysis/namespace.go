@@ -257,8 +257,10 @@ func (a *Analysis) getInitial(f *frame, v memmod.LocSet) memmod.ValueSet {
 	// A formal's initial contents are exactly the actual argument
 	// values; a parameter's are the dereferenced actuals. Either way
 	// they are translated into the callee's name space via extended
-	// parameters.
-	return a.bindInitial(f, v, actuals)
+	// parameters. Null is a value, not an object: it neither needs a
+	// parameter nor tells input domains apart, so a callee reads a null
+	// input as pointing nowhere.
+	return a.bindInitial(f, v, actuals.WithoutNull())
 }
 
 // bindInitial maps caller-name-space values to a single extended

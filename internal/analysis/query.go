@@ -72,15 +72,6 @@ func ptfIndex(p *PTF) int {
 	return len(p.params)
 }
 
-// NullLoc returns the null pseudo-location and whether null tracking is
-// enabled for this analysis.
-func (a *Analysis) NullLoc() (memmod.LocSet, bool) {
-	if a.nullBlock == nil {
-		return memmod.LocSet{}, false
-	}
-	return memmod.Loc(a.nullBlock, 0, 0), true
-}
-
 // AllPTFs returns every PTF of every analyzed procedure, in program
 // declaration order (then PTF creation order).
 func (a *Analysis) AllPTFs() []*PTF {
@@ -237,9 +228,7 @@ func (a *Analysis) TermValuesAt(p *PTF, t cfg.Term, nd *cfg.Node) memmod.ValueSe
 	case cfg.TermStr:
 		base.Add(memmod.Loc(a.strBlock(t.StrID, t.StrVal), 0, 0))
 	case cfg.TermNull:
-		if a.nullBlock != nil {
-			base.Add(memmod.Loc(a.nullBlock, 0, 0))
-		}
+		base.Add(memmod.Loc(a.nullBlock, 0, 0))
 	case cfg.TermDeref:
 		ptrs := a.EvalAt(p, t.Base, nd)
 		for _, pl := range ptrs.Locs() {

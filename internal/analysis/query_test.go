@@ -7,6 +7,7 @@ import (
 	"wlpa/internal/analysis"
 	"wlpa/internal/cast"
 	"wlpa/internal/cfg"
+	"wlpa/internal/memmod"
 	"wlpa/internal/sem"
 )
 
@@ -204,10 +205,8 @@ int main(void) {
 			t.Errorf("ContentsAt(%s, block-level) = %v, want empty", name, got)
 		}
 	}
-	if null, ok := a.NullLoc(); ok {
-		if got := a.ContentsAt(m, null, exit); !got.IsEmpty() {
-			t.Errorf("ContentsAt(null) = %v, want empty", got)
-		}
+	if got := a.ContentsAt(m, memmod.Loc(memmod.NewNull(), 0, 0), exit); !got.IsEmpty() {
+		t.Errorf("ContentsAt(null) = %v, want empty", got)
 	}
 	// A never-assigned pointer has an empty points-to set: no singleton,
 	// no alias — not even with itself.

@@ -30,7 +30,10 @@ func newSolution() *Solution {
 	return &Solution{raw: make(map[memmod.LocSet]*memmod.ValueSet), dirty: true}
 }
 
+// add records vals at loc. The solution records storage only: null is
+// dropped from the values.
 func (s *Solution) add(loc memmod.LocSet, vals memmod.ValueSet) {
+	vals = vals.WithoutNull()
 	loc = loc.Resolve()
 	s.dirty = true
 	v, ok := s.raw[loc]

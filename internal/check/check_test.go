@@ -26,7 +26,7 @@ func parseProg(t *testing.T, name, src string) *sem.Program {
 }
 
 // analyze runs the full front end and the analysis configured the way
-// the checkers expect (null tracking + collected solution).
+// the checkers expect (with a collected solution).
 func analyze(t *testing.T, name, src string) *analysis.Analysis {
 	t.Helper()
 	prog := parseProg(t, name, src)
@@ -34,7 +34,6 @@ func analyze(t *testing.T, name, src string) *analysis.Analysis {
 		Lib:             libsum.Summaries(),
 		LibEffects:      libsum.Effects(),
 		CollectSolution: true,
-		TrackNull:       true,
 	})
 	if err != nil {
 		t.Fatalf("%s: analysis.New: %v", name, err)

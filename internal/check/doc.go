@@ -47,11 +47,13 @@
 // Fingerprint/WriteBaseline/LoadBaseline/Suppress implement baseline
 // suppression keyed on stable diagnostic fingerprints.
 //
-// The checkers expect an analysis run with Options.TrackNull set (so
-// that "definitely null" is distinguishable from "uninitialized") and
-// Options.CollectSolution set (for concretizing extended parameters in
-// messages and resolving parameter-folded write targets). They degrade
-// gracefully without either.
+// The checkers read the same converged analysis every other query
+// reads. It tracks null as a value (the <null> pseudo-location), so
+// "definitely null" differs from "uninitialized", without a second
+// analysis: null never names storage or enters a callee, so it splits
+// no PTF. They expect Options.CollectSolution set (for concretizing
+// extended parameters in messages and resolving parameter-folded write
+// targets) and degrade gracefully without it.
 //
 // Checkers run only after the analysis has converged, so they observe a
 // single consistent fixpoint regardless of which engine (full-pass or

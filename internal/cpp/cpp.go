@@ -1,6 +1,7 @@
 package cpp
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -20,19 +21,43 @@ type Macro struct {
 	Body     []ctok.Token
 }
 
-// Error is a preprocessing error with a position.
+// Error is a preprocessing error with a position. Err, when set, is the
+// named error it is an instance of (ErrExpansion).
 type Error struct {
 	Pos ctok.Pos
 	Msg string
+	Err error
 }
 
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
+
+func (e *Error) Unwrap() error { return e.Err }
+
+// ErrExpansion is the error (wrapped in an *Error at the invocation that
+// crossed the bound) of a translation unit whose macro expansion
+// outgrows its input. Macro expansion can grow exponentially: each
+// #define that names the previous macro twice doubles the output, so a
+// few hundred bytes can ask for gigabytes. A run may therefore expand at
+// most expandPerToken tokens per token of input it read (the entry
+// file, its includes, the built-in headers and predefined macros), and
+// never more than maxExpansion in all. Expanding a macro costs the
+// tokens its body copies plus the names it hides from rescanning, so
+// macros that expand to nothing are bounded too.
+var ErrExpansion = errors.New("macro expansion exceeds its budget")
+
+const (
+	expandPerToken = 64
+	maxExpansion   = 1 << 21
+)
 
 type state struct {
 	files  Source
 	macros map[string]*Macro
 	out    []ctok.Token
 	depth  int
+	// input counts the tokens read; expanded counts the expansion work
+	// done, bounded by input (see ErrExpansion).
+	input, expanded int
 }
 
 const maxIncludeDepth = 64
@@ -71,6 +96,7 @@ func Preprocess(files Source, entry string, predefined map[string]string) ([]cto
 			return nil, err
 		}
 		st.macros[name] = &Macro{Name: name, Body: toks[:len(toks)-1]}
+		st.input += len(toks)
 	}
 	if err := st.processFile(entry, false, ctok.Pos{}); err != nil {
 		return nil, err
@@ -81,6 +107,17 @@ func Preprocess(files Source, entry string, predefined map[string]string) ([]cto
 
 func (st *state) errorf(p ctok.Pos, format string, args ...any) error {
 	return &Error{Pos: p, Msg: fmt.Sprintf(format, args...)}
+}
+
+// expand charges n tokens of macro expansion work at p, failing with
+// ErrExpansion past the run's budget.
+func (st *state) expand(p ctok.Pos, n int) error {
+	st.expanded += n
+	if st.expanded <= min(expandPerToken*st.input, maxExpansion) {
+		return nil
+	}
+	return &Error{Pos: p, Err: ErrExpansion,
+		Msg: fmt.Sprintf("%v: over %d tokens from %d tokens of input", ErrExpansion, st.expanded-n, st.input)}
 }
 
 // fileTokens returns the tokens of the file an #include at from names
@@ -114,6 +151,7 @@ func (st *state) processFile(name string, system bool, from ctok.Pos) error {
 	if err != nil {
 		return err
 	}
+	st.input += len(toks)
 	if st.depth == 0 {
 		st.out = make([]ctok.Token, 0, min(len(toks)+outSlack, ctok.MaxReserve))
 	}
@@ -373,6 +411,9 @@ func (st *state) expandInto(dst []ctok.Token, toks []ctok.Token, i int, hide map
 		return append(dst, t), i + 1, nil
 	}
 	if !m.IsFunc {
+		if err := st.expand(t.Pos, 1+len(m.Body)+len(hide)); err != nil {
+			return nil, 0, err
+		}
 		body := retag(m.Body, t.Pos)
 		out, err := st.rescanInto(dst, body, addHide(hide, m.Name))
 		return out, i + 1, err
@@ -405,6 +446,9 @@ func (st *state) expandInto(dst []ctok.Token, toks []ctok.Token, i int, hide map
 			}
 		}
 		body = append(body, bt)
+	}
+	if err := st.expand(t.Pos, 1+len(body)+len(hide)); err != nil {
+		return nil, 0, err
 	}
 	body = retag(body, t.Pos)
 	out, err := st.rescanInto(dst, body, addHide(hide, m.Name))

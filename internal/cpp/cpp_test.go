@@ -1,12 +1,14 @@
 package cpp
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"wlpa/internal/ctok"
 )
@@ -351,5 +353,49 @@ func TestBlankSourceReservesLittle(t *testing.T) {
 		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 			t.Errorf("%s: Preprocess allocated %d bytes for 1 MB of source, want under 1 MB", name, got)
 		}
+	}
+}
+
+// doublings is a translation unit of n #defines, each naming the one
+// before twice (#define A1 A0 A0 ... #define An An-1 An-1), and one use
+// of the last: unbounded, it would expand to 2^n tokens.
+func doublings(n int) string {
+	var b strings.Builder
+	for k := 1; k <= n; k++ {
+		fmt.Fprintf(&b, "#define A%d A%d A%d\n", k, k-1, k-1)
+	}
+	fmt.Fprintf(&b, "int x = A%d;\n", n)
+	return b.String()
+}
+
+// TestMacroExpansionBounded pins the expansion budget: chains of 18 and
+// 24 doublings (a few hundred bytes asking for 2^18 and 2^24 tokens)
+// fail with ErrExpansion in well under 100 ms and 1 MB of allocation,
+// while a chain that stays within 64 tokens of expansion per token of
+// input still expands.
+func TestMacroExpansionBounded(t *testing.T) {
+	for _, n := range []int{18, 24} {
+		src := doublings(n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		_, err := Preprocess(Source{"bomb.c": src}, "bomb.c", nil)
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrExpansion) {
+			t.Fatalf("%d doublings (%d bytes): err %v, want ErrExpansion", n, len(src), err)
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%d doublings (%d bytes): %v in %v, %d KB allocated", n, len(src), err, elapsed, alloc>>10)
+		if elapsed > 100*time.Millisecond {
+			t.Errorf("%d doublings: failed after %v, want under 100ms", n, elapsed)
+		}
+		if alloc > 1<<20 {
+			t.Errorf("%d doublings: allocated %d KB, want under 1 MB", n, alloc>>10)
+		}
+	}
+	// Six doublings expand to 64 tokens from about 35 tokens of input.
+	if got := pp(t, Source{"ok.c": doublings(6)}, "ok.c"); strings.Count(got, "A0") != 64 {
+		t.Errorf("6 doublings expanded to %q, want 64 A0 tokens", got)
 	}
 }

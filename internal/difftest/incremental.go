@@ -3,6 +3,7 @@ package difftest
 import (
 	"bytes"
 	"fmt"
+	"strings"
 
 	"wlpa/pta"
 )
@@ -27,10 +28,13 @@ func snapshotWithDiags(r *pta.Result) ([]byte, error) {
 // program pair it analyzes the edited program cold, re-analyzes it
 // incrementally against a baseline built from the base program, and
 // requires the two results byte-identical on the full snapshot surface
-// (PTF statistics, collapsed solution, diagnostics, ModRef). The graft
-// must actually engage — a silent cold fallback on a pair whose globals
-// are unchanged is itself a failure, since it would let the incremental
-// path rot unexercised.
+// (PTF statistics, collapsed solution, diagnostics with their context
+// traces, ModRef) and equal in their allocation sites. The base result
+// is snapshotted with diagnostics before it becomes the baseline, as a
+// daemon's diagnostics miss checks the result it then keeps to graft
+// on. The graft must actually engage — a silent cold fallback on a
+// pair whose globals are unchanged is itself a failure, since it would
+// let the incremental path rot unexercised.
 func CheckIncremental(name, base, edited string, opt Options) error {
 	fail := func(stage, format string, args ...any) error {
 		return &Failure{Stage: stage, Name: name, Detail: fmt.Sprintf(format, args...), Src: edited}
@@ -51,6 +55,9 @@ func CheckIncremental(name, base, edited string, opt Options) error {
 	if err != nil {
 		return &Failure{Stage: StageFrontend, Name: name,
 			Detail: fmt.Sprintf("base program: %v", err), Src: base}
+	}
+	if _, err := snapshotWithDiags(baseRes); err != nil {
+		return fail(StageEngine, "base snapshot: %v", err)
 	}
 	bl, err := pta.NewBaseline(baseRes, popts)
 	if err != nil {
@@ -84,7 +91,20 @@ func CheckIncremental(name, base, edited string, opt Options) error {
 			st.CleanProcs, st.DirtyProcs, st.RestoredPTFs,
 			firstByteDiff(coldSnap, incSnap), len(coldSnap), len(incSnap))
 	}
+	if coldSites, incSites := allocSites(cold), allocSites(inc); coldSites != incSites {
+		return fail(StageIncremental, "incremental vs cold: allocation sites differ; first divergence:\n%s",
+			firstDiff(incSites, coldSites))
+	}
 	return nil
+}
+
+// allocSites renders a result's reached allocation sites, one per line.
+func allocSites(r *pta.Result) string {
+	var b strings.Builder
+	for _, s := range r.Analysis().AllocSites() {
+		fmt.Fprintf(&b, "%s %s %s %s\n", s.Node.Pos, s.Proc.Name, s.Callee, s.Block.Name)
+	}
+	return b.String()
 }
 
 func fallbackOf(st *pta.IncrStats) string {

@@ -127,7 +127,6 @@ func runEngine(prog *sem.Program, e engine) (*fingerprint, error) {
 		Lib:             libsum.Summaries(),
 		LibEffects:      libsum.Effects(),
 		CollectSolution: true,
-		TrackNull:       true,
 		ForceFullPasses: e.force,
 	})
 	if err != nil {

@@ -48,9 +48,10 @@ const (
 	// value (paper §3).
 	RetvalBlock
 	// NullBlock is the pseudo-location denoting the null pointer
-	// constant. It is not real storage: dereferencing it yields nothing
-	// and checkers report it as a NULL dereference. Only created when
-	// the analysis runs with null tracking enabled.
+	// constant. It is a value, not storage: dereferencing it yields
+	// nothing, the analysis never writes to it or binds it to a
+	// callee's parameters (ValueSet.WithoutNull), and checkers report
+	// it as a NULL dereference.
 	NullBlock
 )
 

@@ -283,6 +283,30 @@ func (v ValueSet) Resolved() ValueSet {
 	return out
 }
 
+// WithoutNull returns the set minus the null pseudo-location. Null is a
+// value, never storage, so the analysis drops it wherever a set names
+// write targets or crosses into a callee. A set without null — nearly
+// every set — is returned as it is, with no copy.
+func (v ValueSet) WithoutNull() ValueSet {
+	nulls := 0
+	for _, l := range v.locs {
+		if l.Base.Kind == NullBlock {
+			nulls++
+		}
+	}
+	if nulls == 0 {
+		return v
+	}
+	out := ValueSet{locs: make([]LocSet, 0, len(v.locs)-nulls)}
+	for _, l := range v.locs {
+		if l.Base.Kind != NullBlock {
+			out.locs = append(out.locs, l)
+			out.hash ^= hashLoc(l)
+		}
+	}
+	return out
+}
+
 // CloneInto copies the set into dst, which must have length Len() (its
 // capacity should be clipped to it: growth must not overwrite whatever
 // follows in a shared slab).

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -69,7 +70,7 @@ func analyzeOK(t *testing.T, h http.Handler, name, src string) AnalyzeResponse {
 
 // librarySnapshot is what the library serves for the program with
 // diagnostics: AnalyzeProgram, then Result.Snapshot, which runs the
-// checker after the analysis, under the daemon's fingerprint key.
+// checker over that analysis, under the daemon's fingerprint key.
 func librarySnapshot(t *testing.T, name, src, key string) []byte {
 	t.Helper()
 	prog, err := pta.Frontend(pta.Source{name: src}, name, nil)
@@ -91,15 +92,16 @@ func librarySnapshot(t *testing.T, name, src, key string) []byte {
 	return data
 }
 
-// engineRuns counts the engine runs of one test: the cold analyses and
-// the checker runs the daemon starts, and how many were live at once.
-// It also records, by identity, the flow-graph maps irhash hashed and
-// the ones each run was given.
+// engineRuns counts the engine runs of one test: the cold analyses the
+// daemon starts, how many were live at once, and the most goroutines
+// seen running daemon code at the start of a run. It also records, by
+// identity, the flow-graph maps irhash hashed and the ones each run was
+// given.
 type engineRuns struct {
-	live, peak, checks atomic.Int32
+	runs, live, peak, serving atomic.Int32
 
-	mu                        sync.Mutex
-	hashed, analyzed, checked []uintptr
+	mu               sync.Mutex
+	hashed, analyzed []uintptr
 }
 
 // procsID identifies a flow-graph map; 0 is the nil map.
@@ -108,12 +110,12 @@ func procsID(procs map[*cast.FuncDecl]*cfg.Proc) uintptr {
 }
 
 // flowGraphs returns the maps recorded since the last call.
-func (e *engineRuns) flowGraphs() (hashed, analyzed, checked []uintptr) {
+func (e *engineRuns) flowGraphs() (hashed, analyzed []uintptr) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	hashed, analyzed, checked = e.hashed, e.analyzed, e.checked
-	e.hashed, e.analyzed, e.checked = nil, nil, nil
-	return hashed, analyzed, checked
+	hashed, analyzed = e.hashed, e.analyzed
+	e.hashed, e.analyzed = nil, nil
+	return hashed, analyzed
 }
 
 func (e *engineRuns) record(list *[]uintptr, procs map[*cast.FuncDecl]*cfg.Proc) {
@@ -122,93 +124,120 @@ func (e *engineRuns) record(list *[]uintptr, procs map[*cast.FuncDecl]*cfg.Proc)
 	e.mu.Unlock()
 }
 
+// maxTo raises v to at least n.
+func maxTo(v *atomic.Int32, n int32) {
+	for p := v.Load(); n > p && !v.CompareAndSwap(p, n); p = v.Load() {
+	}
+}
+
+// serverGoroutines counts the goroutines that run daemon code or were
+// started by it: one per request being served, unless a handler starts
+// goroutines of its own.
+func serverGoroutines() int32 {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	var n int32
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("wlpa/internal/server.(*Server)")) {
+			n++
+		}
+	}
+	return n
+}
+
 // observeEngine wraps the daemon's hash and engine entry points for the
 // rest of the test.
 func observeEngine(t *testing.T) *engineRuns {
 	e := &engineRuns{}
-	hash, analyze, check := hashProcs, analyzeProgram, checkProgram
-	t.Cleanup(func() { hashProcs, analyzeProgram, checkProgram = hash, analyze, check })
-	enter := func() {
-		n := e.live.Add(1)
-		for p := e.peak.Load(); n > p && !e.peak.CompareAndSwap(p, n); p = e.peak.Load() {
-		}
-	}
+	hash, analyze := hashProcs, analyzeProgram
+	t.Cleanup(func() { hashProcs, analyzeProgram = hash, analyze })
 	hashProcs = func(prog *sem.Program, procs map[*cast.FuncDecl]*cfg.Proc) *irhash.Program {
 		e.record(&e.hashed, procs)
 		return hash(prog, procs)
 	}
 	analyzeProgram = func(prog *sem.Program, procs map[*cast.FuncDecl]*cfg.Proc, opts *pta.Options) (*pta.Result, error) {
 		e.record(&e.analyzed, procs)
-		enter()
+		e.runs.Add(1)
+		maxTo(&e.peak, e.live.Add(1))
 		defer e.live.Add(-1)
+		maxTo(&e.serving, serverGoroutines())
 		return analyze(prog, procs, opts)
-	}
-	checkProgram = func(prog *sem.Program, procs map[*cast.FuncDecl]*cfg.Proc, opts *pta.Options, copts *pta.CheckOptions) ([]pta.Diagnostic, error) {
-		e.record(&e.checked, procs)
-		e.checks.Add(1)
-		enter()
-		defer e.live.Add(-1)
-		return check(prog, procs, opts, copts)
 	}
 	return e
 }
 
-// TestRequestSharesItsFlowGraphs pins one flow-graph build per request:
-// each engine run a miss starts is given the map irhash hashed for the
-// request, whether the checker runs beside the main analysis or after
-// it, on a plain miss and on a cold POST /query.
+// TestRequestSharesItsFlowGraphs pins one flow-graph build and one
+// engine run per request: the run a miss starts is given the map irhash
+// hashed for the request, on a diagnostics miss (whose checker reads
+// that one analysis after it), a plain miss and a cold POST /query. The
+// handler serves the request on its own goroutine and starts none:
+// while the request runs, sampled at the start of the engine run and
+// all along by the test, no other goroutine runs daemon code.
 func TestRequestSharesItsFlowGraphs(t *testing.T) {
 	wb, _ := workload.ByName("allroots")
 	files := map[string]string{"allroots.c": wb.Source}
 	cases := []struct {
-		name       string
-		target     string
-		body       any
-		holdSlot   bool // the checker finds no spare slot and runs after
-		checks     int
-		sequential uint64
+		name   string
+		target string
+		body   any
 	}{
-		{"diagnostics miss, checker beside", "/analyze",
-			AnalyzeRequest{Files: files, Entry: "allroots.c", Diagnostics: true}, false, 1, 0},
 		{"diagnostics miss, checker after", "/analyze",
-			AnalyzeRequest{Files: files, Entry: "allroots.c", Diagnostics: true}, true, 1, 1},
+			AnalyzeRequest{Files: files, Entry: "allroots.c", Diagnostics: true}},
 		{"plain miss", "/analyze",
-			AnalyzeRequest{Files: files, Entry: "allroots.c"}, false, 0, 0},
+			AnalyzeRequest{Files: files, Entry: "allroots.c"}},
 		{"cold POST /query", "/query",
-			QueryRequest{Files: files, Entry: "allroots.c", Queries: []SiteQuery{{Proc: "main", Line: 1, Expr: "p"}}}, false, 0, 0},
+			QueryRequest{Files: files, Entry: "allroots.c", Queries: []SiteQuery{{Proc: "main", Line: 1, Expr: "p"}}}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			runs := observeEngine(t)
 			srv := newHandlerServer(t, pta.Options{}, 2)
-			if c.holdSlot {
-				srv.sem <- struct{}{}
-				defer func() { <-srv.sem }()
-			}
-			if code, body := post(context.Background(), srv.Handler(), c.target, c.body); code != http.StatusOK {
+			var sampled atomic.Int32
+			stop, stopped := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(stopped)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						maxTo(&sampled, serverGoroutines())
+					}
+				}
+			}()
+			code, body := post(context.Background(), srv.Handler(), c.target, c.body)
+			close(stop)
+			<-stopped
+			if code != http.StatusOK {
 				t.Fatalf("status %d: %.200s", code, body)
 			}
-			hashed, analyzed, checked := runs.flowGraphs()
+			hashed, analyzed := runs.flowGraphs()
 			if len(hashed) != 1 || hashed[0] == 0 {
 				t.Fatalf("irhash hashed %v, want one non-nil flow-graph map", hashed)
 			}
 			if len(analyzed) != 1 || analyzed[0] != hashed[0] {
-				t.Errorf("main analysis given %v, want the hashed map %v", analyzed, hashed[0])
+				t.Errorf("engine runs given %v, want one given the hashed map %v", analyzed, hashed[0])
 			}
-			if len(checked) != c.checks || (c.checks > 0 && checked[0] != hashed[0]) {
-				t.Errorf("checker given %v, want the hashed map %v %d times", checked, hashed[0], c.checks)
+			if n := runs.serving.Load(); n != 1 {
+				t.Errorf("%d goroutines ran daemon code at the start of the engine run, want 1", n)
 			}
-			if seq := srv.metrics.snapshot().Check.Sequential; seq != c.sequential {
-				t.Errorf("%d sequential checks, want %d", seq, c.sequential)
+			if n := sampled.Load(); n > 1 {
+				t.Errorf("%d goroutines ran daemon code at once while serving one request, want 1", n)
 			}
 		})
 	}
 }
 
 // TestDiagnosticsMissBytes pins the served bytes of diagnostics misses
-// to the library's: on the suite and the fixtures, once with the
-// checker beside the main analysis and once after it (the test holds
-// the spare slot), plus a warm-edit graft with diagnostics each way.
+// to the library's, on the suite and the fixtures plus a warm-edit
+// graft, and times every checker run.
 func TestDiagnosticsMissBytes(t *testing.T) {
 	progs := map[string]string{}
 	for _, b := range workload.Suite() {
@@ -217,52 +246,37 @@ func TestDiagnosticsMissBytes(t *testing.T) {
 	for name, src := range workload.BugFixtures() {
 		progs["bug_"+name+".c"] = src
 	}
-	refs := map[string][]byte{}
-	for _, sequential := range []bool{false, true} {
-		srv := newHandlerServer(t, pta.Options{}, 2)
-		if sequential {
-			srv.sem <- struct{}{}
+	srv := newHandlerServer(t, pta.Options{}, 2)
+	h := srv.Handler()
+	for name, src := range progs {
+		resp := analyzeOK(t, h, name, src)
+		if !bytes.Equal(resp.Snapshot, librarySnapshot(t, name, src, resp.Meta.Key)) {
+			t.Errorf("%s: served snapshot differs from the library's", name)
 		}
-		h := srv.Handler()
-		for name, src := range progs {
-			resp := analyzeOK(t, h, name, src)
-			if refs[name] == nil {
-				refs[name] = librarySnapshot(t, name, src, resp.Meta.Key)
-			}
-			if !bytes.Equal(resp.Snapshot, refs[name]) {
-				t.Errorf("%s (sequential %v): served snapshot differs from the library's", name, sequential)
-			}
-			if resp.Meta.CheckMS <= 0 {
-				t.Errorf("%s (sequential %v): check_ms = %v", name, sequential, resp.Meta.CheckMS)
-			}
+		if resp.Meta.CheckMS <= 0 {
+			t.Errorf("%s: check_ms = %v", name, resp.Meta.CheckMS)
 		}
+	}
 
-		analyzeOK(t, h, "edit.c", editBase)
-		edited := analyzeOK(t, h, "edit.c", editChanged)
-		if inc := edited.Meta.Incremental; inc == nil || inc.Fallback != "" {
-			t.Fatalf("sequential %v: edited miss did not graft: %+v", sequential, edited.Meta)
-		}
-		if !bytes.Equal(edited.Snapshot, librarySnapshot(t, "edit.c", editChanged, edited.Meta.Key)) {
-			t.Errorf("sequential %v: grafted snapshot differs from the library's", sequential)
-		}
+	analyzeOK(t, h, "edit.c", editBase)
+	edited := analyzeOK(t, h, "edit.c", editChanged)
+	if inc := edited.Meta.Incremental; inc == nil || inc.Fallback != "" {
+		t.Fatalf("edited miss did not graft: %+v", edited.Meta)
+	}
+	if !bytes.Equal(edited.Snapshot, librarySnapshot(t, "edit.c", editChanged, edited.Meta.Key)) {
+		t.Errorf("grafted snapshot differs from the library's")
+	}
 
-		misses := uint64(len(progs) + 2)
-		m := srv.metrics.snapshot()
-		wantSeq := uint64(0)
-		if sequential {
-			wantSeq = misses
-			<-srv.sem
-		}
-		if m.Check.Sequential != wantSeq || m.LatencyMS["check"].Count != misses {
-			t.Errorf("sequential %v: %d sequential checks and %d timed, want %d and %d",
-				sequential, m.Check.Sequential, m.LatencyMS["check"].Count, wantSeq, misses)
-		}
+	misses := uint64(len(progs) + 2)
+	if n := srv.metrics.snapshot().LatencyMS["check"].Count; n != misses {
+		t.Errorf("%d checker runs timed, want %d", n, misses)
 	}
 }
 
 // TestConcurrentDiagnosticsMisses sends diagnostics misses at once to a
-// daemon with two slots: every one is served the library's bytes, and
-// no more than two engine runs are ever live.
+// daemon with two slots: every one is served the library's bytes, each
+// starts exactly one engine run, given the flow graphs its request
+// hashed, and no more than two are ever live.
 func TestConcurrentDiagnosticsMisses(t *testing.T) {
 	suite := workload.Suite()[:6]
 	runs := observeEngine(t)
@@ -298,21 +312,21 @@ func TestConcurrentDiagnosticsMisses(t *testing.T) {
 	if p := runs.peak.Load(); p > 2 {
 		t.Errorf("%d engine runs were live at once with MaxInflight 2", p)
 	}
-	if n := runs.checks.Load(); n != int32(len(suite)) {
-		t.Errorf("%d checker runs for %d diagnostics misses", n, len(suite))
+	if n := runs.runs.Load(); n != int32(len(suite)) {
+		t.Errorf("%d engine runs for %d diagnostics misses", n, len(suite))
 	}
 	if n := len(srv.sem); n != 0 {
 		t.Errorf("%d slots still held after every reply", n)
 	}
-	// The main analysis and the checker of each miss read the flow
-	// graphs the request hashed, beside each other or one after the
-	// other: under -race this checks that sharing them is safe.
-	hashed, analyzed, checked := runs.flowGraphs()
+	// Each miss's one run reads the flow graphs its request hashed;
+	// under -race this checks that concurrent requests share nothing
+	// else.
+	hashed, analyzed := runs.flowGraphs()
 	uses := map[uintptr]int{}
 	for _, id := range hashed {
 		uses[id] = 0
 	}
-	for _, id := range append(analyzed, checked...) {
+	for _, id := range analyzed {
 		if _, ok := uses[id]; !ok || id == 0 {
 			t.Errorf("an engine run was given flow graphs no request hashed")
 			continue
@@ -323,18 +337,18 @@ func TestConcurrentDiagnosticsMisses(t *testing.T) {
 		t.Errorf("%d distinct flow-graph maps hashed for %d requests", len(uses), len(suite))
 	}
 	for _, n := range uses {
-		if n != 2 {
-			t.Errorf("a request's flow graphs went to %d engine runs, want 2", n)
+		if n != 1 {
+			t.Errorf("a request's flow graphs went to %d engine runs, want 1", n)
 		}
 	}
 }
 
 // TestDiagnosticsMissErrors pins the failing diagnostics misses: a
-// program without main fails both runs, and the generated program
-// whose checking runs past a 200 ms budget fails the checker only.
-// Either way the reply is 422 with the named error, beside the main
-// analysis or after it, and the checker run is over before the handler
-// returns.
+// program without main fails its analysis, and the generated program
+// whose checking runs past a 200 ms budget fails the checker, which
+// runs on what the analysis left of that budget. Either way the reply
+// is 422 with the named error, with one slot in all or two, and the
+// slot is free when the handler returns.
 func TestDiagnosticsMissErrors(t *testing.T) {
 	cfg := workload.FuzzGenConfig(20, uint32(workload.AllFeatures()))
 	cfg.NumFuncs, cfg.StmtsPerFunc = 6, 10
@@ -342,109 +356,25 @@ func TestDiagnosticsMissErrors(t *testing.T) {
 		{"nomain.c", "int x;\nint f(void) { return x; }\n", "no main function"},
 		{"cgen.c", workload.Generate(cfg), "wall-clock budget exceeded"},
 	}
-	for _, sequential := range []bool{false, true} {
+	for _, slots := range []int{1, 2} {
 		for _, c := range cases {
 			t.Run(c.name, func(t *testing.T) {
 				runs := observeEngine(t)
-				srv := newHandlerServer(t, pta.Options{Timeout: 200 * time.Millisecond}, 2)
-				if sequential {
-					srv.sem <- struct{}{}
-					defer func() { <-srv.sem }()
-				}
+				srv := newHandlerServer(t, pta.Options{Timeout: 200 * time.Millisecond}, slots)
 				code, body := post(context.Background(), srv.Handler(), "/analyze",
 					AnalyzeRequest{Files: map[string]string{c.name: c.src}, Entry: c.name, Diagnostics: true})
-				if live := runs.live.Load(); live != 0 {
-					t.Errorf("sequential %v: %d engine runs still live after the handler returned", sequential, live)
-				}
 				if code != http.StatusUnprocessableEntity || !strings.Contains(string(body), c.want) {
-					t.Errorf("sequential %v: %d %.200s, want 422 naming %q", sequential, code, body, c.want)
+					t.Errorf("%d slots: %d %.200s, want 422 naming %q", slots, code, body, c.want)
 				}
-				if !sequential && runs.checks.Load() != 1 {
-					t.Errorf("%d checker runs, want 1 beside the main analysis", runs.checks.Load())
+				if n := runs.runs.Load(); n != 1 {
+					t.Errorf("%d slots: %d engine runs, want 1", slots, n)
 				}
-				held := 0
-				if sequential {
-					held = 1 // the test's own
-				}
-				if n := len(srv.sem); n != held {
-					t.Errorf("sequential %v: %d slots held after the reply, want %d", sequential, n, held)
+				if n := len(srv.sem); n != 0 {
+					t.Errorf("%d slots: %d held after the reply", slots, n)
 				}
 			})
 		}
 	}
-}
-
-// TestSlotFreedWhileCheckerRuns holds a diagnostics miss's checker
-// past its main analysis with two slots in all: a plain miss sent
-// meanwhile must get a slot, because the waiting request hands its own
-// back and takes over the checker's.
-func TestSlotFreedWhileCheckerRuns(t *testing.T) {
-	check := checkProgram
-	t.Cleanup(func() { checkProgram = check })
-	started, release := make(chan struct{}), make(chan struct{})
-	checkProgram = func(prog *sem.Program, procs map[*cast.FuncDecl]*cfg.Proc, opts *pta.Options, copts *pta.CheckOptions) ([]pta.Diagnostic, error) {
-		close(started)
-		<-release
-		return check(prog, procs, opts, copts)
-	}
-	srv := newHandlerServer(t, pta.Options{}, 2)
-	h := srv.Handler()
-	wb, _ := workload.ByName("allroots")
-	var slow AnalyzeResponse
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		code, body := post(context.Background(), h, "/analyze",
-			AnalyzeRequest{Files: map[string]string{"allroots.c": wb.Source}, Entry: "allroots.c", Diagnostics: true})
-		if code != http.StatusOK || json.Unmarshal(body, &slow) != nil {
-			t.Errorf("diagnostics miss: %d %.200s", code, body)
-		}
-	}()
-	<-started
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	code, body := post(ctx, h, "/analyze", AnalyzeRequest{Files: map[string]string{"edit.c": editBase}, Entry: "edit.c"})
-	cancel()
-	close(release)
-	<-done
-	if code != http.StatusOK {
-		t.Errorf("plain miss got %d while a checker ran: %.200s", code, body)
-	}
-	if !bytes.Equal(slow.Snapshot, librarySnapshot(t, "allroots.c", wb.Source, slow.Meta.Key)) {
-		t.Errorf("diagnostics miss served a snapshot that differs from the library's")
-	}
-	if n := len(srv.sem); n != 0 {
-		t.Errorf("%d slots still held after both replies", n)
-	}
-}
-
-// TestCheckerPanicReraised makes the checker panic beside the main
-// analysis: the request's goroutine re-raises it with the checker's own
-// stack, both slots are free afterwards, and the next miss is served.
-func TestCheckerPanicReraised(t *testing.T) {
-	check := checkProgram
-	t.Cleanup(func() { checkProgram = check })
-	checkProgram = func(*sem.Program, map[*cast.FuncDecl]*cfg.Proc, *pta.Options, *pta.CheckOptions) ([]pta.Diagnostic, error) {
-		panic("boom")
-	}
-	srv := newHandlerServer(t, pta.Options{}, 2)
-	h := srv.Handler()
-	var got any
-	func() {
-		defer func() { got = recover() }()
-		post(context.Background(), h, "/analyze",
-			AnalyzeRequest{Files: map[string]string{"edit.c": editBase}, Entry: "edit.c", Diagnostics: true})
-	}()
-	err, _ := got.(error)
-	if err == nil || !strings.Contains(err.Error(), "checker panic: boom") ||
-		!strings.Contains(err.Error(), "TestCheckerPanicReraised") {
-		t.Fatalf("recovered %v, want an error carrying the checker's panic and stack", got)
-	}
-	if n := len(srv.sem); n != 0 {
-		t.Errorf("%d slots still held after the panic", n)
-	}
-	checkProgram = check
-	analyzeOK(t, h, "edit.c", editChanged)
 }
 
 // blockingWriter is a ResponseWriter whose Write blocks until release is

@@ -32,11 +32,10 @@
 //     object excluded from the identity guarantee.
 //   - The engine runs under a bounded in-flight semaphore and a
 //     per-request wall-clock budget; an exceeded budget is an error
-//     response, never a partial result. A diagnostics miss runs its
-//     checker on a second slot beside the main analysis only when one
-//     is free at once (it never waits for it), gives its own slot back
-//     while it waits for that run, joins the run on every path before
-//     replying, and frees its slots before the reply is written.
+//     response, never a partial result. A miss holds one slot and runs
+//     one analysis; a diagnostics miss's checker reads that analysis,
+//     in the same slot and on the same budget. The slot is freed
+//     before the reply is written.
 //   - Concurrent identical misses may each run the engine (no
 //     single-flight); both converge to identical bytes, so the last
 //     Put wins harmlessly.

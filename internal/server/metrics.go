@@ -56,8 +56,6 @@ type metrics struct {
 	warmGrafts    uint64
 	warmFallbacks uint64
 
-	sequentialChecks uint64
-
 	queryRequests uint64
 	queryWarm     uint64
 	queryCold     uint64
@@ -101,13 +99,6 @@ type MetricsSnapshot struct {
 		Grafts    uint64 `json:"grafts"`
 		Fallbacks uint64 `json:"fallbacks"`
 	} `json:"incremental"`
-	// Check.Sequential counts diagnostics misses whose checker ran after
-	// the main analysis because no second in-flight slot was free; the
-	// others ran it beside the main analysis. LatencyMS["check"] times
-	// every checker run.
-	Check struct {
-		Sequential uint64 `json:"sequential"`
-	} `json:"check"`
 	// Baselines reports the warm-edit baseline LRU: its configured
 	// capacity, how many entries it currently holds, and how many were
 	// evicted (not consumed) over the daemon's lifetime.
@@ -141,7 +132,6 @@ func (m *metrics) snapshot() MetricsSnapshot {
 	out.Requests.Inflight = m.inflight
 	out.Incremental.Grafts = m.warmGrafts
 	out.Incremental.Fallbacks = m.warmFallbacks
-	out.Check.Sequential = m.sequentialChecks
 	out.Query.Requests = m.queryRequests
 	out.Query.Warm = m.queryWarm
 	out.Query.Cold = m.queryCold

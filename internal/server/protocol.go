@@ -30,10 +30,8 @@ type AnalyzeMeta struct {
 	// Timings in milliseconds: frontend+hashing, engine (0 on a hit),
 	// snapshot (0 on a hit), checker, end-to-end. SnapshotMS spans
 	// Result.Snapshot, built without diagnostics, and Encode. CheckMS
-	// is the wall time of the checker suite, the null-tracking analysis
-	// plus the passes (0 unless the miss asked for diagnostics). When a
-	// second in-flight slot was free it ran beside the analysis and the
-	// snapshot build, so TotalMS may be less than the sum of the parts.
+	// times the checker passes over the miss's one analysis (0 unless
+	// the miss asked for diagnostics).
 	HashMS     float64 `json:"hash_ms"`
 	AnalyzeMS  float64 `json:"analyze_ms"`
 	SnapshotMS float64 `json:"snapshot_ms"`

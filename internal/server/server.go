@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"runtime/debug"
 	"time"
 
 	"wlpa/internal/analysis"
@@ -33,15 +32,11 @@ type Config struct {
 	// MaxInflight bounds concurrent engine runs (cache hits are not
 	// throttled); 0 means 2. Each run is one sequential analysis that
 	// shares no memory with the others, so this is also the number of
-	// cores the engine can keep busy. A miss holds one slot; a
-	// diagnostics miss that finds a second slot free at once takes it
-	// too and runs its checker beside the main analysis (giving its own
-	// slot back while it waits for the checker), and otherwise runs the
-	// checker after it. A miss that arrives while a diagnostics miss
-	// holds both slots therefore waits for the rest of that miss's main
-	// analysis and snapshot build. A request that cannot get its first
-	// slot before its context is done gets 503. Slots are freed before
-	// the reply is written.
+	// cores the engine can keep busy. A miss holds one slot, for its
+	// analysis, its snapshot build and, on a diagnostics miss, its
+	// checker passes. A request that cannot get a slot before its
+	// context is done gets 503. Slots are freed before the reply is
+	// written.
 	MaxInflight int
 	// BaselineCap bounds how many warm-edit baselines are held for
 	// incremental grafting; 0 means 8. Each baseline pins a full
@@ -187,19 +182,18 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, AnalyzeResponse{Meta: meta, Snapshot: data})
 }
 
-// The hash and the engine entry points, variables so that tests can
+// The hash and the cold engine entry point, variables so that tests can
 // observe the runs and the flow graphs each is given.
 var (
 	hashProcs      = irhash.HashProcs
 	analyzeProgram = pta.AnalyzeProgramPrepared
-	checkProgram   = pta.CheckProgramPrepared
 )
 
 // prepared is a request's program, prepared once: typechecked, its flow
-// graphs built and hashed. Every analysis the request starts (a cold
-// run, a graft and its cold fallback, the checker) takes these flow
-// graphs; the result kept as the entry's baseline or query entry owns
-// them afterwards (pta.AnalyzeProgramPrepared).
+// graphs built and hashed. The one analysis the request starts (a cold
+// run, or a graft and its cold fallback) takes these flow graphs; the
+// result kept as the entry's baseline or query entry owns them
+// afterwards (pta.AnalyzeProgramPrepared).
 type prepared struct {
 	prog  *sem.Program
 	procs map[*cast.FuncDecl]*cfg.Proc
@@ -222,33 +216,18 @@ func (s *Server) prepare(files map[string]string, entry string) (*prepared, erro
 
 // analyzeMiss runs the engine for a cache miss, writes the encoded
 // snapshot back to the store and registers the entry's warm-edit
-// baseline. It holds an in-flight slot while it runs and frees it on
+// baseline. It holds one in-flight slot while it runs and frees it on
 // return, before the caller writes the reply, so a client that reads
-// slowly does not keep an engine slot. A diagnostics miss also tries
-// for a second slot without waiting: with one, the checker runs on its
-// own goroutine beside the main analysis (startCheck), and joining it
-// trades this goroutine's slot for the checker's (join); without one it
-// runs after the snapshot build, on this goroutine. Waiting for a
-// second slot could deadlock two requests that each hold one. On
-// failure the returned status is the one to answer with.
+// slowly does not keep an engine slot. A diagnostics miss runs the
+// checker passes over the same converged result after the snapshot
+// build: there is one analysis per miss. On failure the returned status
+// is the one to answer with.
 func (s *Server) analyzeMiss(ctx context.Context, req *AnalyzeRequest, p *prepared, key store.Key, meta *AnalyzeMeta) ([]byte, int, error) {
 	if err := s.acquire(ctx); err != nil {
 		return nil, http.StatusServiceUnavailable, err
 	}
 	defer s.release()
 	opts := s.cfg.Options
-	var chk *checkRun
-	if req.Diagnostics {
-		select {
-		case s.sem <- struct{}{}:
-			chk = s.startCheck(p, &opts)
-			// Joined on every path, errors included: both runs share
-			// Options.Timeout, so a failing main analysis and its
-			// checker end at about the same time.
-			defer s.join(chk)
-		default:
-		}
-	}
 
 	// A registered baseline for this entry turns the miss into a
 	// warm-edit graft: surviving PTFs are restored and only the edit's
@@ -286,20 +265,12 @@ func (s *Server) analyzeMiss(ctx context.Context, req *AnalyzeRequest, p *prepar
 	}
 	snapDur := time.Since(ts)
 	if req.Diagnostics {
-		var diags []pta.Diagnostic
-		var checkDur time.Duration
-		if chk != nil {
-			diags, checkDur, err = s.join(chk)
-		} else {
-			s.metrics.mu.Lock()
-			s.metrics.sequentialChecks++
-			s.metrics.mu.Unlock()
-			diags, checkDur, err = runCheck(p, &opts)
-		}
+		tc := time.Now()
+		diags, err := res.Check(nil)
 		if err != nil {
 			return nil, afterAnalysisStatus(err), err
 		}
-		meta.CheckMS = ms(checkDur)
+		meta.CheckMS = ms(time.Since(tc))
 		s.metrics.observe("check", meta.CheckMS)
 		snap.SetDiagnostics(diags)
 	}
@@ -318,8 +289,9 @@ func (s *Server) analyzeMiss(ctx context.Context, req *AnalyzeRequest, p *prepar
 		s.log.Warn("cache write failed", "key", key.String(), "err", err)
 	}
 	// Every successful miss leaves a baseline behind for the entry's
-	// next edit. The snapshot above is already built, so consuming this
-	// result later cannot invalidate anything a client was served.
+	// next edit. The snapshot and the checker above are done with the
+	// result, so consuming it later cannot invalidate anything a client
+	// was served.
 	s.baselines.put(req.Entry, pta.BaselineFromHash(res, p.ir, &opts))
 	return data, http.StatusOK, nil
 }
@@ -338,71 +310,13 @@ func (s *Server) acquire(ctx context.Context) error {
 func (s *Server) release() { <-s.sem }
 
 // afterAnalysisStatus maps a failure of the snapshot build or the
-// checker. The checker shares the analysis' budget: running past it is
+// checker. The checker runs on the analysis' budget: running past it is
 // the same named failure as an analysis timeout.
 func afterAnalysisStatus(err error) int {
 	if errors.Is(err, analysis.ErrTimeout) {
 		return http.StatusUnprocessableEntity
 	}
 	return http.StatusInternalServerError
-}
-
-// checkRun is a checker run on its own goroutine, holding the second
-// in-flight slot of a diagnostics miss until the request joins it.
-type checkRun struct {
-	done     chan struct{} // closed once the run is over
-	joined   bool          // set by join, on the request's goroutine
-	diags    []pta.Diagnostic
-	dur      time.Duration
-	err      error
-	panicked error // a panic of the run and its stack, re-raised by join
-}
-
-// startCheck runs the checker suite over p on a new goroutine, in a
-// slot the caller has taken for it. The goroutine does not free the
-// slot: join hands it to the request.
-func (s *Server) startCheck(p *prepared, opts *pta.Options) *checkRun {
-	c := &checkRun{done: make(chan struct{})}
-	go func() {
-		defer close(c.done)
-		// A panic here would end the daemon; re-raised on the request's
-		// goroutine, it fails only the request, as it did before the
-		// checker had a goroutine of its own. The stack is taken here,
-		// where the failing frames still are.
-		defer func() {
-			if v := recover(); v != nil {
-				c.panicked = fmt.Errorf("checker panic: %v\n%s", v, debug.Stack())
-			}
-		}()
-		c.diags, c.dur, c.err = runCheck(p, opts)
-	}()
-	return c
-}
-
-// join frees the calling request's slot, waits until the checker run
-// is over and takes over the slot the run held, so a request waiting
-// on a checker that outlasts its main analysis keeps no slot idle. It
-// returns the run's findings, wall time and error, or re-raises the
-// run's panic; later calls only return the results again.
-func (s *Server) join(c *checkRun) ([]pta.Diagnostic, time.Duration, error) {
-	if c.joined {
-		return c.diags, c.dur, c.err
-	}
-	c.joined = true
-	s.release()
-	<-c.done
-	if c.panicked != nil {
-		panic(c.panicked)
-	}
-	return c.diags, c.dur, c.err
-}
-
-// runCheck runs the checker suite (the null-tracking analysis, then the
-// passes) over p and times it.
-func runCheck(p *prepared, opts *pta.Options) ([]pta.Diagnostic, time.Duration, error) {
-	t := time.Now()
-	diags, err := checkProgram(p.prog, p.procs, opts, nil)
-	return diags, time.Since(t), err
 }
 
 func (s *Server) fail(w http.ResponseWriter, r *http.Request, t0 time.Time, status int, err error) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -219,12 +220,29 @@ func TestBadRequests(t *testing.T) {
 	if _, _, err := c.Analyze(context.Background(), map[string]string{"x.c": "int main(void { return 0; }"}, "x.c", false); err == nil {
 		t.Errorf("syntax error accepted")
 	}
+	// A chain of 24 doubling #defines fails fast with the named error.
+	var bomb strings.Builder
+	for k := 1; k <= 24; k++ {
+		fmt.Fprintf(&bomb, "#define A%d A%d A%d\n", k, k-1, k-1)
+	}
+	bomb.WriteString("int x = A24;\nint main(void) { return 0; }\n")
+	body, _ := json.Marshal(AnalyzeRequest{Files: map[string]string{"bomb.c": bomb.String()}, Entry: "bomb.c"})
+	resp, err := http.Post(ts.URL+"/analyze", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var er ErrorResponse
+	err = json.NewDecoder(resp.Body).Decode(&er)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(er.Error, pta.ErrMacroExpansion.Error()) {
+		t.Errorf("macro bomb answered %d %q (%v), want 422 naming %q", resp.StatusCode, er.Error, err, pta.ErrMacroExpansion)
+	}
 	m, err := c.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Requests.Errors != 2 {
-		t.Fatalf("error counter = %d, want 2", m.Requests.Errors)
+	if m.Requests.Errors != 3 {
+		t.Fatalf("error counter = %d, want 3", m.Requests.Errors)
 	}
 }
 

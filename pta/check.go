@@ -5,12 +5,8 @@ import (
 	"io"
 	"sort"
 
-	"wlpa/internal/analysis"
-	"wlpa/internal/cast"
-	"wlpa/internal/cfg"
 	"wlpa/internal/check"
 	"wlpa/internal/memmod"
-	"wlpa/internal/sem"
 )
 
 // Diagnostic is one pointer-bug report (see internal/check for the
@@ -62,55 +58,22 @@ type CheckOptions struct {
 }
 
 // Check runs the pointer-bug checker suite over the analyzed program
-// and returns the diagnostics sorted by source position. It is
-// CheckProgram over the result's program and options: the checker does
-// not read this analysis but converges its own, with null tracking on.
+// and returns the diagnostics sorted by source position. The checkers
+// read this result's own converged analysis, which tracks null as a
+// value, so that "definitely NULL" differs from "uninitialized"; no
+// second analysis runs. Check stops at the analysis' deadline
+// (Options.Timeout, counted from the start of the analysis: a request
+// has one budget) and returns analysis.ErrTimeout with no diagnostics.
+//
+// Check is a query: like every other query of a Result it fills the
+// analysis' lookup caches, so it must not run at the same time as
+// another query of the same result, nor on the result of a baseline
+// that an incremental run has consumed.
 func (r *Result) Check(opts *CheckOptions) ([]Diagnostic, error) {
-	return checkProgram(r.prog, nil, r.aopts, opts)
-}
-
-// CheckProgram runs the pointer-bug checker suite over a typechecked
-// program (see Frontend) and returns the diagnostics sorted by source
-// position. The checkers must tell "definitely NULL" from
-// "uninitialized", so the program is analyzed with null tracking on;
-// the extra pseudo-location would perturb the PTF statistics of the
-// main analysis, so AnalyzeProgram keeps it out of its run, and the two
-// are independent analyses. They share only the read-only program and
-// library summaries, so a caller may run them at once on two
-// goroutines, as the daemon does with a spare in-flight slot. The
-// null-tracking analysis and the checker walks share one
-// opts.Timeout budget, which starts with the analysis; exceeding it
-// returns analysis.ErrTimeout and no diagnostics.
-func CheckProgram(prog *sem.Program, opts *Options, copts *CheckOptions) ([]Diagnostic, error) {
-	return CheckProgramPrepared(prog, nil, opts, copts)
-}
-
-// CheckProgramPrepared is CheckProgram over flow graphs the caller has
-// built for prog (cfg.BuildAll of prog.Funcs); nil procs means build
-// them here. The checker's analysis only reads them and is over when
-// the call returns, so it may share them with a main analysis running
-// at the same time, as the daemon's diagnostics misses do (see
-// AnalyzeProgramPrepared for who owns them afterwards).
-func CheckProgramPrepared(prog *sem.Program, procs map[*cast.FuncDecl]*cfg.Proc, opts *Options, copts *CheckOptions) ([]Diagnostic, error) {
-	return checkProgram(prog, procs, analysisOptions(opts), copts)
-}
-
-// checkProgram is CheckProgramPrepared under an engine configuration:
-// the one path every checker run takes.
-func checkProgram(prog *sem.Program, procs map[*cast.FuncDecl]*cfg.Proc, aopts analysis.Options, copts *CheckOptions) ([]Diagnostic, error) {
-	if copts == nil {
-		copts = &CheckOptions{}
+	if opts == nil {
+		opts = &CheckOptions{}
 	}
-	aopts.TrackNull = true
-	aopts.CollectSolution = true
-	an, err := analysis.NewPrepared(prog, procs, aopts)
-	if err != nil {
-		return nil, err
-	}
-	if err := an.Run(); err != nil {
-		return nil, err
-	}
-	return check.Run(an, check.Options{Checks: copts.Checks, Passes: copts.Passes})
+	return check.Run(r.an, check.Options{Checks: opts.Checks, Passes: opts.Passes})
 }
 
 // ModRef returns the context-collapsed MOD and REF summary of the named

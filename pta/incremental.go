@@ -190,7 +190,7 @@ func AnalyzeIncrementalPrepared(b *Baseline, prog *sem.Program, procs map[*cast.
 		return nil, err
 	}
 	an := b.res.an
-	r := &Result{prog: an.Program(), an: an, aopts: b.res.aopts}
+	r := &Result{prog: an.Program(), an: an}
 	// Restoration is demand-driven (a surviving PTF is adopted only
 	// when a call site of the edited program matches its alias
 	// pattern), so the restored count is only known after Run; cache

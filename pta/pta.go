@@ -68,10 +68,6 @@ type Result struct {
 	prog *sem.Program
 	an   *analysis.Analysis
 
-	// aopts are the analysis options used, kept so Check can run the
-	// checker's analysis under the same configuration.
-	aopts analysis.Options
-
 	parseTime time.Duration
 
 	// incr describes the incremental graft that produced this result
@@ -114,6 +110,12 @@ func Analyze(files Source, entry string, opts *Options) (*Result, error) {
 	return r, nil
 }
 
+// ErrMacroExpansion is the error (errors.Is) of a translation unit
+// whose macro expansion outgrows its input: Frontend, and so every
+// entry point that parses, fails with it instead of expanding, for
+// example, a chain of #defines that doubles at every step.
+var ErrMacroExpansion = cpp.ErrExpansion
+
 // Frontend preprocesses, parses and typechecks the translation unit
 // rooted at entry without running the analysis. The daemon (cmd/wlpad)
 // uses it to hash the program for cache lookup before deciding whether
@@ -128,8 +130,7 @@ func Frontend(files Source, entry string, predefined map[string]string) (*sem.Pr
 }
 
 // The library-function summaries every analysis reads. They are built
-// once and never written, so concurrent analyses (a request's main run
-// and its checker's run among them) share them.
+// once and never written, so concurrent analyses share them.
 var (
 	libSummaries = libsum.Summaries()
 	libEffects   = libsum.Effects()
@@ -173,19 +174,17 @@ func AnalyzeProgram(prog *sem.Program, opts *Options) (*Result, error) {
 // one set of flow graphs may be shared only among analyses that are
 // over before such a graft can start, and the one result kept for
 // grafting or querying. The daemon shares a request's flow graphs
-// between its main analysis, its checker (CheckProgramPrepared) and
-// hashing, and keeps the main result as the entry's baseline or query
-// entry.
+// between hashing and its one analysis, and keeps the result as the
+// entry's baseline or query entry.
 func AnalyzeProgramPrepared(prog *sem.Program, procs map[*cast.FuncDecl]*cfg.Proc, opts *Options) (*Result, error) {
-	aopts := analysisOptions(opts)
-	an, err := analysis.NewPrepared(prog, procs, aopts)
+	an, err := analysis.NewPrepared(prog, procs, analysisOptions(opts))
 	if err != nil {
 		return nil, err
 	}
 	if err := an.Run(); err != nil {
 		return nil, err
 	}
-	return &Result{prog: prog, an: an, aopts: aopts}, nil
+	return &Result{prog: prog, an: an}, nil
 }
 
 // Stats returns the analysis statistics (times, PTF counts).
@@ -203,7 +202,8 @@ func (r *Result) Analysis() *analysis.Analysis { return r.an }
 
 // PointsTo returns the names of the memory blocks the named global
 // pointer may point to at program exit. Heap blocks are named
-// "heap@file:line:col"; string literals "strN".
+// "heap@file:line:col"; string literals "strN". Like every query
+// surface it names storage only: a null value is not a block.
 func (r *Result) PointsTo(global string) []string {
 	sym := r.findGlobal(global)
 	if sym == nil {
@@ -215,6 +215,7 @@ func (r *Result) PointsTo(global string) []string {
 	if !ok {
 		return nil
 	}
+	vals = vals.WithoutNull()
 	names := make([]string, 0, vals.Len())
 	for _, l := range vals.Locs() {
 		names = append(names, l.Base.Name)
@@ -303,7 +304,8 @@ func (r *Result) pointsToAtNode(proc string, sym *cast.Symbol, stars int, nd *cf
 }
 
 // unionAtNode is the symbolic union, over the contexts ptfs, of what
-// sym holds after nd with stars further dereferences.
+// sym holds after nd with stars further dereferences, without null:
+// answers name storage only.
 func (r *Result) unionAtNode(ptfs []*analysis.PTF, sym *cast.Symbol, stars int, nd *cfg.Node) memmod.ValueSet {
 	var union memmod.ValueSet
 	for _, p := range ptfs {
@@ -317,7 +319,7 @@ func (r *Result) unionAtNode(ptfs []*analysis.PTF, sym *cast.Symbol, stars int, 
 		}
 		union.AddAll(vals)
 	}
-	return union
+	return union.WithoutNull()
 }
 
 // concreteNames concretizes a union and returns the sorted, distinct

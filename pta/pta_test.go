@@ -324,17 +324,29 @@ int main(void) {
 	}
 }
 
-// TestCheckHonorsTimeout pins the checker under Options.Timeout: Check's
-// re-analysis and its context walks share one budget, so a program
-// whose checking takes seconds (a generated program whose contexts
-// reach fopen and getenv) fails fast with ErrTimeout and no diagnostics.
+// TestCheckHonorsTimeout pins the checker under Options.Timeout: the
+// analysis and Check's context walks share one budget, counted from the
+// start of the analysis, so a program whose checking takes seconds (a
+// generated program whose contexts reach fopen and getenv) fails fast
+// with ErrTimeout and no diagnostics.
 func TestCheckHonorsTimeout(t *testing.T) {
 	cfg := workload.FuzzGenConfig(20, uint32(workload.AllFeatures()))
 	cfg.NumFuncs, cfg.StmtsPerFunc = 6, 10
-	res := analyze(t, workload.Generate(cfg))
-	// The budget Options.Timeout would have recorded, set after the
-	// analysis so that a slow host cannot spend it there.
-	res.aopts.Timeout = 100 * time.Millisecond
+	src := workload.Generate(cfg)
+	// The smallest doubling of 100 ms that the analysis alone fits in:
+	// a slow host cannot spend the whole budget before Check starts,
+	// and what is left is less than the analysis took, a small part
+	// of what checking this program takes.
+	var res *Result
+	for budget := 100 * time.Millisecond; res == nil; budget *= 2 {
+		r, err := AnalyzeSource("t.c", src, &Options{Timeout: budget})
+		switch {
+		case err == nil:
+			res = r
+		case !errors.Is(err, analysis.ErrTimeout) || budget > time.Minute:
+			t.Fatalf("AnalyzeSource under a %v budget: %v", budget, err)
+		}
+	}
 	start := time.Now()
 	diags, err := res.Check(nil)
 	elapsed := time.Since(start)

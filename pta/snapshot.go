@@ -195,9 +195,9 @@ func (r *Result) Snapshot(opts *SnapshotOptions) (*Snapshot, error) {
 
 // SetDiagnostics embeds checker findings in the snapshot, replacing any
 // it holds, exactly as SnapshotOptions.Diagnostics does: a caller that
-// ran the checker itself (CheckProgram, perhaps beside the main
-// analysis) builds the snapshot without diagnostics and then sets them,
-// and the encoded bytes are the same.
+// runs Result.Check itself (the daemon, to time it) builds the snapshot
+// without diagnostics and then sets them, and the encoded bytes are the
+// same.
 func (s *Snapshot) SetDiagnostics(diags []Diagnostic) {
 	s.HasDiags = true
 	s.Diags = make([]SnapshotDiag, 0, len(diags))

@@ -193,8 +193,7 @@ curl -sf "http://$ADDR/metrics" >"$METRICS_OUT"
 jq -e '.incremental.grafts >= 1 and .incremental.fallbacks == 0' "$METRICS_OUT" >/dev/null ||
     { echo "incremental counters off:"; jq .incremental "$METRICS_OUT"; exit 1; }
 # Every diagnostics miss on the first daemon (one per benchmark, the
-# edit base and the edited program) timed its checker once, whether it
-# ran beside the main analysis or after it.
+# edit base and the edited program) timed its checker once.
 jq -e --argjson n "$((benches + 2))" '.latency_ms.check.count == $n' "$METRICS_OUT" >/dev/null ||
     { echo "check histogram counted $(jq .latency_ms.check.count "$METRICS_OUT") checker runs, want $((benches + 2))"; exit 1; }
 kill "$daemon_pid"
