@@ -264,8 +264,9 @@ func (t *ModRefTable) NodeEffects(p *PTF, nd *cfg.Node) (mod, ref memmod.ValueSe
 	return mod, ref
 }
 
-// Dump renders the per-procedure summaries deterministically (testing
-// and diagnostics).
+// Dump renders the per-procedure summaries deterministically, one line
+// per procedure. Every snapshot embeds it (pta.Result.ModRefDump), so a
+// cache miss pays for it; wlcheck -modref prints it.
 func (t *ModRefTable) Dump() []string {
 	var names []string
 	for _, fd := range t.a.prog.Funcs {

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"sort"
 
 	"wlpa/internal/cast"
@@ -103,21 +104,67 @@ func (a *Analysis) Concretize(vals memmod.ValueSet) memmod.ValueSet {
 }
 
 // RecordSites makes one pass over the PTF's sparse points-to records
-// (assignments, φ-functions and entry values). It returns the IDs of
-// the flow nodes holding a record and the representative base of every
-// recorded location. Between two nodes with no record on the dominator
-// path between them every location's contents are identical, and a
-// location whose representative base is not in bases reads the empty
-// set everywhere in this PTF (see contentsAt).
-func (p *PTF) RecordSites() (nodes map[int]bool, bases map[*memmod.Block]bool) {
-	nodes, bases = map[int]bool{}, map[*memmod.Block]bool{}
+// (assignments, φ-functions and entry values). It returns, indexed by
+// flow node ID, the distinct representative bases whose contents can
+// read differently after the node than after its immediate dominator:
+// the bases of the locations recorded at the node, and the bases of the
+// strong updates recorded at its immediate dominator whose barrier hides
+// records of another location. The second kind exists because
+// FindStrongUpdate looks strictly above the node it is asked about, so
+// a strong update bounds ContentsAfter first at its dominator-tree
+// children, and there it can only hide the records of the other
+// recorded locations that overlap the updated one. For a location whose
+// representative base is not listed at nd, ContentsAfter at nd returns
+// what it returns at nd.Idom, record for record (see contentsAt); a
+// base listed at no node reads the empty set everywhere in this PTF.
+func (p *PTF) RecordSites() [][]*memmod.Block {
+	sites := make([][]*memmod.Block, len(p.Proc.Nodes))
+	var strong [][]*memmod.Block
 	for _, loc := range p.Pts.Locations() {
-		bases[loc.Base.Representative()] = true
+		b := loc.Base.Representative()
+		bounds := p.overlapsRecorded(loc)
 		for _, r := range p.Pts.Records(loc) {
-			nodes[r.Node.ID] = true
+			sites[r.Node.ID] = addBase(sites[r.Node.ID], b)
+			if r.Strong && bounds {
+				if strong == nil {
+					strong = make([][]*memmod.Block, len(p.Proc.Nodes))
+				}
+				strong[r.Node.ID] = addBase(strong[r.Node.ID], b)
+			}
 		}
 	}
-	return nodes, bases
+	if strong != nil {
+		for _, nd := range p.Proc.Nodes {
+			if nd.Idom == nil {
+				continue
+			}
+			for _, b := range strong[nd.Idom.ID] {
+				sites[nd.ID] = addBase(sites[nd.ID], b)
+			}
+		}
+	}
+	return sites
+}
+
+// overlapsRecorded reports whether a location other than loc that
+// contentsAt would read beside it (a pointer location of its base that
+// overlaps it) has a record in p.
+func (p *PTF) overlapsRecorded(loc memmod.LocSet) bool {
+	loc = loc.Resolve()
+	for _, l := range loc.Base.PtrLocs() {
+		if l = l.Resolve(); l != loc && l.Overlaps(loc) && len(p.Pts.Records(l)) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// addBase appends b to bases unless it is already listed.
+func addBase(bases []*memmod.Block, b *memmod.Block) []*memmod.Block {
+	if slices.Contains(bases, b) {
+		return bases
+	}
+	return append(bases, b)
 }
 
 // ExitReached reports whether the summary has been computed through the
@@ -261,12 +308,15 @@ func (a *Analysis) ContentsAfter(p *PTF, v memmod.LocSet, nd *cfg.Node) memmod.V
 }
 
 // contentsAt reads only the records of locations that overlap v, and
-// LocSet.Overlaps requires the same representative base. So when no
-// record of p is about v's representative base (see RecordSites), the
-// answer is the empty set at every node, for any offset and stride, and
-// so is every dereference of it. The snapshot builder relies on this to
-// skip such variables without a lookup; it is a fact about the records,
-// not about C types, because casts move pointers through integers.
+// LocSet.Overlaps requires the same representative base; its barrier
+// (FindStrongUpdate) reads only v's own records. So when no record of p
+// is about v's representative base, the answer is the empty set at every
+// node, for any offset and stride, and so is every dereference of it;
+// and where RecordSites lists no change of that base, the answer after
+// a node is the answer after its immediate dominator. The snapshot
+// builder relies on both to compute an answer only where it can differ;
+// they are facts about the records, not about C types, because casts
+// move pointers through integers.
 func (a *Analysis) contentsAt(p *PTF, v memmod.LocSet, nd *cfg.Node, includeAt bool) memmod.ValueSet {
 	v = v.Resolve()
 	if v.Base.Kind == memmod.NullBlock {

@@ -27,14 +27,15 @@ func snapshotWithDiags(r *pta.Result) ([]byte, error) {
 // CheckIncremental is the edit-oracle rung: given a (base, edited)
 // program pair it analyzes the edited program cold, re-analyzes it
 // incrementally against a baseline built from the base program, and
-// requires the two results byte-identical on the full snapshot surface
-// (PTF statistics, collapsed solution, diagnostics with their context
-// traces, ModRef) and equal in their allocation sites. The base result
-// is snapshotted with diagnostics before it becomes the baseline, as a
-// daemon's diagnostics miss checks the result it then keeps to graft
-// on. The graft must actually engage — a silent cold fallback on a
-// pair whose globals are unchanged is itself a failure, since it would
-// let the incremental path rot unexercised.
+// requires the two results equal in their collapsed solutions,
+// byte-identical on the full snapshot surface (PTF statistics, every
+// PointsToAt answer, diagnostics with their context traces, ModRef) and
+// equal in their allocation sites. The base result is snapshotted with
+// diagnostics before it becomes the baseline, as a daemon's diagnostics
+// miss checks the result it then keeps to graft on. The graft must
+// actually engage — a silent cold fallback on a pair whose globals are
+// unchanged is itself a failure, since it would let the incremental
+// path rot unexercised.
 func CheckIncremental(name, base, edited string, opt Options) error {
 	fail := func(stage, format string, args ...any) error {
 		return &Failure{Stage: stage, Name: name, Detail: fmt.Sprintf(format, args...), Src: edited}
@@ -75,17 +76,15 @@ func CheckIncremental(name, base, edited string, opt Options) error {
 	if err != nil {
 		return fail(StageEngine, "incremental snapshot: %v", err)
 	}
+	// The collapsed solutions are compared first, on every input: they
+	// can differ while every snapshot byte matches, and they give a far
+	// better divergence message than a byte offset.
+	if coldSol, incSol := SolutionDump(cold.Analysis()), SolutionDump(inc.Analysis()); coldSol != incSol {
+		return fail(StageIncremental,
+			"incremental vs cold (clean=%d dirty=%d restored=%d): solutions differ; first divergence:\n%s",
+			st.CleanProcs, st.DirtyProcs, st.RestoredPTFs, firstDiff(incSol, coldSol))
+	}
 	if !bytes.Equal(coldSnap, incSnap) {
-		// The collapsed solutions give a far better divergence message
-		// than raw snapshot bytes; fall back to the byte offset when the
-		// drift is elsewhere (stats, diagnostics, ModRef).
-		coldSol := SolutionDump(cold.Analysis())
-		incSol := SolutionDump(inc.Analysis())
-		if coldSol != incSol {
-			return fail(StageIncremental,
-				"incremental vs cold (clean=%d dirty=%d restored=%d): solutions differ; first divergence:\n%s",
-				st.CleanProcs, st.DirtyProcs, st.RestoredPTFs, firstDiff(incSol, coldSol))
-		}
 		return fail(StageIncremental,
 			"incremental vs cold (clean=%d dirty=%d restored=%d): snapshots differ at byte %d (%d vs %d bytes)",
 			st.CleanProcs, st.DirtyProcs, st.RestoredPTFs,

@@ -20,20 +20,40 @@ package pta
 // empty), and a per-variable answer vector that is constant across all
 // nodes of a procedure is stored as a single element. The builder
 // computes an answer only where one can differ, and pays for each
-// distinct answer once; one pass over each PTF's records
-// (analysis.PTF.RecordSites) yields what the first two rules read:
+// distinct answer once. One pass over each PTF's records
+// (analysis.PTF.RecordSites) lists, per flow node, the representative
+// bases whose contents can read differently there than at the node's
+// immediate dominator: the bases recorded at the node, and those of a
+// strong update at the dominator whose barrier first applies below it.
+// Per variable and depth, in every context, the builder keeps the
+// symbolic set the depth reads at each node:
 //
-//   - A variable whose location, in every PTF of the procedure, has a
-//     representative base no record of that PTF is about reads the
-//     empty set at every node and depth, and is stored as [[0],[0],[0]]
-//     with no lookup. The test follows the extended parameter VarLoc
-//     binds a global to, and never consults C types.
-//   - A node that holds no points-to record in any PTF of the procedure
-//     answers what its immediate dominator answers (a sparse lookup
-//     walks the dominator tree), so the dominator's id is copied.
+//   - A variable whose base is listed at no node of any context reads
+//     the empty set at every node and depth, and is stored as
+//     [[0],[0],[0]] with no lookup. The test follows the extended
+//     parameter VarLoc binds a global to, and never consults C types.
+//   - At depth 0 a node copies its immediate dominator's sets and
+//     answer id unless some context lists the variable's own base
+//     there. At depth d it copies them unless depth d−1 was recomputed
+//     there, or some context lists there the base of a member of its
+//     kept depth-(d−1) set. Depth d dereferences those kept sets; it
+//     never walks again from the variable.
 //   - Every other answer is computed in two steps: the symbolic union
 //     over contexts, then its concretized, sorted names. A build
 //     concretizes each distinct union once and reuses its pool id.
+//
+// The copies are exact, not approximations: contentsAt reads only the
+// rows of locations that overlap the one asked about, which share its
+// representative base, and FindStrongUpdate reads only that location's
+// own rows. With no listed change of the base at a node, every such
+// lookup finds the record it finds at the dominator, so the set is the
+// same, member for member and in the same order. The pool numbers
+// answers in the order they first appear, so the fill order is part of
+// the bytes: it stays depth-outer and node-inner in reverse postorder,
+// as in a build that computed every answer (building a node's three
+// depths at once would renumber the pool), and a copied answer's id was
+// interned at its dominator, earlier in that order. So every id, and
+// every encoded byte, is what computing every answer would give.
 //
 // The live Result.PointsToAt computes the same answers in one step
 // (pointsToAtNode); the snapshot tests compare the two at every node.
@@ -48,6 +68,7 @@ import (
 
 	"wlpa/internal/analysis"
 	"wlpa/internal/cast"
+	"wlpa/internal/cfg"
 	"wlpa/internal/check"
 	"wlpa/internal/ctok"
 	"wlpa/internal/memmod"
@@ -222,29 +243,14 @@ func (r *Result) snapProc(proc string, pool *answerPool) (*ProcSnap, error) {
 	if cproc == nil {
 		return nil, fmt.Errorf("pta: analyzed procedure %q has no flow graph", proc)
 	}
-	ps := &ProcSnap{Name: proc}
-	for _, nd := range cproc.Nodes {
-		ps.Lines = append(ps.Lines, nd.Pos.Line)
-		ps.Cols = append(ps.Cols, nd.Pos.Col)
-	}
-
-	// One pass over each context's records yields the nodes holding a
-	// record in any context, which (with the entry) are the only nodes
-	// whose answers can differ from their immediate dominator's, and
-	// per context the blocks some record is about.
-	ptfs := r.an.PTFs(proc)
-	hot := map[int]bool{}
-	bases := make([]map[*memmod.Block]bool, len(ptfs))
-	for i, p := range ptfs {
-		var nodes map[int]bool
-		nodes, bases[i] = p.RecordSites()
-		for id := range nodes {
-			hot[id] = true
-		}
+	n := len(cproc.Nodes)
+	ps := &ProcSnap{Name: proc, Lines: make([]int, n), Cols: make([]int, n)}
+	for i, nd := range cproc.Nodes {
+		ps.Lines[i], ps.Cols[i] = nd.Pos.Line, nd.Pos.Col
 	}
 
 	var syms []*cast.Symbol
-	seen := map[string]bool{}
+	seen := make(map[string]bool, len(cproc.Locals)+len(cproc.Fn.Params)+len(r.prog.Globals))
 	addSym := func(sym *cast.Symbol) {
 		if sym != nil && !seen[sym.Name] {
 			seen[sym.Name] = true
@@ -261,48 +267,134 @@ func (r *Result) snapProc(proc string, pool *answerPool) (*ProcSnap, error) {
 		addSym(g)
 	}
 
+	b := newProcBuilder(r, cproc, r.an.PTFs(proc), pool)
 	for _, sym := range syms {
-		vs := VarSnap{Name: sym.Name}
-		if !r.mayHold(ptfs, bases, sym) {
-			for d := range vs.Depths {
-				vs.Depths[d] = []int{0}
-			}
-			ps.Vars = append(ps.Vars, vs)
-			continue
-		}
-		for d := 0; d <= MaxQueryDepth; d++ {
-			ids := make([]int, len(cproc.Nodes))
-			constant := true
-			for i, nd := range cproc.Nodes {
-				if i > 0 && !hot[nd.ID] && nd.Idom != nil {
-					ids[i] = ids[nd.Idom.ID]
-				} else {
-					ids[i] = pool.unionID(r.unionAtNode(ptfs, sym, d, nd))
-				}
-				if ids[i] != ids[0] {
-					constant = false
-				}
-			}
-			if constant {
-				ids = ids[:1]
-			}
-			vs.Depths[d] = ids
-		}
-		ps.Vars = append(ps.Vars, vs)
+		ps.Vars = append(ps.Vars, b.varSnap(sym))
 	}
 	return ps, nil
 }
 
-// mayHold reports whether sym can read a non-empty set in some context
-// of ptfs: whether a record of that context is about the representative
-// base of the location sym names there. Otherwise every answer, at any
-// node and depth, is empty (the argument is beside analysis.contentsAt).
-// It decides from the records and the bound parameters that VarLoc
-// follows, never from sym's C type.
-func (r *Result) mayHold(ptfs []*analysis.PTF, bases []map[*memmod.Block]bool, sym *cast.Symbol) bool {
-	for i, p := range ptfs {
-		if bases[i][r.an.VarLoc(p, sym, 0, 0).Resolve().Base.Representative()] {
-			return true
+// procBuilder computes one procedure's answer vectors. For one variable
+// it keeps, per flow node and context, the symbolic set of the depth
+// being built and of the depth before it, so depth d dereferences the
+// kept depth-(d−1) sets instead of walking again from the variable.
+type procBuilder struct {
+	r     *Result
+	nodes []*cfg.Node
+	ptfs  []*analysis.PTF
+	pool  *answerPool
+	// sites[c][id] lists the bases that can read differently at node id
+	// than at its immediate dominator in context c (PTF.RecordSites).
+	sites [][][]*memmod.Block
+
+	locs      []memmod.LocSet   // per context: the variable's location
+	prev, cur []memmod.ValueSet // per node × context: sets of depth d−1, d
+	prevNew   []bool            // per node: depth d−1 was recomputed there
+	curNew    []bool            // per node: depth d is recomputed there
+}
+
+func newProcBuilder(r *Result, cproc *cfg.Proc, ptfs []*analysis.PTF, pool *answerPool) *procBuilder {
+	n, k := len(cproc.Nodes), len(ptfs)
+	b := &procBuilder{
+		r: r, nodes: cproc.Nodes, ptfs: ptfs, pool: pool,
+		sites:   make([][][]*memmod.Block, k),
+		locs:    make([]memmod.LocSet, k),
+		prev:    make([]memmod.ValueSet, n*k),
+		cur:     make([]memmod.ValueSet, n*k),
+		prevNew: make([]bool, n),
+		curNew:  make([]bool, n),
+	}
+	for c, p := range ptfs {
+		b.sites[c] = p.RecordSites()
+	}
+	return b
+}
+
+// varSnap builds sym's answer vectors by the rules of the package
+// comment, depth-outer and node-inner in reverse postorder.
+func (b *procBuilder) varSnap(sym *cast.Symbol) VarSnap {
+	vs := VarSnap{Name: sym.Name}
+	for c, p := range b.ptfs {
+		b.locs[c] = b.r.an.VarLoc(p, sym, 0, 0).Resolve()
+	}
+	held := false
+	for i, nd := range b.nodes {
+		b.prevNew[i] = false
+		for c := range b.ptfs {
+			if slices.Contains(b.sites[c][nd.ID], b.locs[c].Base.Representative()) {
+				b.prevNew[i], held = true, true
+				break
+			}
+		}
+	}
+	if !held {
+		for d := range vs.Depths {
+			vs.Depths[d] = []int{0}
+		}
+		return vs
+	}
+	for d := 0; d <= MaxQueryDepth; d++ {
+		vs.Depths[d] = b.depth(d)
+		b.prev, b.cur = b.cur, b.prev
+		b.prevNew, b.curNew = b.curNew, b.prevNew
+	}
+	return vs
+}
+
+// depth fills cur and curNew for depth d from prev and prevNew (at
+// depth 0, prevNew marks the nodes that list the variable's base) and
+// returns the depth's answer vector.
+func (b *procBuilder) depth(d int) []int {
+	k := len(b.ptfs)
+	ids := make([]int, len(b.nodes))
+	constant := true
+	for i, nd := range b.nodes {
+		sets := b.cur[i*k : (i+1)*k]
+		if i > 0 && nd.Idom != nil && !b.prevNew[i] && (d == 0 || !b.readsChanged(i)) {
+			copy(sets, b.cur[nd.Idom.ID*k:(nd.Idom.ID+1)*k])
+			ids[i] = ids[nd.Idom.ID]
+			b.curNew[i] = false
+		} else {
+			var union memmod.ValueSet
+			for c, p := range b.ptfs {
+				if d == 0 {
+					sets[c] = b.r.an.ContentsAfter(p, b.locs[c], nd)
+				} else {
+					var next memmod.ValueSet
+					for _, l := range b.prev[i*k+c].Locs() {
+						next.AddAll(b.r.an.ContentsAfter(p, l, nd))
+					}
+					sets[c] = next
+				}
+				union.AddAll(sets[c])
+			}
+			ids[i] = b.pool.unionID(union.WithoutNull())
+			b.curNew[i] = true
+		}
+		if ids[i] != ids[0] {
+			constant = false
+		}
+	}
+	if constant {
+		ids = ids[:1]
+	}
+	return ids
+}
+
+// readsChanged reports whether, in some context, RecordSites lists at
+// node i the base of a member of that context's kept depth-(d−1) set.
+func (b *procBuilder) readsChanged(i int) bool {
+	k := len(b.ptfs)
+	id := b.nodes[i].ID
+	for c := range b.ptfs {
+		sites := b.sites[c][id]
+		if len(sites) == 0 {
+			continue
+		}
+		for _, l := range b.prev[i*k+c].Locs() {
+			if slices.Contains(sites, l.Base.Representative()) {
+				return true
+			}
 		}
 	}
 	return false
@@ -369,7 +461,10 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	return json.Marshal(s)
 }
 
-// DecodeSnapshot parses an encoded snapshot, rejecting unknown formats.
+// DecodeSnapshot parses an encoded snapshot, rejecting unknown formats
+// and answer vectors that PointsToAt could not index: a procedure's
+// cols must run parallel to its lines, every depth vector must hold one
+// id or one per line, and every id must name an answer.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	var s Snapshot
 	if err := json.Unmarshal(data, &s); err != nil {
@@ -377,6 +472,27 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	}
 	if s.Format != SnapshotFormat {
 		return nil, fmt.Errorf("pta: snapshot format %q, want %q", s.Format, SnapshotFormat)
+	}
+	for i := range s.Procs {
+		ps := &s.Procs[i]
+		if len(ps.Cols) != len(ps.Lines) {
+			return nil, fmt.Errorf("pta: snapshot procedure %q: %d cols for %d lines", ps.Name, len(ps.Cols), len(ps.Lines))
+		}
+		for j := range ps.Vars {
+			vs := &ps.Vars[j]
+			for d, ids := range vs.Depths {
+				if len(ids) != 1 && len(ids) != len(ps.Lines) {
+					return nil, fmt.Errorf("pta: snapshot procedure %q variable %q: depth %d holds %d ids for %d lines",
+						ps.Name, vs.Name, d, len(ids), len(ps.Lines))
+				}
+				for _, id := range ids {
+					if id < 0 || id >= len(s.Answers) {
+						return nil, fmt.Errorf("pta: snapshot procedure %q variable %q: depth %d names answer %d of %d",
+							ps.Name, vs.Name, d, id, len(s.Answers))
+					}
+				}
+			}
+		}
 	}
 	return &s, nil
 }

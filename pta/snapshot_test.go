@@ -263,6 +263,38 @@ func TestDecodeSnapshotRejectsBadInput(t *testing.T) {
 	if _, err := DecodeSnapshot(wrong); err == nil {
 		t.Errorf("wrong format version accepted")
 	}
+
+	// Answer vectors PointsToAt would index out of range are rejected,
+	// with the procedure and the variable named.
+	doc := func(procs string) []byte {
+		return []byte(`{"format":"` + SnapshotFormat + `","globals":[],"procs":` + procs +
+			`,"answers":[[]],"calls":[],"mod_ref":[],"stats":{}}`)
+	}
+	valid := doc(`[{"name":"f","lines":[1,1],"cols":[1,1],"vars":[{"name":"p","depths":[[0],[0,0],[0]]}]}]`)
+	if s, err := DecodeSnapshot(valid); err != nil {
+		t.Errorf("well-formed hand-written snapshot rejected: %v", err)
+	} else if got := s.PointsToAt("f", 5, "*p"); got != nil {
+		t.Errorf("PointsToAt(f, 5, *p) = %v, want nil", got)
+	}
+	for _, c := range []struct{ name, procs, want string }{
+		{"cols shorter than lines",
+			`[{"name":"f","lines":[1,1],"cols":[1],"vars":[{"name":"p","depths":[[0],[0],[0]]}]}]`, `"f"`},
+		{"depth vector neither constant nor per line",
+			`[{"name":"f","lines":[1,1],"cols":[1,1],"vars":[{"name":"p","depths":[[0],[0,0,0],[0]]}]}]`, `"f" variable "p"`},
+		{"empty depth vector",
+			`[{"name":"f","lines":[1,1],"cols":[1,1],"vars":[{"name":"p","depths":[[0],[],[0]]}]}]`, `"f" variable "p"`},
+		{"id past the answer pool",
+			`[{"name":"f","lines":[1,1],"cols":[1,1],"vars":[{"name":"p","depths":[[0],[0,1],[0]]}]}]`, `"f" variable "p"`},
+		{"negative id",
+			`[{"name":"f","lines":[1],"cols":[1],"vars":[{"name":"p","depths":[[0],[0],[-1]]}]}]`, `"f" variable "p"`},
+	} {
+		_, err := DecodeSnapshot(doc(c.procs))
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not name %s", c.name, err, c.want)
+		}
+	}
 }
 
 // checkEveryNode compares every answer a snapshot stores with the live
@@ -349,10 +381,17 @@ func suiteAndFixtures() map[string]string {
 
 // TestSnapshotEveryNode checks every stored answer against the live
 // query path (checkEveryNode) on the suite programs, the bug fixtures,
-// two grafted results, and a program whose pointers travel through
-// integer globals, which a skip decided by C types would answer empty.
+// the generated programs the golden digests pin (heap, structs,
+// function pointers, recursion), two grafted results, a program whose
+// pointers travel through integer globals, which a skip decided by C
+// types would answer empty, and a strong update whose barrier first
+// hides an overlapping location's record below the updating node.
 func TestSnapshotEveryNode(t *testing.T) {
-	for name, src := range suiteAndFixtures() {
+	progs := suiteAndFixtures()
+	for name, src := range digestGenerated() {
+		progs[name] = src
+	}
+	for name, src := range progs {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			r, err := AnalyzeSource(name+".c", src, nil)
@@ -418,5 +457,28 @@ int main(void) { small = (int)&y; return f(); }
 				t.Errorf("PointsToAt(f, 8, %s) = %v, want [%s]", expr, got, want)
 			}
 		}
+	})
+
+	t.Run("strong-update-barrier-below-its-node", func(t *testing.T) {
+		// s.f = &y strongly updates s+0, which the array's strided
+		// location s+0%8 overlaps. The live query after that node still
+		// reads the array's older record; at the exit, which holds no
+		// record, the barrier hides it, so the exit must not copy its
+		// dominator's answer.
+		r := analyze(t, `
+int x, y;
+struct S { int *f; int *arr[4]; };
+struct S s;
+void g(int i) {
+    s.arr[i] = &x;
+    s.f = &y;
+}
+int main(void) { g(2); return 0; }
+`)
+		exit, s := r.an.Proc("g").Exit, r.findGlobal("s")
+		if got, dom := r.pointsToAtNode("g", s, 0, exit), r.pointsToAtNode("g", s, 0, exit.Idom); normNames(got) != "y" || normNames(dom) != "x,y" {
+			t.Fatalf("live answers: s is %v at g's exit and %v at its dominator, want [y] and [x y]", got, dom)
+		}
+		checkEveryNode(t, r, roundTrippedSnapshot(t, r, nil))
 	})
 }
