@@ -93,6 +93,8 @@ func main() {
 		fmt.Printf("extended parameters: %d\n", st.Params)
 		fmt.Printf("frontend: %s, analysis: %s (%d passes)\n",
 			res.ParseTime(), st.Duration, st.Passes)
+		fmt.Printf("collection: %d sweeps (%d changed their PTF); memoized applications skipped: %d\n",
+			st.CollectSweeps, st.CollectGrowths, st.AppliesSkipped)
 	}
 }
 

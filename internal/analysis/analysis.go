@@ -101,8 +101,10 @@ type Options struct {
 	// Lib maps library (extern) function names to summaries. Extern
 	// functions without summaries get a conservative generic summary.
 	Lib map[string]LibSummary
-	// CollectSolution accumulates a whole-program concrete points-to
+	// CollectSolution adds the solution-collection pass after the
+	// fixpoint, which builds the whole-program concrete points-to
 	// solution (used by queries and the interpreter soundness oracle).
+	// The fixpoint itself is the same with or without it.
 	CollectSolution bool
 	// MaxPTFs caps PTFs per procedure; past the cap contexts merge
 	// into the last PTF (the paper's suggested generalization, §8).
@@ -167,6 +169,15 @@ type Stats struct {
 	// bitset index (rows at or past memmod.DenseThreshold members) —
 	// observability for the hybrid sparse/dense representation.
 	DenseRows int
+	// CollectSweeps counts the sweeps of the last solution-collection
+	// pass over the PTFs it visited, and CollectGrowths those of them
+	// that changed their PTF (each is followed by one more sweep): a
+	// converged PTF takes one confirming sweep.
+	CollectSweeps  int
+	CollectGrowths int
+	// AppliesSkipped counts callee summary applications the apply memo
+	// proved to be no-ops (see PTF.applied), collection included.
+	AppliesSkipped int
 }
 
 // AvgPTFs returns the average number of PTFs per analyzed procedure.
@@ -280,11 +291,22 @@ type PTF struct {
 	// (essential for recursive cycles, paper §5.4).
 	deps assoc[*PTF, int]
 
-	// applied memoizes, per call site, the callee summary version and
-	// binding fingerprint last translated into this PTF. Re-applying an
-	// unchanged summary under unchanged bindings is a no-op the engine
-	// skips wholesale (the dominant cost of re-evaluating a quiescent
-	// call node).
+	// applied memoizes, per call site, the last application of a callee
+	// summary into this PTF: the callee and its version, the binding
+	// fingerprint (applyFingerprint), and every caller destination it
+	// wrote with its precision and, for a weak write, the location's
+	// change generation (ptset.PTS.Gen) after the application. While all
+	// of them read the same, re-applying is a no-op the engine skips
+	// wholesale (the dominant cost of re-evaluating a quiescent call
+	// node), in the fixpoint and the collection pass alike. The skip is
+	// exact: what the application writes, and whether a write is
+	// strong, is a function of the callee's records (the version), the
+	// bindings, multi and multiTarget (the fingerprint) and each
+	// destination's precision; a weak write also merges the
+	// destination's incoming value, which reads only the location's own
+	// records (LookupIn, or getInitial's entry record), pinned by its
+	// generation, resolved under the subsumption generation the
+	// fingerprint folds in. A strong write reads no incoming value.
 	applied assoc[siteKey, appliedMemo]
 
 	// --- worklist engine state (nil/unused under ForceFullPasses) ---
@@ -304,8 +326,6 @@ type PTF struct {
 	// deduplicated list: fan-in per summary is low, so linear scans beat
 	// a nested map and its per-edge allocations.
 	callers []callerEdge
-	// mirrored is the version last mirrored into the Solution.
-	mirrored int
 	// targetCache caches the resolved call-target slice per call node
 	// for function-pointer values not involving extended parameters.
 	targetCache map[*cfg.Node]*targetEntry
@@ -446,6 +466,26 @@ type appliedMemo struct {
 	ptf     *PTF
 	version int
 	fp      uint64
+	dsts    []appliedDst
+}
+
+// appliedDst is one caller destination a memoized application wrote.
+type appliedDst struct {
+	loc     memmod.LocSet
+	precise bool
+	weak    bool
+	gen     uint32 // weak writes only: the location's generation after
+}
+
+// holds reports whether every destination of m still reads as
+// recorded in the caller's points-to function pts.
+func (m *appliedMemo) holds(pts *ptset.PTS) bool {
+	for _, d := range m.dsts {
+		if d.loc.Precise() != d.precise || d.weak && pts.Gen(d.loc) != d.gen {
+			return false
+		}
+	}
+	return true
 }
 
 // callerEdge is one recorded application site of a summary.
@@ -529,8 +569,10 @@ type Analysis struct {
 	changed bool
 
 	// pendBuf is the reusable pending-write scratch of applySummary
-	// (small; linear-scanned by destination).
+	// (small; linear-scanned by destination), and dstBuf the list of
+	// destinations it wrote, which callDefinedRet memoizes.
 	pendBuf []pendingWrite
+	dstBuf  []appliedDst
 	// pmapPool recycles the trial parameter-map used by PTF matching.
 	pmapPool map[*memmod.Block]memmod.ValueSet
 	// arena backs the transient value sets built while evaluating
@@ -649,11 +691,28 @@ const maxPasses = 64
 // Run analyzes the whole program starting from main.
 func (a *Analysis) Run() error {
 	start := time.Now()
+	mf, err := a.fixpoint(start)
+	if err != nil {
+		return err
+	}
+	if a.solution != nil {
+		a.collectSolution(mf)
+	}
+	if a.incremental {
+		a.sweepKept()
+	}
+	a.finishStats(start)
+	return nil
+}
+
+// fixpoint iterates from main until no fact changes and returns main's
+// frame. It is the same with or without CollectSolution.
+func (a *Analysis) fixpoint(start time.Time) (*frame, error) {
 	if a.opts.Timeout > 0 {
 		a.deadline = start.Add(a.opts.Timeout)
 	}
 	if a.prog.Main == nil {
-		return &Error{Msg: "program has no main function"}
+		return nil, &Error{Msg: "program has no main function"}
 	}
 	mainProc := a.procs[a.prog.Main]
 	if a.mainPTF == nil {
@@ -675,7 +734,7 @@ func (a *Analysis) Run() error {
 		a.stack = a.stack[:0]
 		if a.timedOut {
 			a.finishStats(start)
-			return ErrTimeout
+			return nil, ErrTimeout
 		}
 		if a.track {
 			// Worklist convergence: every dirty node reachable through
@@ -688,17 +747,10 @@ func (a *Analysis) Run() error {
 			break
 		}
 		if pass >= maxPasses {
-			return &Error{Msg: fmt.Sprintf("analysis did not converge after %d passes", pass)}
+			return nil, &Error{Msg: fmt.Sprintf("analysis did not converge after %d passes", pass)}
 		}
 	}
-	if a.solution != nil {
-		a.collectSolution(mf)
-	}
-	if a.incremental {
-		a.sweepKept()
-	}
-	a.finishStats(start)
-	return nil
+	return mf, nil
 }
 
 // bumpVersion increments a PTF's summary version (and the program-wide
@@ -917,7 +969,6 @@ func (a *Analysis) newPTF(proc *cfg.Proc, homeNode *cfg.Node, homePTF *PTF) *PTF
 		retval:   memmod.NewRetval(proc.Name),
 		homeNode: homeNode,
 		homePTF:  homePTF,
-		mirrored: -1,
 	}
 	// globalParams, fpDomain and pointedBy are created lazily at
 	// their write sites: many PTFs never touch them.

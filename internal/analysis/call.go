@@ -204,24 +204,32 @@ func (a *Analysis) callDefinedRet(f *frame, nd *cfg.Node, fd *cast.FuncDecl, arg
 		// Incremental solution collection: the fixpoint is converged, so
 		// translating the callee's summary into the caller cannot change
 		// any record, and the bindings the solution needs were recorded
-		// above (matchPTFInto / recordFormalBindings). Cold runs keep the
-		// full application as the oracle-side reference — at fixpoint it
-		// is a no-op, so skipping cannot diverge from them.
+		// above (matchPTFInto / recordFormalBindings). Cold runs go
+		// through the apply memo below, which skips what the fixpoint
+		// already applied and applies the rest as the cross-check.
 		f.ptf.deps.put(ptf, ptf.version)
 		return false
 	}
 	sk := siteKey{nd, proc}
 	fp := a.applyFingerprint(f, nd, cf, multi, withRet)
-	if m, okm := f.ptf.applied.get(sk); okm && m.ptf == ptf && m.version == ptf.version &&
-		m.fp == fp && a.solution == nil && a.collecting == nil {
+	m, okm := f.ptf.applied.get(sk)
+	if okm && m.ptf == ptf && m.version == ptf.version && m.fp == fp && m.holds(f.ptf.Pts) {
 		// This exact summary version was already translated into the
-		// caller under identical bindings; repeating it cannot add
-		// anything.
+		// caller under identical bindings, and every destination still
+		// reads as it did after: repeating it cannot change anything.
+		a.stats.AppliesSkipped++
 		f.ptf.deps.put(ptf, ptf.version)
 		return false
 	}
 	changed := a.applySummary(f, nd, cf, multi, withRet)
-	f.ptf.applied.put(sk, appliedMemo{ptf: ptf, version: ptf.version, fp: fp})
+	// The memo's destination list reuses the previous memo's backing.
+	dsts := append(m.dsts[:0], a.dstBuf...)
+	for i := range dsts {
+		if dsts[i].weak {
+			dsts[i].gen = f.ptf.Pts.Gen(dsts[i].loc)
+		}
+	}
+	f.ptf.applied.put(sk, appliedMemo{ptf: ptf, version: ptf.version, fp: fp, dsts: dsts})
 	f.ptf.deps.put(ptf, ptf.version)
 	return changed
 }
@@ -798,8 +806,8 @@ func sameSymSet(a, b map[*cast.Symbol]bool) bool {
 func (a *Analysis) applySummary(f *frame, nd *cfg.Node, cf *frame, multi, withRet bool) bool {
 	ptf := cf.ptf
 	exit := ptf.Proc.Exit
-	a.mirrorSummary(cf)
 	changed := false
+	written := a.dstBuf[:0]
 	// Accumulate all translated writes per caller destination before
 	// asserting records: several callee locations may translate to the
 	// same caller location, and their effects must merge (a strong
@@ -869,8 +877,8 @@ func (a *Analysis) applySummary(f *frame, nd *cfg.Node, cf *frame, multi, withRe
 		}
 		if f.ptf.Pts.Assign(dl, merged, nd, strong) {
 			changed = true
-			a.recordSolution(dl, merged)
 		}
+		written = append(written, appliedDst{loc: dl, precise: dl.Precise(), weak: !strong})
 	}
 	a.pendBuf = pend[:0]
 	// Return value.
@@ -897,11 +905,12 @@ func (a *Analysis) applySummary(f *frame, nd *cfg.Node, cf *frame, multi, withRe
 				}
 				if f.ptf.Pts.Assign(dl, merged, nd, strong) {
 					changed = true
-					a.recordSolution(dl, merged)
 				}
+				written = append(written, appliedDst{loc: dl, precise: dl.Precise(), weak: !strong})
 			}
 		}
 	}
+	a.dstBuf = written
 	return changed
 }
 

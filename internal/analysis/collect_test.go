@@ -24,11 +24,18 @@ int main(void) { f(); h(); return 0; }
 `
 
 // checkCollectVisits fails unless the solution-collection pass of a
-// made at least main's visit and no more visits than a has PTFs.
+// made at least main's visit and no more visits than a has PTFs, and
+// swept each visited PTF once, plus once more after each sweep that
+// changed it.
 func checkCollectVisits(t *testing.T, a *analysis.Analysis) {
 	t.Helper()
-	if v, n := a.CollectVisits(), a.Stats().PTFs; v == 0 || v > n {
+	st := a.Stats()
+	if v, n := a.CollectVisits(), st.PTFs; v == 0 || v > n {
 		t.Errorf("collection made %d PTF visits for %d PTFs", v, n)
+	}
+	if st.CollectSweeps != a.CollectVisits()+st.CollectGrowths {
+		t.Errorf("collection made %d sweeps for %d visits and %d growing sweeps",
+			st.CollectSweeps, a.CollectVisits(), st.CollectGrowths)
 	}
 }
 
@@ -36,6 +43,7 @@ func checkCollectVisits(t *testing.T, a *analysis.Analysis) {
 // pass descends into each PTF at most once. A revisit re-walks the
 // callee's whole subtree from every call site, which doubles the visits
 // at each level of a call chain (loader: 619 visits for 24 PTFs). It
+// also checks that a visit confirms a converged PTF in one sweep. It
 // covers the suite, the bug fixtures and a generated set with both
 // engines, and a grafted result.
 func TestCollectionVisitsEachPTFOnce(t *testing.T) {

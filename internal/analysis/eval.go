@@ -25,25 +25,33 @@ func (a *Analysis) evalProc(f *frame) {
 
 // evalProcFull is the pre-worklist engine: sweep every node repeatedly
 // until no fact changes (kept as the ForceFullPasses cross-check).
+//
+// The solution-collection pass runs it too, over the converged
+// fixpoint, where one reverse-postorder sweep evaluates every reachable
+// node (a node's tree predecessor precedes it) against records that are
+// already final. So a collection visit stops after a sweep that left
+// its PTF's version unchanged (no fact grew, the exit did not become
+// reached, no input-domain entry was added): a second sweep would only
+// repeat it, re-binding the same parameters and skipping the same
+// memoized applications. A sweep that did change the PTF gets another,
+// as in the fixpoint. In an incremental run only call nodes do work
+// during collection — assignments and meets are no-ops on converged
+// records — and its call sites re-derive their bindings and descend
+// into callees not yet collected but skip the summary application
+// altogether (callDefinedRet).
 func (a *Analysis) evalProcFull(f *frame) {
-	// During the solution-collection descent of an incremental run the
-	// fixpoint is already converged, so assignments and meets are no-ops
-	// (their records are stable and tracking is off); only call nodes do
-	// work — they re-derive parameter and formal bindings and descend
-	// into callees not yet collected. One reverse-postorder sweep marks
-	// every node evaluated (a node's tree predecessor precedes it), so a
-	// single calls-only sweep reaches every call site. Cold runs sweep
-	// each PTF fully, once, in the first context that reaches it: the
-	// collection pass doubles as a cross-check of the claimed fixpoint.
-	callsOnly := a.incremental && a.collecting != nil
+	collecting := a.collecting != nil
+	callsOnly := a.incremental && collecting
 	f.evaluated = make([]bool, len(f.ptf.Proc.Nodes))
 	for iter := 0; ; iter++ {
 		if a.checkDeadline() {
 			return
 		}
-		// progress drives the local do-while loop (it includes nodes
-		// becoming evaluable); the changed flag only tracks genuine
-		// growth of points-to facts, which governs the top-level
+		version := f.ptf.version
+		// progress drives the local do-while loop: in the fixpoint it
+		// includes nodes becoming evaluable, in collection it is whether
+		// the sweep changed the PTF. The changed flag only tracks
+		// genuine growth of points-to facts, which governs the top-level
 		// fixpoint.
 		progress := false
 		for _, nd := range f.ptf.Proc.Nodes {
@@ -64,10 +72,13 @@ func (a *Analysis) evalProcFull(f *frame) {
 		if a.reachExit(f) {
 			progress = true
 		}
-		if callsOnly {
-			// One sweep marked every node and applied every call site; a
-			// second sweep would only re-apply already-memoized summaries.
-			return
+		if collecting {
+			grew := f.ptf.version != version
+			a.stats.CollectSweeps++
+			if grew {
+				a.stats.CollectGrowths++
+			}
+			progress = grew
 		}
 		if !progress {
 			return
@@ -205,7 +216,6 @@ func (a *Analysis) evalMeet(f *frame, nd *cfg.Node) bool {
 		}
 		if f.ptf.Pts.AssignPhi(loc, srcs, nd) {
 			changed = true
-			a.recordSolution(loc, srcs)
 		}
 	}
 	return changed
@@ -331,7 +341,6 @@ func (a *Analysis) evalAssign(f *frame, nd *cfg.Node) bool {
 		}
 		if f.ptf.Pts.Assign(dst, newSrcs, nd, strong) {
 			changed = true
-			a.recordSolution(dst, newSrcs)
 		}
 	}
 	return changed
@@ -377,7 +386,6 @@ func (a *Analysis) evalAggregateCopy(f *frame, nd *cfg.Node, dsts memmod.ValueSe
 				}
 				if f.ptf.Pts.Assign(target, merged, nd, false) {
 					changed = true
-					a.recordSolution(target, merged)
 				}
 			}
 		}

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"time"
+
 	"wlpa/internal/cfg"
 	"wlpa/internal/memmod"
 )
@@ -25,3 +27,12 @@ func (a *Analysis) PTFsByScan(name string) []*PTF {
 // CollectVisits returns the number of PTF visits the last
 // solution-collection pass made, main's included.
 func (a *Analysis) CollectVisits() int { return a.collectVisits }
+
+// RunFixpoint is Run stopped before the solution-collection pass: the
+// fixpoint alone, with its statistics.
+func (a *Analysis) RunFixpoint() error {
+	start := time.Now()
+	_, err := a.fixpoint(start)
+	a.finishStats(start)
+	return err
+}

@@ -64,7 +64,6 @@ func (c *libCall) Store(dsts, vals memmod.ValueSet) {
 		}
 		if c.f.ptf.Pts.Assign(dl, merged, c.nd, false) {
 			c.changed = true
-			c.a.recordSolution(dl, merged)
 		}
 	}
 }
@@ -121,7 +120,6 @@ func (c *libCall) Return(v memmod.ValueSet) {
 		}
 		if c.f.ptf.Pts.Assign(dl, merged, c.nd, strong) {
 			c.changed = true
-			c.a.recordSolution(dl, merged)
 		}
 	}
 }

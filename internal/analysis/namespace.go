@@ -354,7 +354,6 @@ func (a *Analysis) bindInitial(f *frame, v memmod.LocSet, actuals memmod.ValueSe
 	a.changed = true
 	vals := memmod.Values(val)
 	f.ptf.Pts.Assign(v, vals, f.ptf.Proc.Entry, false)
-	a.recordSolution(v, vals)
 	return vals
 }
 
@@ -476,9 +475,6 @@ func (a *Analysis) seedInit(mf *frame, entry *cfg.Node, loc memmod.LocSet, t *ct
 		}
 		loc.Base.AddPtrLoc(loc)
 		mf.ptf.Pts.Assign(loc, vals, entry, false)
-		if a.solution != nil {
-			a.solution.add(loc, vals)
-		}
 	}
 }
 

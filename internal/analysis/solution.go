@@ -106,50 +106,21 @@ func (s *Solution) Locations() []memmod.LocSet {
 	return out
 }
 
-// recordSolution mirrors an assignment into the collapsed solution in
-// parametrized form; resolution happens at query time.
-func (a *Analysis) recordSolution(loc memmod.LocSet, vals memmod.ValueSet) {
-	if a.solution == nil {
-		return
-	}
-	a.solution.add(loc, vals)
-}
-
-// mirrorSummary records every points-to fact of a callee instance into
-// the collapsed solution. With raw (parametrized) storage this is cheap
-// and context-independent: bindings accumulate separately per parameter.
-func (a *Analysis) mirrorSummary(cf *frame) {
-	if a.solution == nil {
-		return
-	}
-	// Every record mutation in a callee bumps its version, so an
-	// unchanged version means this mirror would be a no-op (the union
-	// in the solution is idempotent).
-	if cf.ptf.version == cf.ptf.mirrored {
-		return
-	}
-	cf.ptf.mirrored = cf.ptf.version
-	for _, loc := range cf.ptf.Pts.Locations() {
-		for _, r := range cf.ptf.Pts.Records(loc) {
-			if r.Vals.IsEmpty() {
-				continue
-			}
-			a.recordSolution(loc, r.Vals)
-		}
-	}
-}
-
-// collectSolution rebuilds the collapsed solution from the converged
-// fixpoint so that it is independent of iteration history: facts and
-// parameter bindings accumulated while iterating include transient
+// collectSolution builds the collapsed solution from the converged
+// fixpoint. It is the only writer of solution state (the solution's
+// facts, paramConcrete and the formal bindings), so the fixpoint is the
+// same with or without CollectSolution, and the solution is independent
+// of iteration history: bindings made while iterating include transient
 // intermediate values that depend on evaluation order (and so differ
-// between the worklist engine and the full-pass fallback). A final
-// pass over the fixpoint — which changes no analysis fact — re-derives
-// every parameter binding and formal binding, and the final sparse
-// records of every PTF are then mirrored wholesale. The pass descends
-// into each PTF once; later call sites only bind, since a revisit would
-// re-record the callee's own sites' raw values, which concretize
-// resolves the same way whichever caller reached it.
+// between the worklist engine and the full-pass fallback). A pass over
+// the fixpoint, with dependency tracking off, re-derives every
+// parameter binding and formal binding, and the final sparse records of
+// every PTF are then mirrored wholesale. The pass descends into each
+// PTF once, in the first context that reaches it; later call sites only
+// bind, since a revisit would re-record the callee's own sites' raw
+// values, which concretize resolves the same way whichever caller
+// reached it. Each visit is one confirming sweep of the PTF unless the
+// sweep changes it (see evalProcFull).
 func (a *Analysis) collectSolution(mf *frame) {
 	for k := range a.solution.raw {
 		delete(a.solution.raw, k)
@@ -163,13 +134,12 @@ func (a *Analysis) collectSolution(mf *frame) {
 	a.track = false
 	a.collecting = map[*PTF]bool{mf.ptf: true}
 	a.collectVisits = 0
+	a.stats.CollectSweeps, a.stats.CollectGrowths = 0, 0
 	a.stack = append(a.stack[:0], mf)
 	a.evalProc(mf)
 	a.stack = a.stack[:0]
 	a.collecting = nil
 	a.track = track
-	// At the fixpoint no assignment changes, so the pass above records
-	// bindings but no facts; mirror every PTF's final records directly.
 	for _, l := range a.ptfs {
 		for _, p := range l {
 			for _, loc := range p.Pts.Locations() {
@@ -177,7 +147,7 @@ func (a *Analysis) collectSolution(mf *frame) {
 					if r.Vals.IsEmpty() {
 						continue
 					}
-					a.recordSolution(loc, r.Vals)
+					a.solution.add(loc, r.Vals)
 				}
 			}
 		}
@@ -220,14 +190,12 @@ func (a *Analysis) concretizeInto(vals memmod.ValueSet, out *memmod.ValueSet, se
 	}
 }
 
-// bindParamConcrete accumulates the raw actual values a parameter was
-// bound to in some context; they resolve transitively in concretize.
+// bindParamConcrete accumulates, during solution collection, the raw
+// actual values a parameter was bound to in some context; they resolve
+// transitively in concretize.
 func (a *Analysis) bindParamConcrete(p *memmod.Block, vals memmod.ValueSet) {
-	if a.paramConcrete == nil || vals.IsEmpty() {
+	if a.collecting == nil || vals.IsEmpty() {
 		return
-	}
-	if a.solution != nil {
-		a.solution.dirty = true
 	}
 	p = p.Representative()
 	acc, ok := a.paramConcrete[p]
@@ -239,20 +207,20 @@ func (a *Analysis) bindParamConcrete(p *memmod.Block, vals memmod.ValueSet) {
 	acc.AddAll(vals)
 }
 
-// recordFormalBindings eagerly mirrors argument-to-formal bindings into
-// the collapsed solution. The analysis itself creates extended
-// parameters for formals lazily (unreferenced formals get none, paper
-// §2.2), but the whole-program solution — and the interpreter soundness
-// oracle checking it — covers the binding of every formal.
+// recordFormalBindings mirrors argument-to-formal bindings into the
+// collapsed solution during solution collection. The analysis itself
+// creates extended parameters for formals lazily (unreferenced formals
+// get none, paper §2.2), but the whole-program solution — and the
+// interpreter soundness oracle checking it — covers the binding of
+// every formal.
 func (a *Analysis) recordFormalBindings(cf *frame, fd *cast.FuncDecl, args []memmod.ValueSet) {
-	if a.solution == nil || fd == nil {
+	if a.collecting == nil || fd == nil {
 		return
 	}
 	for i, p := range fd.Params {
 		if p.Sym == nil || i >= len(args) || args[i].IsEmpty() {
 			continue
 		}
-		loc := memmod.Loc(cf.ptf.localBlock(p.Sym), 0, 0)
-		a.recordSolution(loc, args[i])
+		a.solution.add(memmod.Loc(cf.ptf.localBlock(p.Sym), 0, 0), args[i])
 	}
 }

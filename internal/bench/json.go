@@ -40,7 +40,9 @@ type Entry struct {
 	Name string `json:"name"`
 	// NsPerOp and AllocsPerOp measure analysis.Run alone: no flow-graph
 	// construction and no solution collection, the slice the paper's
-	// Table 2 times. PTFsPerProc is Table 2's PTF column.
+	// Table 2 times. The fixpoint does not depend on CollectSolution, so
+	// this is the walk a daemon miss makes before its collection pass.
+	// PTFsPerProc is Table 2's PTF column.
 	NsPerOp     int64   `json:"ns_per_op"`
 	AllocsPerOp uint64  `json:"allocs_per_op"`
 	PTFsPerProc float64 `json:"ptfs_per_proc"`

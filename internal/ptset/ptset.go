@@ -260,6 +260,12 @@ func (p *PTS) locGen(id memmod.LocID) uint32 {
 	return 0
 }
 
+// Gen returns the change generation of loc: it moves whenever a record
+// of loc is added or changes, so while it reads the same, so do loc's
+// records. Rehome renumbers generations, and it runs only after a
+// subsumption, which moves memmod.SubsumeGen. Read-only.
+func (p *PTS) Gen(loc memmod.LocSet) uint32 { return p.locGen(p.in.ID(loc)) }
+
 // newRecord carves a record out of the slab. Chunks are never recycled
 // or moved, so the returned pointer is stable for the PTS lifetime.
 func (p *PTS) newRecord() *Record {
