@@ -576,12 +576,17 @@ type Analysis struct {
 	// pmapPool recycles the trial parameter-map used by PTF matching.
 	pmapPool map[*memmod.Block]memmod.ValueSet
 	// arena backs the transient value sets built while evaluating
-	// (expression results, meets, dereference contents). Never reset.
+	// (expression results, meets, dereference contents). It is never
+	// reset during a run; Run drops its current chunk when it returns
+	// (releaseScratch), and chunks no PTF references die with the run's
+	// frames.
 	arena memmod.Arena
 	// frameSlab, vsSlab and initSlab carve the small fixed-size pieces
 	// of call evaluation — binding frames, argument arrays, initial-
 	// entry lists — in chunks. Carves are capacity-clipped and never
-	// recycled.
+	// recycled; Run drops the slab tails when it returns, so a chunk
+	// lives only as long as something carved from it (a PTF's input
+	// domain, for the initial-entry slab).
 	frameSlab []frame
 	vsSlab    []memmod.ValueSet
 	initSlab  []initEntry
@@ -688,8 +693,10 @@ func NewPrepared(prog *sem.Program, procs map[*cast.FuncDecl]*cfg.Proc, opts Opt
 // maxPasses bounds top-level fixpoint passes (safety valve).
 const maxPasses = 64
 
-// Run analyzes the whole program starting from main.
+// Run analyzes the whole program starting from main. However it ends,
+// it releases the run's evaluation scratch (releaseScratch).
 func (a *Analysis) Run() error {
+	defer a.releaseScratch()
 	start := time.Now()
 	mf, err := a.fixpoint(start)
 	if err != nil {
@@ -703,6 +710,22 @@ func (a *Analysis) Run() error {
 	}
 	a.finishStats(start)
 	return nil
+}
+
+// releaseScratch drops the evaluation scratch of a finished run: the
+// frame, argument-array and initial-entry slab tails, the pooled trial
+// map, applySummary's buffers and the arena's current chunk. Frames
+// link their callers and whole slabs, and their bindings and argument
+// sets point into arena chunks, so a kept result would otherwise pin
+// most of the chunks its fixpoint ever carved. Carves are never
+// recycled, so whatever a PTF still references stays valid; the next
+// run (a graft) carves afresh.
+func (a *Analysis) releaseScratch() {
+	a.stack = nil
+	a.frameSlab, a.vsSlab, a.initSlab = nil, nil, nil
+	a.pmapPool = nil
+	a.pendBuf, a.dstBuf = nil, nil
+	a.arena = memmod.Arena{}
 }
 
 // fixpoint iterates from main until no fact changes and returns main's
@@ -729,9 +752,7 @@ func (a *Analysis) fixpoint(start time.Time) (*frame, error) {
 		a.stats.Passes = pass
 		a.changed = false
 		clock := a.versionClock
-		a.stack = append(a.stack[:0], mf)
-		a.evalProc(mf)
-		a.stack = a.stack[:0]
+		a.visit(mf)
 		if a.timedOut {
 			a.finishStats(start)
 			return nil, ErrTimeout
@@ -937,6 +958,26 @@ func (a *Analysis) Proc(name string) *cfg.Proc {
 // Solution returns the collapsed whole-program solution, or nil when
 // CollectSolution was not set.
 func (a *Analysis) Solution() *Solution { return a.solution }
+
+// DropCaches discards what a converged analysis rebuilds on demand:
+// every PTF's points-to lookup and strong-update caches (advisory and
+// checked by generation) and the MOD/REF table. Every answer stays the
+// same; the next query, snapshot, check or graft refills what it reads.
+// Like any read of the converged state, it must not run concurrently
+// with another.
+func (a *Analysis) DropCaches() {
+	for _, l := range a.ptfs {
+		for _, p := range l {
+			p.Pts.DropCaches()
+		}
+	}
+	for _, l := range a.keptCache {
+		for _, p := range l {
+			p.Pts.DropCaches()
+		}
+	}
+	a.modref = nil
+}
 
 // GlobalBlock returns the storage block of a global symbol.
 func (a *Analysis) GlobalBlock(sym *cast.Symbol) *memmod.Block {

@@ -189,9 +189,7 @@ func (a *Analysis) callDefinedRet(f *frame, nd *cfg.Node, fd *cast.FuncDecl, arg
 	// baseline's, while the program's FuncDecl is the edited one.
 	a.recordFormalBindings(cf, ptf.Proc.Fn, args)
 	if needVisit || (!ptf.exitReached && a.collecting == nil) {
-		a.stack = append(a.stack, cf)
-		a.evalProc(cf)
-		a.stack = a.stack[:len(a.stack)-1]
+		a.visit(cf)
 	}
 	// Register this call site after the visit (bumps during the
 	// callee's own evaluation need not re-dirty it: the fresh summary

@@ -7,6 +7,17 @@ import (
 	"wlpa/internal/memmod"
 )
 
+// visit evaluates f's procedure with f on top of the activation stack.
+// The slot is cleared on the way out: a frame left in the stack's
+// backing array would pin its caller chain, its slab and the arena
+// chunks its bindings point into for as long as the Analysis lives.
+func (a *Analysis) visit(f *frame) {
+	a.stack = append(a.stack, f)
+	a.evalProc(f)
+	a.stack[len(a.stack)-1] = nil
+	a.stack = a.stack[:len(a.stack)-1]
+}
+
 // evalProc evaluates a procedure instance until its points-to function
 // stops changing (paper Figure 8). Nodes are visited in reverse
 // postorder and never before one of their predecessors (§4.1). The

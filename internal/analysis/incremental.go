@@ -350,7 +350,6 @@ func (a *Analysis) PrepareIncremental(edited *sem.Program, editedProcs map[*cast
 	a.capped = false
 	a.timedOut = false
 	a.stats = Stats{PTFsPerProc: make(map[string]int)}
-	a.stack = a.stack[:0]
 	a.changed = false
 	if a.mainPTF != nil && !kept[a.mainPTF] {
 		a.mainPTF = nil

@@ -135,9 +135,7 @@ func (a *Analysis) collectSolution(mf *frame) {
 	a.collecting = map[*PTF]bool{mf.ptf: true}
 	a.collectVisits = 0
 	a.stats.CollectSweeps, a.stats.CollectGrowths = 0, 0
-	a.stack = append(a.stack[:0], mf)
-	a.evalProc(mf)
-	a.stack = a.stack[:0]
+	a.visit(mf)
 	a.collecting = nil
 	a.track = track
 	for _, l := range a.ptfs {

@@ -117,10 +117,11 @@ func TestAblationHarness(t *testing.T) {
 }
 
 // TestEmissionRecord measures one suite program through the emission's
-// per-program path and checks the record CI's gates read: every time
-// and the snapshot size are positive, the warm edit grafted, queries were sampled, Table 2 reads
-// the same PTF column, and every field of the documented record shape
-// survives JSON encoding. Timing ratios are left to CI.
+// per-program path and checks the record CI's gates read: every time,
+// the snapshot size and the retained heap are positive, the warm edit
+// grafted, queries were sampled, Table 2 reads the same PTF column, and
+// every field of the documented record shape survives JSON encoding.
+// Timing ratios are left to CI.
 func TestEmissionRecord(t *testing.T) {
 	b, ok := workload.ByName("allroots")
 	if !ok {
@@ -137,9 +138,9 @@ func TestEmissionRecord(t *testing.T) {
 	for name, ns := range map[string]int64{
 		"ns_per_op": e.NsPerOp, "whole_program_ns": e.WholeProgramNs,
 		"snapshot_ns": e.SnapshotNs, "snapshot_bytes": int64(e.SnapshotBytes),
-		"edit.cold_ns": e.Edit.ColdNs, "edit.incremental_ns": e.Edit.IncrementalNs,
-		"edit.hash_ns": e.Edit.HashNs, "query.cold_query_ns": e.Query.ColdQueryNs,
-		"query.warm_query_ns": e.Query.WarmQueryNs,
+		"retained_bytes": e.RetainedBytes, "edit.cold_ns": e.Edit.ColdNs,
+		"edit.incremental_ns": e.Edit.IncrementalNs, "edit.hash_ns": e.Edit.HashNs,
+		"query.cold_query_ns": e.Query.ColdQueryNs, "query.warm_query_ns": e.Query.WarmQueryNs,
 	} {
 		if ns <= 0 {
 			t.Errorf("%s = %d, want > 0", name, ns)
@@ -179,7 +180,7 @@ func TestEmissionRecord(t *testing.T) {
 	entry, _ := entries[0].(map[string]any)
 	paths := [][]string{
 		{"name"}, {"ns_per_op"}, {"allocs_per_op"}, {"ptfs_per_proc"}, {"whole_program_ns"},
-		{"snapshot_ns"}, {"snapshot_bytes"},
+		{"snapshot_ns"}, {"snapshot_bytes"}, {"retained_bytes"},
 	}
 	for _, f := range []string{"edited_proc", "tweak", "cold_ns", "incremental_ns", "hash_ns", "speedup",
 		"clean_procs", "dirty_procs", "restored_ptfs", "reconverged_ptfs"} {

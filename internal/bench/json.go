@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/metrics"
 	"time"
 
 	"wlpa/internal/analysis"
@@ -56,6 +57,13 @@ type Entry struct {
 	// encoded size.
 	SnapshotNs    int64 `json:"snapshot_ns"`
 	SnapshotBytes int   `json:"snapshot_bytes"`
+	// RetainedBytes is the live heap one converged result holds when
+	// kept as a wlpad miss keeps it: snapshotted with diagnostics and
+	// wrapped as a warm-edit baseline (program, flow graphs and
+	// analysis). It is the smallest of the rounds, each on a fresh
+	// program, read between forced collections, and depends on the Go
+	// version's heap layout.
+	RetainedBytes int64 `json:"retained_bytes"`
 	Edit          Edit  `json:"edit"`
 	Query         Query `json:"query"`
 }
@@ -125,6 +133,9 @@ func measure(b workload.Benchmark) (Entry, error) {
 	}); err != nil {
 		return Entry{}, fmt.Errorf("%s: snapshot: %w", b.Name, err)
 	}
+	if e.RetainedBytes, err = measureRetained(b); err != nil {
+		return Entry{}, fmt.Errorf("%s: retained: %w", b.Name, err)
+	}
 	if e.Edit, err = measureEdit(b); err != nil {
 		return Entry{}, err
 	}
@@ -187,6 +198,54 @@ func bestOf[S any](setup func() (S, error), run func(S) error) (int64, uint64, e
 		}
 	}
 	return ns, allocs, nil
+}
+
+// measureRetained returns the smallest live heap, over measureRounds
+// rounds, that one program's kept result adds to the process.
+func measureRetained(b workload.Benchmark) (int64, error) {
+	var best int64
+	for round := 0; round < measureRounds; round++ {
+		before := liveHeap()
+		bl, err := keptBaseline(b)
+		if err != nil {
+			return 0, err
+		}
+		n := liveHeap() - before
+		runtime.KeepAlive(bl)
+		if round == 0 || n < best {
+			best = n
+		}
+	}
+	return best, nil
+}
+
+// keptBaseline analyzes a fresh program and keeps the result as a wlpad
+// miss does: snapshotted with diagnostics, then wrapped as a baseline.
+func keptBaseline(b workload.Benchmark) (*pta.Baseline, error) {
+	prog, err := prepare(b.Name, b.Source)
+	if err != nil {
+		return nil, err
+	}
+	res, err := pta.AnalyzeProgram(prog, nil)
+	if err != nil {
+		return nil, err
+	}
+	snap, err := res.Snapshot(&pta.SnapshotOptions{Diagnostics: true})
+	if err != nil {
+		return nil, err
+	}
+	if _, err := snap.Encode(); err != nil {
+		return nil, err
+	}
+	return pta.NewBaseline(res, nil)
+}
+
+// liveHeap returns the live heap after a forced collection.
+func liveHeap() int64 {
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return int64(s[0].Value.Uint64())
 }
 
 // fresh is a bestOf setup that runs the frontend over src again for

@@ -6,11 +6,15 @@ package memmod
 // their backing slices out of chunks turns thousands of individual
 // allocations into a handful of chunk allocations.
 //
-// The arena is never reset during a run — carved slices stay valid for
-// the lifetime of the owning evaluation context, so there is no
-// use-after-reset hazard; the memory dies with the analysis. Each
-// carve's capacity is clipped exactly, so appending past it falls back
-// to an ordinary heap reallocation and can never write into a
+// An arena is never reset and never recycles a carve, so a carved slice
+// stays valid for as long as anything references it: there is no
+// use-after-reset hazard. An owner that is done carving may drop the
+// arena (replace it with the zero Arena), which releases only the
+// current chunk; each chunk then lives exactly as long as some carve
+// from it is referenced. The analysis drops its evaluation arena when a
+// run ends; a points-to function's arena lives as long as its rows.
+// Each carve's capacity is clipped exactly, so appending past it falls
+// back to an ordinary heap reallocation and can never write into a
 // neighboring carve. Arenas are single-goroutine (one per evaluation
 // context).
 type Arena struct {

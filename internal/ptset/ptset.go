@@ -399,9 +399,11 @@ func (p *PTS) assign(loc memmod.LocSet, vals memmod.ValueSet, at *cfg.Node, stro
 		if r := p.rowRecordAt(si, at); r != nil {
 			changed := false
 			if strong && r.Strong {
-				// Re-evaluated strong update: replace.
+				// Re-evaluated strong update: replace, with a copy as
+				// for a new record, since vals is usually the caller's
+				// arena-backed scratch.
 				if !r.Vals.Equal(vals) {
-					r.Vals = vals
+					r.Vals = p.storeClone(vals)
 					r.bits = nil // rebuilt lazily if the row grows again
 					changed = true
 				}
@@ -785,8 +787,14 @@ func (p *PTS) Rehome() {
 		}
 		p.phis[ndID] = ns
 	}
-	p.lookupTab, p.lookupClash = nil, 0
-	p.suTab, p.suClash = nil, 0
+	p.DropCaches()
 	p.locsCache = nil
 	p.phiCache = nil
+}
+
+// DropCaches discards the lookup and strong-update caches. They are
+// advisory, so every answer stays the same; later queries refill them.
+func (p *PTS) DropCaches() {
+	p.lookupTab, p.lookupClash = nil, 0
+	p.suTab, p.suClash = nil, 0
 }

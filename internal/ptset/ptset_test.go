@@ -189,9 +189,15 @@ func TestStrongReassignReplaces(t *testing.T) {
 	l := loc("p")
 	pts.Assign(l, memmod.Values(loc("x")), entry, true)
 	// Re-evaluation with a different value set replaces (strong).
-	changed := pts.Assign(l, memmod.Values(loc("y")), entry, true)
+	vals := memmod.Values(loc("y"))
+	changed := pts.Assign(l, vals, entry, true)
 	if !changed {
 		t.Error("replacement should report change")
+	}
+	// It stores a copy, as a new record does: the engine passes
+	// arena-backed scratch, which a kept record would pin.
+	if r := pts.RecordAt(l, entry); &r.Vals.Locs()[0] == &vals.Locs()[0] {
+		t.Error("strong reassign kept the caller's value set")
 	}
 	got, _ := pts.LookupOut(l, entry, nil)
 	if !got.Equal(memmod.Values(loc("y"))) {

@@ -40,7 +40,9 @@ type Config struct {
 	MaxInflight int
 	// BaselineCap bounds how many warm-edit baselines are held for
 	// incremental grafting; 0 means 8. Each baseline pins a full
-	// converged analysis, so this is the daemon's main memory knob.
+	// converged analysis, trimmed to what it answers with (0.3-2.1 MB
+	// for a suite program, compiler 1.4 MB, on Go 1.24), so this is the
+	// daemon's main memory knob.
 	BaselineCap int
 	// Logger receives structured request logs (nil = slog.Default()).
 	Logger *slog.Logger

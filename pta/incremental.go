@@ -60,7 +60,11 @@ type Baseline struct {
 
 // NewBaseline wraps a converged result for incremental re-analysis.
 // opts must be the options the result was analyzed with (nil means the
-// defaults).
+// defaults). The result is trimmed to what it answers with: its
+// points-to lookup caches and MOD/REF table, which the next graft
+// rebuilds anyway, are dropped. r still answers every query, rebuilding
+// what the query reads, but must not be read concurrently with the
+// call.
 func NewBaseline(r *Result, opts *Options) (*Baseline, error) {
 	if r == nil {
 		return nil, fmt.Errorf("pta: nil result")
@@ -74,13 +78,14 @@ func NewBaseline(r *Result, opts *Options) (*Baseline, error) {
 
 // BaselineFromHash is NewBaseline for callers that already hold the
 // program's hash record (the daemon hashes every request for cache
-// lookup and need not hash again).
+// lookup and need not hash again). It trims r the same way.
 func BaselineFromHash(r *Result, h *irhash.Program, opts *Options) *Baseline {
 	var o Options
 	if opts != nil {
 		o = *opts
 	}
 	o.Baseline = nil
+	r.an.DropCaches()
 	return &Baseline{res: r, hash: h, opts: o}
 }
 

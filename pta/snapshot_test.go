@@ -139,10 +139,27 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func normLines(s []string) string { return strings.Join(s, "\n") }
 
+// encodedSnapshot builds and encodes r's snapshot.
+func encodedSnapshot(t *testing.T, r *Result, opts *SnapshotOptions) []byte {
+	t.Helper()
+	snap, err := r.Snapshot(opts)
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	data, err := snap.Encode()
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	return data
+}
+
 // TestSnapshotBytesDeterministic pins the bit-identity guarantee the
 // daemon's warm-cache path relies on: independent analyses of the same
 // program — run concurrently with other programs' analyses, as the
-// daemon runs requests — encode to identical bytes.
+// daemon runs requests — encode to identical bytes, and a result
+// trimmed into a warm-edit baseline (NewBaseline drops its lookup
+// caches and MOD/REF table) encodes, diagnostics included, to the bytes
+// it encoded to before.
 func TestSnapshotBytesDeterministic(t *testing.T) {
 	suite := workload.Suite()
 	if len(suite) == 0 {
@@ -162,19 +179,28 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 				if err != nil {
 					t.Fatalf("analyze: %v", err)
 				}
-				snap, err := r.Snapshot(&SnapshotOptions{Fingerprint: "fp"})
-				if err != nil {
-					t.Fatalf("Snapshot: %v", err)
-				}
-				data, err := snap.Encode()
-				if err != nil {
-					t.Fatalf("Encode: %v", err)
-				}
-				encs = append(encs, data)
+				encs = append(encs, encodedSnapshot(t, r, &SnapshotOptions{Fingerprint: "fp"}))
 			}
 			if !bytes.Equal(encs[0], encs[1]) || !bytes.Equal(encs[0], encs[2]) {
 				t.Fatalf("snapshot bytes differ across runs (lens %d, %d, %d)",
 					len(encs[0]), len(encs[1]), len(encs[2]))
+			}
+		})
+	}
+	for name, src := range suiteAndFixtures() {
+		t.Run("baseline/"+name, func(t *testing.T) {
+			t.Parallel()
+			r, err := AnalyzeSource(name+".c", src, nil)
+			if err != nil {
+				t.Fatalf("analyze: %v", err)
+			}
+			opts := &SnapshotOptions{Diagnostics: true}
+			before := encodedSnapshot(t, r, opts)
+			if _, err := NewBaseline(r, nil); err != nil {
+				t.Fatal(err)
+			}
+			if after := encodedSnapshot(t, r, opts); !bytes.Equal(before, after) {
+				t.Fatalf("snapshot bytes differ after NewBaseline (lens %d, %d)", len(before), len(after))
 			}
 		})
 	}
