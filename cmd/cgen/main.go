@@ -50,7 +50,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "generator seed")
 		funcs    = flag.Int("funcs", 4, "number of generated functions")
 		stmts    = flag.Int("stmts", 8, "statements per function")
-		features = flag.String("features", "", "comma-separated generator features (or \"all\"); empty selects the legacy default set")
+		features = flag.String("features", "", "comma-separated generator features (or \"all\"); empty selects heap,structs,funcptrs,recursion")
 		fanout   = flag.Int("fanout", 0, "emit a deterministic fan-out call-graph shape with this breadth instead of a random program")
 		fandepth = flag.Int("fandepth", 1, "callee-chain depth of each fan-out cone (with -fanout)")
 		edit     = flag.String("edit", "", "apply a structured edit of this kind and print the edited program; with -check, run the incremental edit oracle over the (base, edited) pair")

@@ -43,7 +43,7 @@ func main() {
 		addr        = fs.String("addr", ":8372", "listen address")
 		cacheDir    = fs.String("cache-dir", "", "on-disk cache directory (empty = memory-only)")
 		memBudget   = fs.Int64("mem-budget", store.DefaultMemBudget, "in-memory cache budget in bytes")
-		timeout     = fs.Duration("timeout", 2*time.Minute, "per-request wall-clock budget of the analysis, and again of the checker (must be positive)")
+		timeout     = fs.Duration("timeout", 2*time.Minute, "per-request wall-clock budget of the analysis and its checker passes together (must be positive)")
 		maxInflight = fs.Int("max-inflight", 2, "concurrent engine runs (cache hits are not throttled)")
 		baselineCap = fs.Int("baseline-cap", 8, "warm-edit baselines held for incremental grafting (each pins a converged analysis)")
 		policy      = fs.String("policy", "ptf", "summarization policy: ptf, emami, or single")
@@ -110,8 +110,8 @@ func main() {
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       time.Minute,
-		// Responses must outlast the analysis budget plus the checker's
-		// (a request with diagnostics may spend one budget in each).
+		// Responses must outlast the budget plus what runs outside it:
+		// the frontend, the snapshot build and the encode.
 		WriteTimeout: 2*(*timeout) + 30*time.Second,
 	}
 

@@ -326,9 +326,6 @@ type PTF struct {
 	// deduplicated list: fan-in per summary is low, so linear scans beat
 	// a nested map and its per-edge allocations.
 	callers []callerEdge
-	// targetCache caches the resolved call-target slice per call node
-	// for function-pointer values not involving extended parameters.
-	targetCache map[*cfg.Node]*targetEntry
 }
 
 // symMap maps symbols to memory blocks with a small-list fast path:
@@ -502,13 +499,6 @@ type siteKey struct {
 	proc *cfg.Proc
 }
 
-// targetEntry is one cached call-target resolution: valid while the
-// function-pointer value set at the node is unchanged.
-type targetEntry struct {
-	fv   memmod.ValueSet
-	syms []*cast.Symbol
-}
-
 // readerKey identifies one registered read: PTF p evaluated node nd
 // using the contents of some block.
 type readerKey struct {
@@ -528,8 +518,8 @@ type Analysis struct {
 	heapBlocks   map[string]*memmod.Block
 
 	// intern is the run-wide location-set intern table: every PTS keys
-	// its records and caches on the IDs it hands out. IDs never outlive
-	// the run — the table dies with the Analysis.
+	// its records on the IDs it hands out. IDs never outlive the run —
+	// the table dies with the Analysis.
 	intern *memmod.Interner
 
 	// nullBlock is the null pseudo-location: a value that rides in
@@ -960,22 +950,10 @@ func (a *Analysis) Proc(name string) *cfg.Proc {
 func (a *Analysis) Solution() *Solution { return a.solution }
 
 // DropCaches discards what a converged analysis rebuilds on demand:
-// every PTF's points-to lookup and strong-update caches (advisory and
-// checked by generation) and the MOD/REF table. Every answer stays the
-// same; the next query, snapshot, check or graft refills what it reads.
-// Like any read of the converged state, it must not run concurrently
-// with another.
+// the MOD/REF table. Every answer stays the same; the next ModRef,
+// BindingsAt, check or graft rebuilds it. Like any read of the
+// converged state, it must not run concurrently with another.
 func (a *Analysis) DropCaches() {
-	for _, l := range a.ptfs {
-		for _, p := range l {
-			p.Pts.DropCaches()
-		}
-	}
-	for _, l := range a.keptCache {
-		for _, p := range l {
-			p.Pts.DropCaches()
-		}
-	}
 	a.modref = nil
 }
 

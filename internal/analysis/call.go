@@ -42,25 +42,9 @@ func (a *Analysis) evalCall(f *frame, nd *cfg.Node) bool {
 
 // callTargets resolves function-pointer values to function symbols,
 // flagging extended parameters used as call targets and recording their
-// values in the PTF input domain (paper §5.1). Resolutions not
-// involving extended parameters are cached per call node (parameter
-// values resolve through the activation's bindings and have input-domain
-// side effects, so they are recomputed). nd may be nil (library
-// callback invocation), which disables caching.
+// values in the PTF input domain (paper §5.1). nd may be nil (library
+// callback invocation).
 func (a *Analysis) callTargets(f *frame, nd *cfg.Node, fv memmod.ValueSet) []*cast.Symbol {
-	hasParam := false
-	for _, l := range fv.Locs() {
-		if l.Resolve().Base.Kind == memmod.ParamBlock {
-			hasParam = true
-			break
-		}
-	}
-	cacheable := nd != nil && !hasParam
-	if cacheable {
-		if e, ok := f.ptf.targetCache[nd]; ok && e.fv.Equal(fv) {
-			return e.syms
-		}
-	}
 	out := make(map[*cast.Symbol]bool)
 	for _, l := range fv.Locs() {
 		l = l.Resolve()
@@ -93,12 +77,6 @@ func (a *Analysis) callTargets(f *frame, nd *cfg.Node, fv memmod.ValueSet) []*ca
 		syms = append(syms, s)
 	}
 	sort.Slice(syms, func(i, j int) bool { return syms[i].Name < syms[j].Name })
-	if cacheable {
-		if f.ptf.targetCache == nil {
-			f.ptf.targetCache = make(map[*cfg.Node]*targetEntry)
-		}
-		f.ptf.targetCache[nd] = &targetEntry{fv: fv.Clone(), syms: syms}
-	}
 	return syms
 }
 

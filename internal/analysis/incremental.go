@@ -267,13 +267,6 @@ func (a *Analysis) PrepareIncremental(edited *sem.Program, editedProcs map[*cast
 					}
 				}
 			}
-			for _, e := range p.targetCache {
-				for i, s := range e.syms {
-					if ns := symNew[s]; ns != nil {
-						e.syms[i] = ns
-					}
-				}
-			}
 			if restored[p] {
 				newPtfs[proc] = append(newPtfs[proc], p)
 				numRestored++

@@ -105,58 +105,20 @@ func (a *Analysis) Concretize(vals memmod.ValueSet) memmod.ValueSet {
 
 // RecordSites makes one pass over the PTF's sparse points-to records
 // (assignments, φ-functions and entry values). It returns, indexed by
-// flow node ID, the distinct representative bases whose contents can
-// read differently after the node than after its immediate dominator:
-// the bases of the locations recorded at the node, and the bases of the
-// strong updates recorded at its immediate dominator whose barrier hides
-// records of another location. The second kind exists because
-// FindStrongUpdate looks strictly above the node it is asked about, so
-// a strong update bounds ContentsAfter first at its dominator-tree
-// children, and there it can only hide the records of the other
-// recorded locations that overlap the updated one. For a location whose
-// representative base is not listed at nd, ContentsAfter at nd returns
-// what it returns at nd.Idom, record for record (see contentsAt); a
-// base listed at no node reads the empty set everywhere in this PTF.
+// flow node ID, the distinct representative bases of the locations
+// recorded at the node: for a location whose representative base is not
+// listed at nd, ContentsAfter at nd returns what it returns at nd.Idom,
+// record for record (see contentsAt); a base listed at no node reads the
+// empty set everywhere in this PTF.
 func (p *PTF) RecordSites() [][]*memmod.Block {
 	sites := make([][]*memmod.Block, len(p.Proc.Nodes))
-	var strong [][]*memmod.Block
 	for _, loc := range p.Pts.Locations() {
 		b := loc.Base.Representative()
-		bounds := p.overlapsRecorded(loc)
 		for _, r := range p.Pts.Records(loc) {
 			sites[r.Node.ID] = addBase(sites[r.Node.ID], b)
-			if r.Strong && bounds {
-				if strong == nil {
-					strong = make([][]*memmod.Block, len(p.Proc.Nodes))
-				}
-				strong[r.Node.ID] = addBase(strong[r.Node.ID], b)
-			}
-		}
-	}
-	if strong != nil {
-		for _, nd := range p.Proc.Nodes {
-			if nd.Idom == nil {
-				continue
-			}
-			for _, b := range strong[nd.Idom.ID] {
-				sites[nd.ID] = addBase(sites[nd.ID], b)
-			}
 		}
 	}
 	return sites
-}
-
-// overlapsRecorded reports whether a location other than loc that
-// contentsAt would read beside it (a pointer location of its base that
-// overlaps it) has a record in p.
-func (p *PTF) overlapsRecorded(loc memmod.LocSet) bool {
-	loc = loc.Resolve()
-	for _, l := range loc.Base.PtrLocs() {
-		if l = l.Resolve(); l != loc && l.Overlaps(loc) && len(p.Pts.Records(l)) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // addBase appends b to bases unless it is already listed.
@@ -302,28 +264,34 @@ func (a *Analysis) ContentsAt(p *PTF, v memmod.LocSet, nd *cfg.Node) memmod.Valu
 }
 
 // ContentsAfter is ContentsAt for the state flowing OUT of nd (a record
-// at the node itself is visible).
+// at the node itself is visible, and a strong update of v there is the
+// barrier).
 func (a *Analysis) ContentsAfter(p *PTF, v memmod.LocSet, nd *cfg.Node) memmod.ValueSet {
 	return a.contentsAt(p, v, nd, true)
 }
 
 // contentsAt reads only the records of locations that overlap v, and
 // LocSet.Overlaps requires the same representative base; its barrier
-// (FindStrongUpdate) reads only v's own records. So when no record of p
-// is about v's representative base, the answer is the empty set at every
-// node, for any offset and stride, and so is every dereference of it;
-// and where RecordSites lists no change of that base, the answer after
-// a node is the answer after its immediate dominator. The snapshot
-// builder relies on both to compute an answer only where it can differ;
-// they are facts about the records, not about C types, because casts
-// move pointers through integers.
+// (a strong record of v at nd, or FindStrongUpdate) reads only v's own
+// records. So when no record of p is about v's representative base, the
+// answer is the empty set at every node, for any offset and stride, and
+// so is every dereference of it; and where RecordSites lists no record
+// of that base, the answer after a node is the answer after its
+// immediate dominator. The snapshot builder relies on both to compute
+// an answer only where it can differ; they are facts about the records,
+// not about C types, because casts move pointers through integers.
 func (a *Analysis) contentsAt(p *PTF, v memmod.LocSet, nd *cfg.Node, includeAt bool) memmod.ValueSet {
 	v = v.Resolve()
 	if v.Base.Kind == memmod.NullBlock {
 		return memmod.ValueSet{}
 	}
 	var barrier *cfg.Node
-	if v.Precise() {
+	if v.Precise() && includeAt {
+		if r := p.Pts.RecordAt(v, nd); r != nil && r.Strong {
+			barrier = nd
+		}
+	}
+	if v.Precise() && barrier == nil {
 		barrier = p.Pts.FindStrongUpdate(v, nd)
 	}
 	var result memmod.ValueSet

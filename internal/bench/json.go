@@ -113,8 +113,9 @@ func measure(b workload.Benchmark) (Entry, error) {
 	if e.WholeProgramNs, _, err = bestOf(fresh(b.Name, b.Source), analyze); err != nil {
 		return Entry{}, fmt.Errorf("%s: whole-program: %w", b.Name, err)
 	}
-	// A build fills the points-to lookup caches, so a second build on
-	// one result would time caches warmer than a daemon's miss has.
+	// A build interns the location sets it reads and fills the MOD/REF
+	// table, so a second build on one result would time a warmer
+	// result than a daemon's miss has.
 	converged := func() (*pta.Result, error) {
 		prog, err := prepare(b.Name, b.Source)
 		if err != nil {

@@ -60,8 +60,8 @@ func measureQuery(b workload.Benchmark) (Query, error) {
 	}
 
 	// Warm query: per-query cost against the held result. One untimed
-	// sweep first fills the query layer's interning and lookup caches —
-	// the steady state a serving daemon reaches immediately.
+	// sweep first interns the location sets the queries read — the
+	// steady state a serving daemon reaches immediately.
 	sweep := func(r *pta.Result) error {
 		for _, s := range sites {
 			r.PointsToAt(s.Proc, s.Line, s.Expr)

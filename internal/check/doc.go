@@ -57,7 +57,6 @@
 //
 // Checkers run only after the analysis has converged, so they observe a
 // single consistent fixpoint regardless of which engine (full-pass or
-// worklist) produced it. Reading the analysis still fills its lookup
-// caches and intern table, so one analysis is checked by one goroutine
-// at a time.
+// worklist) produced it. Reading the analysis still writes its intern
+// table, so one analysis is checked by one goroutine at a time.
 package check

@@ -46,7 +46,7 @@ const (
 	StageLeak        = "leak-oracle"         // static leak checker disagrees with observed leaks
 	StageTypestate   = "typestate-oracle"    // static FILE-protocol checker disagrees with observed violations
 	StageTaint       = "taint-oracle"        // a getenv program's system() call carries no taintflow report
-	StageQuery       = "query-oracle"        // query layer answer differs from the uncached idom-chain reference
+	StageQuery       = "query-oracle"        // query layer answer differs from the idom-chain reference
 	StageBaseline    = "baseline"            // a baseline analysis returned an error
 	StageAndersen    = "lattice-andersen"    // dynamic fact missing from Andersen
 	StageSteensgaard = "lattice-steensgaard" // PTF or Andersen edge missing from Steensgaard
@@ -161,12 +161,12 @@ const (
 	refNoBarrier             // nearest records, no barrier
 )
 
-// contentsRef is the query rung's uncached reference for
-// analysis.ContentsAt (out false) and ContentsAfter (out true). The
-// nodes that dominate nd are its immediate-dominator chain, so for each
-// location overlapping v it takes the first record met going up the
-// chain (records at nd itself only for out). It stops after the first
-// strong record of a precise v strictly above nd: FindStrongUpdate's
+// contentsRef is the query rung's reference for analysis.ContentsAt
+// (out false) and ContentsAfter (out true). The nodes that dominate nd
+// are its immediate-dominator chain, so for each location overlapping v
+// it takes the first record met going up the chain (records at nd
+// itself only for out). It stops after the first strong record of a
+// precise v it meets, at nd itself only for out: the strong-update
 // barrier, which hides older records from every candidate.
 func contentsRef(p *analysis.PTF, v memmod.LocSet, nd *cfg.Node, out bool, m refMutation) memmod.ValueSet {
 	v = v.Resolve()
@@ -191,7 +191,7 @@ func contentsRef(p *analysis.PTF, v memmod.LocSet, nd *cfg.Node, out bool, m ref
 				found[i] = true
 			}
 		}
-		if m == refExact && n != nd && v.Precise() {
+		if m == refExact && v.Precise() {
 			if r := p.Pts.RecordAt(v, n); r != nil && r.Strong {
 				break
 			}
@@ -201,7 +201,7 @@ func contentsRef(p *analysis.PTF, v memmod.LocSet, nd *cfg.Node, out bool, m ref
 }
 
 // queryAgrees checks the query layer (analysis.ContentsAt and
-// ContentsAfter, with their cached ptset lookups) against contentsRef
+// ContentsAfter, with their ptset record scans) against contentsRef
 // over one converged analysis: for every context, up to maxLocs of its
 // recorded locations (0: all of them) plus their block-level
 // widenings, at every nodeStride-th flow node, in both IN and OUT
@@ -331,9 +331,9 @@ func CheckProgram(name, src string, opt Options) error {
 	}
 
 	// 1b. Query layer: every sampled contents query, on every engine's
-	// converged state, must answer exactly what the uncached
-	// idom-chain reference answers: 48 locations per context, every
-	// third node, IN and OUT.
+	// converged state, must answer exactly what the idom-chain
+	// reference answers: 48 locations per context, every third node,
+	// IN and OUT.
 	for i, e := range engines {
 		if detail := queryAgrees(fps[i].an, 48, 3, opt.queryRef); detail != "" {
 			return fail(StageQuery, "%s: %s", e.name, detail)

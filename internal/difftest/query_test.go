@@ -132,7 +132,7 @@ func TestQueryRungCatchesWrongReference(t *testing.T) {
 		want      string
 	}{
 		{refUnionAll, heapName, heapSrc, heapOpt, "f1 node 3 loc 1_a (out)"},
-		{refNoBarrier, "barrier", barrierSrc, Options{}, "main node 6 loc s (in)"},
+		{refNoBarrier, "barrier", barrierSrc, Options{}, "main node 3 loc s (out)"},
 	} {
 		tc.opt.queryRef = tc.m
 		err := CheckProgram(tc.name, tc.src, tc.opt)

@@ -40,8 +40,6 @@ type Interner struct {
 	ridx map[LocSet]LocID // exact struct -> ID
 	locs []LocSet         // ID -> exact struct; index 0 unused
 	res  []resEntry       // ID -> cached resolved ID + generation
-
-	hits, misses uint64
 }
 
 // NewInterner creates an empty intern table.
@@ -76,10 +74,8 @@ func (in *Interner) ExactID(l LocSet) LocID {
 
 func (in *Interner) exactIDSlow(l LocSet) LocID {
 	if id, ok := in.ridx[l]; ok {
-		in.hits++
 		return id
 	}
-	in.misses++
 	id := LocID(len(in.locs))
 	in.locs = append(in.locs, l)
 	in.res = append(in.res, resEntry{})
@@ -114,6 +110,3 @@ func (in *Interner) ResolveID(id LocID) LocID {
 	in.res[id] = resEntry{id: rid, gen: g}
 	return rid
 }
-
-// Stats returns the intern hit/miss counters (for benchmarks).
-func (in *Interner) Stats() (hits, misses uint64) { return in.hits, in.misses }

@@ -21,6 +21,7 @@
 //     strong (paper §4.1) — everything reached through a stride or a
 //     multi-target pointer is weak.
 //   - A PTS and its record slabs belong to one analysis and are used
-//     by one goroutine at a time. Lookups write their memoization
-//     caches even on a converged PTS, so reads need that too.
+//     by one goroutine at a time. Lookups intern their key in the
+//     analysis-wide table even on a converged PTS, so reads need that
+//     too. A lookup scans the location's records; nothing is memoized.
 package ptset

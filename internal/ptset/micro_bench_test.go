@@ -1,13 +1,15 @@
 // Micro-benchmarks for the set kernels under the points-to layer: row
-// union and iteration on both sides of the sparse/dense threshold, and
-// the location-set intern table's hit and miss paths. These are the
-// inner loops the Table 2 numbers decompose into; run with
+// union and iteration on both sides of the sparse/dense threshold, the
+// record scan behind a lookup, and the location-set intern table's hit
+// and miss paths. These are the inner loops the Table 2 numbers
+// decompose into; run with
 //
-//	go test ./internal/ptset -bench 'Row|Intern' -benchmem
+//	go test ./internal/ptset -run '^$' -bench . -benchmem
 package ptset
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"wlpa/internal/cast"
@@ -68,7 +70,7 @@ func BenchmarkRowUnion(b *testing.B) {
 }
 
 // BenchmarkRowIterate measures reading a row back out: the dominator-
-// walk lookup (cached) plus a full iteration of the member slice.
+// walk lookup plus a full iteration of the member slice.
 func BenchmarkRowIterate(b *testing.B) {
 	for _, n := range rowSizes {
 		b.Run(fmt.Sprintf("members=%d", n), func(b *testing.B) {
@@ -84,6 +86,38 @@ func BenchmarkRowIterate(b *testing.B) {
 			}
 			_ = sink
 		})
+	}
+}
+
+// BenchmarkLookupManyRecords measures the worst case of the record scan
+// behind every lookup: one location assigned at every node of a
+// 64-statement straight-line procedure and read flowing into its exit,
+// so the scan weighs every record to find the nearest dominating one.
+func BenchmarkLookupManyRecords(b *testing.B) {
+	var src strings.Builder
+	src.WriteString("int a;\nint *r;\nvoid f(void) {\n")
+	for i := 0; i < 64; i++ {
+		src.WriteString("    r = &a;\n")
+	}
+	src.WriteString("}\n")
+	p := buildProc(b, src.String(), "f")
+	pts := New(p, memmod.NewInterner())
+	target := loc("bench_many")
+	vals := memmod.Values(loc("bench_many_v"))
+	for _, nd := range p.Nodes {
+		if nd != p.Exit {
+			pts.Assign(target, vals, nd, true)
+		}
+	}
+	if n := pts.NumRecords(); n < 64 {
+		b.Fatalf("%d records, want at least 64", n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := pts.LookupIn(target, p.Exit, nil); !ok {
+			b.Fatal("no dominating record")
+		}
 	}
 }
 

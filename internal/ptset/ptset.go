@@ -19,36 +19,6 @@ type Record struct {
 	bits *memmod.RowBits
 }
 
-// lookupKey identifies one dominator-walk query. Dominance and the
-// barrier node are static per query site, so the only dynamic validity
-// inputs are the per-location generation and the global subsumption
-// generation, kept in the entry. Locations are the interner's IDs and
-// nodes their per-procedure IDs (after is -1 for "no barrier"), keeping
-// the key at 16 bytes instead of the 48 of the struct/pointer form.
-type lookupKey struct {
-	loc       memmod.LocID
-	at, after int32
-	includeAt bool
-}
-
-// lookupSlot is one line of the direct-mapped lookup cache. The cache is
-// advisory — a collision evicts the previous entry and a miss recomputes
-// — so it needs no chaining and its storage is a flat power-of-two
-// array: no per-insert allocation, unlike a map.
-type lookupSlot struct {
-	key    lookupKey
-	vals   memmod.ValueSet
-	found  bool
-	valid  bool
-	locGen uint32
-	subGen uint32
-}
-
-type suKey struct {
-	loc memmod.LocID
-	at  int32
-}
-
 // locSlot is the per-location state of one dense slot: the interned ID,
 // the change generation, and the assignment records (unordered; lookups
 // select the nearest dominating record).
@@ -65,16 +35,6 @@ type idxSlot struct {
 	val int32
 }
 
-// suSlot is a line of the direct-mapped strong-update cache (same
-// eviction discipline as lookupSlot).
-type suSlot struct {
-	key    suKey
-	node   *cfg.Node
-	valid  bool
-	locGen uint32
-	subGen uint32
-}
-
 // Slab chunk sizes. Records are carved out of block allocations instead
 // of being allocated one by one; same for record-pointer headers, stored
 // value-set members and φ-location lists.
@@ -87,8 +47,8 @@ const (
 
 // PTS is the sparse points-to function for one procedure instance.
 // All location keys are interned through the analysis-wide Interner.
-// A PTS is not safe for concurrent use: lookups fill the query caches
-// below, so even reads of a converged PTS need one goroutine at a time.
+// A PTS is not safe for concurrent use: lookups intern their key, so
+// even reads of a converged PTS need one goroutine at a time.
 //
 // Per-location state (records and change generations) lives in dense
 // parallel arrays indexed by a compact slot number, with an
@@ -102,19 +62,9 @@ type PTS struct {
 
 	// idx is the open-addressed LocID → slot table (linear probing,
 	// power-of-two size, 75% max load); slots holds the per-location
-	// state it points at. Cached queries remember the generation they
-	// observed and are valid only while it (and the global subsumption
-	// generation) still matches.
+	// state it points at.
 	idx   []idxSlot
 	slots []locSlot
-
-	// Direct-mapped query caches (advisory; collisions evict). Each
-	// grows by doubling when evictions of live keys exceed the table
-	// size, so pathological procedures still cache effectively.
-	lookupTab   []lookupSlot
-	lookupClash uint32
-	suTab       []suSlot
-	suClash     uint32
 
 	// phis lists the locations having φ-functions at each meet node
 	// (indexed by the node's dense per-procedure ID; small per-node
@@ -292,32 +242,9 @@ func (p *PTS) LookupOut(loc memmod.LocSet, at *cfg.Node, after *cfg.Node) (memmo
 	return p.lookup(loc, at, after, true)
 }
 
-func hashLookupKey(k lookupKey) uint32 {
-	h := uint64(uint32(k.loc))<<31 ^ uint64(uint32(k.at)) ^ uint64(uint32(k.after))<<16
-	if k.includeAt {
-		h ^= 1 << 62
-	}
-	h *= 0x9e3779b97f4a7c15
-	return uint32(h >> 40)
-}
-
 func (p *PTS) lookup(loc memmod.LocSet, at *cfg.Node, after *cfg.Node, includeAt bool) (memmod.ValueSet, bool) {
-	id := p.in.ID(loc)
-	afterID := int32(-1)
-	if after != nil {
-		afterID = int32(after.ID)
-	}
-	key := lookupKey{id, int32(at.ID), afterID, includeAt}
-	sg := uint32(memmod.SubsumeGen())
-	lg := p.locGen(id)
-	if len(p.lookupTab) != 0 {
-		s := &p.lookupTab[hashLookupKey(key)&uint32(len(p.lookupTab)-1)]
-		if s.valid && s.key == key && s.subGen == sg && s.locGen == lg {
-			return s.vals, s.found
-		}
-	}
 	var best *Record
-	for _, r := range p.rowsOf(id) {
+	for _, r := range p.rowsOf(p.in.ID(loc)) {
 		if r.Node == at && !includeAt {
 			continue
 		}
@@ -331,36 +258,10 @@ func (p *PTS) lookup(loc memmod.LocSet, at *cfg.Node, after *cfg.Node, includeAt
 			best = r
 		}
 	}
-	var vals memmod.ValueSet
-	found := best != nil
-	if found {
-		vals = best.Vals.Resolved()
+	if best == nil {
+		return memmod.ValueSet{}, false
 	}
-	if p.lookupTab == nil {
-		p.lookupTab = make([]lookupSlot, 32)
-	}
-	s := &p.lookupTab[hashLookupKey(key)&uint32(len(p.lookupTab)-1)]
-	if s.valid && s.key != key {
-		p.lookupClash++
-		if p.lookupClash > uint32(len(p.lookupTab)) && len(p.lookupTab) < 1<<17 {
-			p.growLookupTab()
-			s = &p.lookupTab[hashLookupKey(key)&uint32(len(p.lookupTab)-1)]
-		}
-	}
-	*s = lookupSlot{key: key, vals: vals, found: found, valid: true, locGen: lg, subGen: sg}
-	return vals, found
-}
-
-func (p *PTS) growLookupTab() {
-	old := p.lookupTab
-	p.lookupTab = make([]lookupSlot, 2*len(old))
-	mask := uint32(len(p.lookupTab) - 1)
-	for i := range old {
-		if old[i].valid {
-			p.lookupTab[hashLookupKey(old[i].key)&mask] = old[i]
-		}
-	}
-	p.lookupClash = 0
+	return best.Vals.Resolved(), true
 }
 
 // RecordAt returns the record for loc exactly at node, or nil.
@@ -487,8 +388,8 @@ func (p *PTS) storeClone(vals memmod.ValueSet) memmod.ValueSet {
 	return vals.CloneInto(dst)
 }
 
-// bumpSlot invalidates cached queries about the location in slot si and
-// fires OnChange.
+// bumpSlot moves the change generation of the location in slot si
+// (see Gen) and fires OnChange.
 func (p *PTS) bumpSlot(si int32, loc memmod.LocSet) {
 	p.slots[si].gen++
 	if p.hooks != nil {
@@ -637,18 +538,8 @@ func lessLoc(a, b memmod.LocSet) bool {
 // FindStrongUpdate returns the nearest dominating node (strictly before
 // at) holding a strong update of loc, or nil (paper Figure 10).
 func (p *PTS) FindStrongUpdate(loc memmod.LocSet, at *cfg.Node) *cfg.Node {
-	id := p.in.ID(loc)
-	key := suKey{id, int32(at.ID)}
-	sg := uint32(memmod.SubsumeGen())
-	lg := p.locGen(id)
-	if len(p.suTab) != 0 {
-		s := &p.suTab[hashSuKey(key)&uint32(len(p.suTab)-1)]
-		if s.valid && s.key == key && s.subGen == sg && s.locGen == lg {
-			return s.node
-		}
-	}
 	var best *Record
-	for _, r := range p.rowsOf(id) {
+	for _, r := range p.rowsOf(p.in.ID(loc)) {
 		if !r.Strong || r.Node == at || !r.Node.Dominates(at) {
 			continue
 		}
@@ -656,40 +547,10 @@ func (p *PTS) FindStrongUpdate(loc memmod.LocSet, at *cfg.Node) *cfg.Node {
 			best = r
 		}
 	}
-	var nd *cfg.Node
-	if best != nil {
-		nd = best.Node
+	if best == nil {
+		return nil
 	}
-	if p.suTab == nil {
-		p.suTab = make([]suSlot, 32)
-	}
-	s := &p.suTab[hashSuKey(key)&uint32(len(p.suTab)-1)]
-	if s.valid && s.key != key {
-		p.suClash++
-		if p.suClash > uint32(len(p.suTab)) && len(p.suTab) < 1<<17 {
-			p.growSuTab()
-			s = &p.suTab[hashSuKey(key)&uint32(len(p.suTab)-1)]
-		}
-	}
-	*s = suSlot{key: key, node: nd, valid: true, locGen: lg, subGen: sg}
-	return nd
-}
-
-func hashSuKey(k suKey) uint32 {
-	h := (uint64(uint32(k.loc))<<31 ^ uint64(uint32(k.at))) * 0x9e3779b97f4a7c15
-	return uint32(h >> 40)
-}
-
-func (p *PTS) growSuTab() {
-	old := p.suTab
-	p.suTab = make([]suSlot, 2*len(old))
-	mask := uint32(len(p.suTab) - 1)
-	for i := range old {
-		if old[i].valid {
-			p.suTab[hashSuKey(old[i].key)&mask] = old[i]
-		}
-	}
-	p.suClash = 0
+	return best.Node
 }
 
 // Locations returns every location set with at least one record, in a
@@ -735,9 +596,8 @@ func (p *PTS) NumDenseRows() int {
 
 // Rehome re-canonicalizes all record keys after parameter subsumption:
 // keys whose base was subsumed are resolved and merged. The analysis
-// calls this after introducing a subsumption (paper §3.2). All memoized
-// query state is discarded (the subsumption-generation guard already
-// invalidates cached entries; clearing reclaims the memory).
+// calls this after introducing a subsumption (paper §3.2). The sorted
+// location and φ lists are rebuilt on their next read.
 func (p *PTS) Rehome() {
 	dirty := false
 	for i := range p.slots {
@@ -787,14 +647,6 @@ func (p *PTS) Rehome() {
 		}
 		p.phis[ndID] = ns
 	}
-	p.DropCaches()
 	p.locsCache = nil
 	p.phiCache = nil
-}
-
-// DropCaches discards the lookup and strong-update caches. They are
-// advisory, so every answer stays the same; later queries refill them.
-func (p *PTS) DropCaches() {
-	p.lookupTab, p.lookupClash = nil, 0
-	p.suTab, p.suClash = nil, 0
 }

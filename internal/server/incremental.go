@@ -10,7 +10,7 @@ import (
 // keeps alive for warm-edit grafting when Config.BaselineCap is zero.
 // Each baseline pins the full analysis web of one program (PTFs,
 // dependency edges, intern tables; pta.BaselineFromHash drops its
-// lookup caches and MOD/REF table), so the registry is a small LRU over
+// MOD/REF table), so the registry is a small LRU over
 // entry names rather than a second content-addressed cache: the edit
 // workflow is "same file, new body", and the entry name is the stable
 // identity across those edits.

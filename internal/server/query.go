@@ -23,8 +23,8 @@ const maxQueryResults = 4
 
 // queryEntry is one warm program held for point queries. The mutex
 // serializes queries against the shared result: a query may intern new
-// location sets and fills the ptset lookup caches, so concurrent readers
-// would race on the underlying analysis.
+// location sets, so concurrent readers would race on the underlying
+// analysis.
 type queryEntry struct {
 	mu   sync.Mutex
 	root string // irhash root the result was converged for

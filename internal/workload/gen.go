@@ -100,34 +100,8 @@ type GenConfig struct {
 	NumFuncs     int
 	StmtsPerFunc int
 
-	// Features selects the optional constructs. The legacy booleans
-	// below are OR-ed in, so configurations predating the bitmask
-	// keep their meaning.
+	// Features selects the optional constructs.
 	Features Feature
-
-	UseHeap      bool
-	UseStructs   bool
-	UseFuncPtrs  bool
-	UseRecursion bool
-}
-
-// features returns the effective feature mask (bitmask plus legacy
-// booleans).
-func (cfg GenConfig) features() Feature {
-	f := cfg.Features
-	if cfg.UseHeap {
-		f |= FeatHeap
-	}
-	if cfg.UseStructs {
-		f |= FeatStructs
-	}
-	if cfg.UseFuncPtrs {
-		f |= FeatFuncPtrs
-	}
-	if cfg.UseRecursion {
-		f |= FeatRecursion
-	}
-	return f
 }
 
 // DefaultGenConfig returns a medium-sized configuration with the
@@ -135,8 +109,8 @@ func (cfg GenConfig) features() Feature {
 func DefaultGenConfig(seed int64) GenConfig {
 	return GenConfig{
 		Seed: seed, NumGlobals: 4, NumPtrs: 4, NumFuncs: 4,
-		StmtsPerFunc: 8, UseHeap: true, UseStructs: true,
-		UseFuncPtrs: true, UseRecursion: true,
+		StmtsPerFunc: 8,
+		Features:     FeatHeap | FeatStructs | FeatFuncPtrs | FeatRecursion,
 	}
 }
 
@@ -154,10 +128,9 @@ func FuzzGenConfig(seed int64, raw uint32) GenConfig {
 // generator state: which pointer-valued expressions are known valid
 // (point at a real object) so dereferences never trap.
 type generator struct {
-	r    *rand.Rand
-	cfg  GenConfig
-	feat Feature
-	sb   strings.Builder
+	r   *rand.Rand
+	cfg GenConfig
+	sb  strings.Builder
 
 	ptrs    []string // pointer global names (int *)
 	ints    []string // int global names
@@ -185,10 +158,7 @@ type generator struct {
 // dead-heap free, address-taken locals, and bounded recursion,
 // according to the configured features.
 func Generate(cfg GenConfig) string {
-	g := &generator{
-		r: rand.New(rand.NewSource(cfg.Seed)), cfg: cfg,
-		feat: cfg.features(),
-	}
+	g := &generator{r: rand.New(rand.NewSource(cfg.Seed)), cfg: cfg}
 	g.emitHeader()
 	g.emitGlobals()
 	g.emitHelpers()
@@ -197,7 +167,7 @@ func Generate(cfg GenConfig) string {
 	return g.sb.String()
 }
 
-func (g *generator) has(f Feature) bool { return g.feat&f != 0 }
+func (g *generator) has(f Feature) bool { return g.cfg.Features&f != 0 }
 
 func (g *generator) w(format string, args ...any) {
 	g.sb.WriteString(strings.Repeat("    ", g.indent))
@@ -206,7 +176,7 @@ func (g *generator) w(format string, args ...any) {
 }
 
 func (g *generator) emitHeader() {
-	g.w("/* generated: seed=%d features=%s */", g.cfg.Seed, g.feat)
+	g.w("/* generated: seed=%d features=%s */", g.cfg.Seed, g.cfg.Features)
 	if g.has(FeatTypestate) {
 		g.w("#include <stdio.h>")
 	}

@@ -159,10 +159,10 @@ func TestSoundnessOnGeneratedPrograms(t *testing.T) {
 func TestSoundnessSmallConfigs(t *testing.T) {
 	cfgs := []GenConfig{
 		{Seed: 1, NumGlobals: 2, NumPtrs: 2, NumFuncs: 1, StmtsPerFunc: 4},
-		{Seed: 2, NumGlobals: 2, NumPtrs: 3, NumFuncs: 2, StmtsPerFunc: 6, UseHeap: true},
-		{Seed: 3, NumGlobals: 3, NumPtrs: 3, NumFuncs: 3, StmtsPerFunc: 6, UseStructs: true},
-		{Seed: 4, NumGlobals: 3, NumPtrs: 4, NumFuncs: 3, StmtsPerFunc: 8, UseFuncPtrs: true},
-		{Seed: 5, NumGlobals: 2, NumPtrs: 2, NumFuncs: 2, StmtsPerFunc: 5, UseRecursion: true},
+		{Seed: 2, NumGlobals: 2, NumPtrs: 3, NumFuncs: 2, StmtsPerFunc: 6, Features: FeatHeap},
+		{Seed: 3, NumGlobals: 3, NumPtrs: 3, NumFuncs: 3, StmtsPerFunc: 6, Features: FeatStructs},
+		{Seed: 4, NumGlobals: 3, NumPtrs: 4, NumFuncs: 3, StmtsPerFunc: 8, Features: FeatFuncPtrs},
+		{Seed: 5, NumGlobals: 2, NumPtrs: 2, NumFuncs: 2, StmtsPerFunc: 5, Features: FeatRecursion},
 	}
 	for i, cfg := range cfgs {
 		src := Generate(cfg)

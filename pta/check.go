@@ -65,10 +65,10 @@ type CheckOptions struct {
 // (Options.Timeout, counted from the start of the analysis: a request
 // has one budget) and returns analysis.ErrTimeout with no diagnostics.
 //
-// Check is a query: like every other query of a Result it fills the
-// analysis' lookup caches, so it must not run at the same time as
-// another query of the same result, nor on the result of a baseline
-// that an incremental run has consumed.
+// Check is a query: like every other query of a Result it interns the
+// location sets it reads and may build the MOD/REF table, so it must
+// not run at the same time as another query of the same result, nor on
+// the result of a baseline that an incremental run has consumed.
 func (r *Result) Check(opts *CheckOptions) ([]Diagnostic, error) {
 	if opts == nil {
 		opts = &CheckOptions{}

@@ -60,11 +60,10 @@ type Baseline struct {
 
 // NewBaseline wraps a converged result for incremental re-analysis.
 // opts must be the options the result was analyzed with (nil means the
-// defaults). The result is trimmed to what it answers with: its
-// points-to lookup caches and MOD/REF table, which the next graft
-// rebuilds anyway, are dropped. r still answers every query, rebuilding
-// what the query reads, but must not be read concurrently with the
-// call.
+// defaults). The result is trimmed to what it answers with: its MOD/REF
+// table, which the next graft rebuilds anyway, is dropped. r still
+// answers every query, rebuilding the table when a query reads it, but
+// must not be read concurrently with the call.
 func NewBaseline(r *Result, opts *Options) (*Baseline, error) {
 	if r == nil {
 		return nil, fmt.Errorf("pta: nil result")
@@ -84,7 +83,6 @@ func BaselineFromHash(r *Result, h *irhash.Program, opts *Options) *Baseline {
 	if opts != nil {
 		o = *opts
 	}
-	o.Baseline = nil
 	r.an.DropCaches()
 	return &Baseline{res: r, hash: h, opts: o}
 }
@@ -220,8 +218,8 @@ func AnalyzeIncrementalPrepared(b *Baseline, prog *sem.Program, procs map[*cast.
 }
 
 // compatible reports whether two option sets produce the same analysis
-// configuration (ignoring knobs that cannot change results: timeouts
-// and the baseline itself).
+// configuration (ignoring knobs that cannot change results, such as
+// timeouts).
 func (o Options) compatible(n *Options) bool {
 	return o.Policy == n.Policy &&
 		o.MaxPTFs == n.MaxPTFs &&

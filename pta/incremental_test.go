@@ -209,18 +209,6 @@ int main(void) { f(); return 0; }
 			t.Errorf("expected fallback, got %+v", st)
 		}
 	})
-
-	t.Run("options-baseline-field", func(t *testing.T) {
-		bl := mk()
-		o := &Options{Baseline: bl}
-		r, err := Analyze(Source{"t.c": base}, "t.c", o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st := r.Incremental(); st == nil || st.Fallback != "" {
-			t.Errorf("Analyze with Options.Baseline did not run incrementally: %+v", st)
-		}
-	})
 }
 
 // TestPreparedFlowGraphsAreAnalyzed checks that the prepared entry

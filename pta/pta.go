@@ -52,12 +52,6 @@ type Options struct {
 	// Used by the serving path (cmd/wlpad) to bound request latency;
 	// an exceeded budget returns an error, never a partial result.
 	Timeout time.Duration
-	// Baseline, when set, makes Analyze attempt incremental
-	// re-analysis against the converged result it wraps (see
-	// AnalyzeIncremental). The baseline is consumed on success; when
-	// the graft is refused the run silently falls back to a cold
-	// analysis (Result.Incremental reports which happened).
-	Baseline *Baseline
 }
 
 // Source is an in-memory set of C files.
@@ -92,9 +86,6 @@ func AnalyzeSource(name, src string, opts *Options) (*Result, error) {
 func Analyze(files Source, entry string, opts *Options) (*Result, error) {
 	if opts == nil {
 		opts = &Options{}
-	}
-	if opts.Baseline != nil {
-		return AnalyzeIncremental(opts.Baseline, files, entry, opts)
 	}
 	t0 := time.Now()
 	prog, err := Frontend(files, entry, opts.Predefined)

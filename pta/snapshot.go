@@ -23,8 +23,7 @@ package pta
 // distinct answer once. One pass over each PTF's records
 // (analysis.PTF.RecordSites) lists, per flow node, the representative
 // bases whose contents can read differently there than at the node's
-// immediate dominator: the bases recorded at the node, and those of a
-// strong update at the dominator whose barrier first applies below it.
+// immediate dominator: the bases recorded at the node.
 // Per variable and depth, in every context, the builder keeps the
 // symbolic set the depth reads at each node:
 //
@@ -44,10 +43,10 @@ package pta
 //
 // The copies are exact, not approximations: contentsAt reads only the
 // rows of locations that overlap the one asked about, which share its
-// representative base, and FindStrongUpdate reads only that location's
-// own rows. With no listed change of the base at a node, every such
-// lookup finds the record it finds at the dominator, so the set is the
-// same, member for member and in the same order. The pool numbers
+// representative base, and its strong-update barrier reads only that
+// location's own rows. With no listed change of the base at a node,
+// every such lookup finds the record it finds at the dominator, so the
+// set is the same, member for member and in the same order. The pool numbers
 // answers in the order they first appear, so the fill order is part of
 // the bytes: it stays depth-outer and node-inner in reverse postorder,
 // as in a build that computed every answer (building a node's three
