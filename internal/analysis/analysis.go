@@ -165,10 +165,6 @@ type Stats struct {
 	// merge (the analysis degraded toward a context-insensitive
 	// summary to stay tractable).
 	PTFsCapped bool
-	// DenseRows counts stored points-to rows that grew the dense
-	// bitset index (rows at or past memmod.DenseThreshold members) —
-	// observability for the hybrid sparse/dense representation.
-	DenseRows int
 	// CollectSweeps counts the sweeps of the last solution-collection
 	// pass over the PTFs it visited, and CollectGrowths those of them
 	// that changed their PTF (each is followed by one more sweep): a
@@ -233,7 +229,7 @@ type PTF struct {
 	Pts  *ptset.PTS
 
 	// locals maps local symbols (incl. params and temps) to blocks.
-	locals symMap
+	locals assoc[*cast.Symbol, *memmod.Block]
 	retval *memmod.Block
 
 	// params are the extended parameters in creation order.
@@ -241,7 +237,7 @@ type PTF struct {
 	// initial is the input-domain specification, in creation order.
 	initial []initEntry
 	// globalParams maps global symbols to their parameters.
-	globalParams symMap
+	globalParams assoc[*cast.Symbol, *memmod.Block]
 	// fpDomain records resolved function targets per function-pointer
 	// parameter (part of the input domain, paper §5.1).
 	fpDomain map[*memmod.Block]map[*cast.Symbol]bool
@@ -328,60 +324,13 @@ type PTF struct {
 	callers []callerEdge
 }
 
-// symMap maps symbols to memory blocks with a small-list fast path:
-// most procedures have a handful of locals or referenced globals, where
-// a linear scan over a compact pair list beats map hashing and its
-// bucket allocations. Past symMapPromote entries it switches to a map.
-type symMap struct {
-	list []symBlock
-	m    map[*cast.Symbol]*memmod.Block
-}
-
-type symBlock struct {
-	sym *cast.Symbol
-	b   *memmod.Block
-}
-
-const symMapPromote = 16
-
-func (s *symMap) get(sym *cast.Symbol) (*memmod.Block, bool) {
-	for i := range s.list {
-		if s.list[i].sym == sym {
-			return s.list[i].b, true
-		}
-	}
-	if s.m != nil {
-		b, ok := s.m[sym]
-		return b, ok
-	}
-	return nil, false
-}
-
-func (s *symMap) put(sym *cast.Symbol, b *memmod.Block) {
-	if s.m != nil {
-		s.m[sym] = b
-		return
-	}
-	if len(s.list) < symMapPromote {
-		if s.list == nil {
-			s.list = make([]symBlock, 0, symMapPromote)
-		}
-		s.list = append(s.list, symBlock{sym, b})
-		return
-	}
-	s.m = make(map[*cast.Symbol]*memmod.Block, 2*symMapPromote)
-	for i := range s.list {
-		s.m[s.list[i].sym] = s.list[i].b
-	}
-	s.m[sym] = b
-}
-
-// assoc maps keys to values with the same small-list fast path as
-// symMap, generically: PTFs record a handful of call edges and
-// dependencies each, where a compact pair list beats a Go map's bucket
-// allocations. Past assocPromote entries it switches to a map. Unlike a
-// map, list-mode iteration is deterministic (insertion order) — the two
-// iterating clients either sort afterwards or are order-insensitive.
+// assoc maps keys to values with a small-list fast path: a PTF's
+// locals, referenced globals, call edges and dependencies, and a
+// block's readers, are a handful each, where a linear scan over a pair
+// list beats a Go map's hashing and bucket allocations. Past
+// assocPromote entries it switches to a map. Unlike a map, list-mode
+// iteration is deterministic (insertion order); the iterating clients
+// either sort afterwards or are order-insensitive.
 type assoc[K comparable, V any] struct {
 	list []assocPair[K, V]
 	m    map[K]V
@@ -420,9 +369,6 @@ func (s *assoc[K, V]) put(k K, v V) {
 		}
 	}
 	if len(s.list) < assocPromote {
-		if s.list == nil {
-			s.list = make([]assocPair[K, V], 0, 8)
-		}
 		s.list = append(s.list, assocPair[K, V]{k, v})
 		return
 	}
@@ -563,23 +509,12 @@ type Analysis struct {
 	// destinations it wrote, which callDefinedRet memoizes.
 	pendBuf []pendingWrite
 	dstBuf  []appliedDst
-	// pmapPool recycles the trial parameter-map used by PTF matching.
-	pmapPool map[*memmod.Block]memmod.ValueSet
 	// arena backs the transient value sets built while evaluating
 	// (expression results, meets, dereference contents). It is never
 	// reset during a run; Run drops its current chunk when it returns
 	// (releaseScratch), and chunks no PTF references die with the run's
 	// frames.
 	arena memmod.Arena
-	// frameSlab, vsSlab and initSlab carve the small fixed-size pieces
-	// of call evaluation — binding frames, argument arrays, initial-
-	// entry lists — in chunks. Carves are capacity-clipped and never
-	// recycled; Run drops the slab tails when it returns, so a chunk
-	// lives only as long as something carved from it (a PTF's input
-	// domain, for the initial-entry slab).
-	frameSlab []frame
-	vsSlab    []memmod.ValueSet
-	initSlab  []initEntry
 
 	// track enables the dependency-tracked worklist engine.
 	track bool
@@ -602,12 +537,7 @@ type Analysis struct {
 	// readers registers, per memory block (by representative), the
 	// (PTF, node) pairs whose evaluation read the block's records; a
 	// write to the block re-dirties exactly those nodes.
-	readers map[*memmod.Block]readerSet
-
-	// readerSlab carves the small reader lists (most blocks have a
-	// handful of readers; lists double within the slab and promote to a
-	// map past readerPromote entries).
-	readerSlab []readerKey
+	readers map[*memmod.Block]assoc[readerKey, struct{}]
 
 	// modref caches the MOD/REF summary table built from the converged
 	// fixpoint (see modref.go); built on first demand, single-threaded.
@@ -667,7 +597,7 @@ func NewPrepared(prog *sem.Program, procs map[*cast.FuncDecl]*cfg.Proc, opts Opt
 		track:        !opts.ForceFullPasses,
 	}
 	if a.track {
-		a.readers = make(map[*memmod.Block]readerSet)
+		a.readers = make(map[*memmod.Block]assoc[readerKey, struct{}])
 	}
 	a.stats.PTFsPerProc = make(map[string]int)
 	if opts.CollectSolution {
@@ -703,17 +633,14 @@ func (a *Analysis) Run() error {
 }
 
 // releaseScratch drops the evaluation scratch of a finished run: the
-// frame, argument-array and initial-entry slab tails, the pooled trial
-// map, applySummary's buffers and the arena's current chunk. Frames
-// link their callers and whole slabs, and their bindings and argument
+// activation stack, applySummary's buffers and the arena's current
+// chunk. Frames link their callers, and their bindings and argument
 // sets point into arena chunks, so a kept result would otherwise pin
 // most of the chunks its fixpoint ever carved. Carves are never
 // recycled, so whatever a PTF still references stays valid; the next
 // run (a graft) carves afresh.
 func (a *Analysis) releaseScratch() {
 	a.stack = nil
-	a.frameSlab, a.vsSlab, a.initSlab = nil, nil, nil
-	a.pmapPool = nil
 	a.pendBuf, a.dstBuf = nil, nil
 	a.arena = memmod.Arena{}
 }
@@ -804,57 +731,14 @@ func (a *Analysis) registerRead(f *frame, b *memmod.Block, nd *cfg.Node) {
 	a.addReader(b.Representative(), readerKey{f.ptf, nd})
 }
 
-// readerSet holds the registered readers of one block: a slab-backed
-// list scanned linearly while small, promoted to a map once the block
-// is popular (globals read from many PTFs).
-type readerSet struct {
-	list []readerKey
-	m    map[readerKey]bool
-}
-
-// readerPromote is the list length at which a readerSet switches to a
-// map; beyond it the linear dedup scan costs more than hashing.
-const readerPromote = 24
-
+// addReader registers k as a reader of block b (once).
 func (a *Analysis) addReader(b *memmod.Block, k readerKey) {
 	rs := a.readers[b]
-	if rs.m != nil {
-		rs.m[k] = true
+	if _, ok := rs.get(k); ok {
 		return
 	}
-	for _, e := range rs.list {
-		if e == k {
-			return
-		}
-	}
-	if len(rs.list) >= readerPromote {
-		m := make(map[readerKey]bool, 2*readerPromote)
-		for _, e := range rs.list {
-			m[e] = true
-		}
-		m[k] = true
-		a.readers[b] = readerSet{m: m}
-		return
-	}
-	list := rs.list
-	switch {
-	case len(list) == 0:
-		if len(a.readerSlab) < 2 {
-			a.readerSlab = make([]readerKey, 512)
-		}
-		list = a.readerSlab[0:0:2]
-		a.readerSlab = a.readerSlab[2:]
-	case len(list) == cap(list):
-		n := 2 * cap(list)
-		if len(a.readerSlab) < n {
-			a.readerSlab = make([]readerKey, 512)
-		}
-		nl := a.readerSlab[0:len(list):n]
-		a.readerSlab = a.readerSlab[n:]
-		copy(nl, list)
-		list = nl
-	}
-	a.readers[b] = readerSet{list: append(list, k)}
+	rs.put(k, struct{}{})
+	a.readers[b] = rs
 }
 
 // notifyWrite re-dirties every registered reader of block b.
@@ -863,12 +747,10 @@ func (a *Analysis) notifyWrite(b *memmod.Block) {
 		return
 	}
 	rs := a.readers[b.Representative()]
-	for _, k := range rs.list {
+	rs.each(func(k readerKey, _ struct{}) bool {
 		a.markDirty(k.ptf, k.nd)
-	}
-	for k := range rs.m {
-		a.markDirty(k.ptf, k.nd)
-	}
+		return true
+	})
 }
 
 // recordCaller registers a call site of callee so version bumps and
@@ -900,9 +782,6 @@ func (a *Analysis) finishStats(start time.Time) {
 		a.stats.Procedures++
 		a.stats.PTFs += len(l)
 		a.stats.PTFsPerProc[proc.Name] = len(l)
-		for _, p := range l {
-			a.stats.DenseRows += p.Pts.NumDenseRows()
-		}
 	}
 	if a.incremental {
 		// The Params counter tracks newParam calls, which an incremental
@@ -1004,51 +883,4 @@ func (a *Analysis) newPTF(proc *cfg.Proc, homeNode *cfg.Node, homePTF *PTF) *PTF
 	}
 	a.ptfs[proc] = append(a.ptfs[proc], p)
 	return p
-}
-
-// carveFrame returns a zero-valued slab-backed frame.
-func (a *Analysis) carveFrame() *frame {
-	if len(a.frameSlab) == 0 {
-		a.frameSlab = make([]frame, 32)
-	}
-	f := &a.frameSlab[0]
-	a.frameSlab = a.frameSlab[1:]
-	return f
-}
-
-// carveVals returns a zero-valued ValueSet slice of length n; large
-// requests fall back to the heap.
-func (a *Analysis) carveVals(n int) []memmod.ValueSet {
-	if n == 0 {
-		return nil
-	}
-	if n > 64 {
-		return make([]memmod.ValueSet, n)
-	}
-	if len(a.vsSlab) < n {
-		a.vsSlab = make([]memmod.ValueSet, 256)
-	}
-	s := a.vsSlab[0:n:n]
-	a.vsSlab = a.vsSlab[n:]
-	return s
-}
-
-// appendInitial grows a PTF's input-domain list through the initial-
-// entry slab: domains are usually a few entries, so slab-backed
-// doubling keeps the growth off the allocator. Long lists grow normally.
-func (a *Analysis) appendInitial(p *PTF, e initEntry) {
-	if len(p.initial) == cap(p.initial) && cap(p.initial) < 32 {
-		need := 2 * cap(p.initial)
-		if need < 4 {
-			need = 4
-		}
-		if len(a.initSlab) < need {
-			a.initSlab = make([]initEntry, 256)
-		}
-		ns := a.initSlab[0:len(p.initial):need]
-		a.initSlab = a.initSlab[need:]
-		copy(ns, p.initial)
-		p.initial = ns
-	}
-	p.initial = append(p.initial, e)
 }

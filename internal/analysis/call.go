@@ -10,7 +10,7 @@ import (
 
 // evalCall evaluates a procedure call node (paper Figure 12).
 func (a *Analysis) evalCall(f *frame, nd *cfg.Node) bool {
-	args := a.carveVals(len(nd.Args))
+	args := make([]memmod.ValueSet, len(nd.Args))
 	for i, ae := range nd.Args {
 		args[i] = a.evalExpr(f, ae, nd)
 	}
@@ -159,9 +159,7 @@ func (a *Analysis) callDefinedRet(f *frame, nd *cfg.Node, fd *cast.FuncDecl, arg
 		needVisit = !a.collecting[ptf]
 		a.collecting[ptf] = true
 	}
-	cf := a.carveFrame()
-	cf.ptf, cf.caller, cf.callNode = ptf, f, nd
-	cf.args, cf.pmap = args, pmap
+	cf := &frame{ptf: ptf, caller: f, callNode: nd, args: args, pmap: pmap}
 	// Formals come from the PTF's own flow graph's declaration: after an
 	// incremental graft a kept procedure's local symbols are the
 	// baseline's, while the program's FuncDecl is the edited one.
@@ -180,7 +178,7 @@ func (a *Analysis) callDefinedRet(f *frame, nd *cfg.Node, fd *cast.FuncDecl, arg
 		// Incremental solution collection: the fixpoint is converged, so
 		// translating the callee's summary into the caller cannot change
 		// any record, and the bindings the solution needs were recorded
-		// above (matchPTFInto / recordFormalBindings). Cold runs go
+		// above (matchPTFMode / recordFormalBindings). Cold runs go
 		// through the apply memo below, which skips what the fixpoint
 		// already applied and applies the rest as the cross-check.
 		f.ptf.deps.put(ptf, ptf.version)
@@ -242,9 +240,7 @@ func (a *Analysis) applyRecursive(f *frame, nd *cfg.Node, ptf *PTF, args []memmo
 	// in siteUsed, which would perturb the engine's PTF-reuse policy.
 	f.ptf.callEdges.put(siteKey{nd, ptf.Proc}, ptf)
 	pmap := a.replayBindMerge(f, nd, ptf, args, true)
-	cf := a.carveFrame()
-	cf.ptf, cf.caller, cf.callNode = ptf, f, nd
-	cf.args, cf.pmap = args, pmap
+	cf := &frame{ptf: ptf, caller: f, callNode: nd, args: args, pmap: pmap}
 	a.recordFormalBindings(cf, ptf.Proc.Fn, args)
 	// Register before the deferral check: the cycle head's exit-reached
 	// version bump must re-dirty this deferring site (§5.4).
@@ -393,26 +389,8 @@ func (a *Analysis) matchPTFDrift(f *frame, nd *cfg.Node, ptf *PTF, args []memmod
 }
 
 func (a *Analysis) matchPTFMode(f *frame, nd *cfg.Node, ptf *PTF, args []memmod.ValueSet, drift bool) (pmapOut map[*memmod.Block]memmod.ValueSet, needVisit, ok bool) {
-	// Trial bindings go into a pooled map: most candidate PTFs fail to
-	// match, and the map would otherwise be garbage every time. On
-	// success the map is handed to the frame and leaves the pool.
-	pmap := a.pmapPool
-	if pmap == nil {
-		pmap = make(map[*memmod.Block]memmod.ValueSet)
-	}
-	a.pmapPool = nil
-	pmapOut, needVisit, ok = a.matchPTFInto(f, nd, ptf, args, drift, pmap)
-	if !ok {
-		clear(pmap)
-		a.pmapPool = pmap
-	}
-	return pmapOut, needVisit, ok
-}
-
-func (a *Analysis) matchPTFInto(f *frame, nd *cfg.Node, ptf *PTF, args []memmod.ValueSet, drift bool, pmap map[*memmod.Block]memmod.ValueSet) (pmapOut map[*memmod.Block]memmod.ValueSet, needVisit, ok bool) {
-	cf := a.carveFrame()
-	cf.ptf, cf.caller, cf.callNode = ptf, f, nd
-	cf.args, cf.pmap = args, pmap
+	pmap := make(map[*memmod.Block]memmod.ValueSet)
+	cf := &frame{ptf: ptf, caller: f, callNode: nd, args: args, pmap: pmap}
 	// Entries recorded as "points to nothing" whose actuals are now
 	// non-empty are upgraded to fresh parameters — an input VALUE
 	// difference, not an alias difference, so the PTF still applies
@@ -503,8 +481,7 @@ func (a *Analysis) matchPTFInto(f *frame, nd *cfg.Node, ptf *PTF, args []memmod.
 			continue
 		}
 		got := make(map[*cast.Symbol]bool)
-		rf := a.carveFrame()
-		rf.ptf, rf.caller, rf.callNode, rf.pmap = ptf, f, nd, pmap
+		rf := &frame{ptf: ptf, caller: f, callNode: nd, pmap: pmap}
 		a.resolveFuncSyms(rf, memmod.Values(memmod.Loc(p, 0, 0)), got, nil, nil)
 		if !sameSymSet(want, got) {
 			return nil, false, false
@@ -685,9 +662,7 @@ func (a *Analysis) replayBind(f *frame, nd *cfg.Node, ptf *PTF, args []memmod.Va
 // inputs inside the cycle.
 func (a *Analysis) replayBindMerge(f *frame, nd *cfg.Node, ptf *PTF, args []memmod.ValueSet, mergeRecords bool) map[*memmod.Block]memmod.ValueSet {
 	pmap := make(map[*memmod.Block]memmod.ValueSet)
-	cf := a.carveFrame()
-	cf.ptf, cf.caller, cf.callNode = ptf, f, nd
-	cf.args, cf.pmap = args, pmap
+	cf := &frame{ptf: ptf, caller: f, callNode: nd, args: args, pmap: pmap}
 	for i := 0; i < len(ptf.initial); i++ {
 		e := ptf.initial[i]
 		switch e.kind {

@@ -9,8 +9,8 @@ import (
 
 // visit evaluates f's procedure with f on top of the activation stack.
 // The slot is cleared on the way out: a frame left in the stack's
-// backing array would pin its caller chain, its slab and the arena
-// chunks its bindings point into for as long as the Analysis lives.
+// backing array would pin its caller chain and the arena chunks its
+// bindings point into for as long as the Analysis lives.
 func (a *Analysis) visit(f *frame) {
 	a.stack = append(a.stack, f)
 	a.evalProc(f)

@@ -259,7 +259,15 @@ func (a *Analysis) PrepareIncremental(edited *sem.Program, editedProcs map[*cast
 			for _, set := range p.fpDomain {
 				rekeySymSet(set, symNew)
 			}
-			p.globalParams.rekey(symNew)
+			var gp assoc[*cast.Symbol, *memmod.Block]
+			p.globalParams.each(func(sym *cast.Symbol, b *memmod.Block) bool {
+				if ns := symNew[sym]; ns != nil {
+					sym = ns
+				}
+				gp.put(sym, b)
+				return true
+			})
+			p.globalParams = gp
 			for i := range p.initial {
 				if e := &p.initial[i]; e.sym != nil {
 					if ns := symNew[e.sym]; ns != nil {
@@ -284,18 +292,14 @@ func (a *Analysis) PrepareIncremental(edited *sem.Program, editedProcs map[*cast
 	// that end the run unadopted.
 	if a.readers != nil {
 		old := a.readers
-		a.readers = make(map[*memmod.Block]readerSet, len(old))
+		a.readers = make(map[*memmod.Block]assoc[readerKey, struct{}], len(old))
 		for b, rs := range old {
-			for _, k := range rs.list {
+			rs.each(func(k readerKey, _ struct{}) bool {
 				if kept[k.ptf] {
 					a.addReader(b, k)
 				}
-			}
-			for k := range rs.m {
-				if kept[k.ptf] {
-					a.addReader(b, k)
-				}
-			}
+				return true
+			})
 		}
 	}
 	for k := range a.frees {
@@ -491,23 +495,6 @@ func rekeyBlocks(m map[*cast.Symbol]*memmod.Block, symNew map[*cast.Symbol]*cast
 		delete(m, s)
 		b.Sym = ns
 		m[ns] = b
-	}
-}
-
-// rekey moves a symMap's keys onto the edited symbol objects.
-func (s *symMap) rekey(symNew map[*cast.Symbol]*cast.Symbol) {
-	for i := range s.list {
-		if ns := symNew[s.list[i].sym]; ns != nil {
-			s.list[i].sym = ns
-		}
-	}
-	if s.m != nil {
-		for sym, b := range s.m {
-			if ns := symNew[sym]; ns != nil && ns != sym {
-				delete(s.m, sym)
-				s.m[ns] = b
-			}
-		}
 	}
 }
 

@@ -106,13 +106,13 @@ func (a *Analysis) globalParam(f *frame, sym *cast.Symbol) *memmod.Block {
 	// The global may already be covered by a pointer-reached parameter.
 	if p, delta, exact := a.findCoveringParam(f, a.arena.Value1(actual)); p != nil && exact && delta == 0 {
 		f.ptf.globalParams.put(sym, p)
-		a.appendInitial(f.ptf, initEntry{kind: globalRefEntry, sym: sym, param: p})
+		f.ptf.initial = append(f.ptf.initial, initEntry{kind: globalRefEntry, sym: sym, param: p})
 		a.bumpVersion(f.ptf)
 		return p
 	}
 	p := a.newParam(f, sym.Name, a.arena.Value1(actual))
 	f.ptf.globalParams.put(sym, p)
-	a.appendInitial(f.ptf, initEntry{kind: globalRefEntry, sym: sym, param: p})
+	f.ptf.initial = append(f.ptf.initial, initEntry{kind: globalRefEntry, sym: sym, param: p})
 	a.bumpVersion(f.ptf)
 	a.changed = true
 	return p
@@ -273,7 +273,7 @@ func (a *Analysis) bindInitial(f *frame, v memmod.LocSet, actuals memmod.ValueSe
 	empty := actuals.IsEmpty()
 	if empty {
 		e := initEntry{kind: ptrInitEntry, ptr: v, valEmpty: true}
-		a.appendInitial(f.ptf, e)
+		f.ptf.initial = append(f.ptf.initial, e)
 		a.bumpVersion(f.ptf)
 		f.ptf.Pts.Assign(v, memmod.ValueSet{}, f.ptf.Proc.Entry, false)
 		return memmod.ValueSet{}
@@ -349,7 +349,7 @@ func (a *Analysis) bindInitial(f *frame, v memmod.LocSet, actuals memmod.ValueSe
 		_ = rep
 	}
 	e := initEntry{kind: ptrInitEntry, ptr: v, val: val}
-	a.appendInitial(f.ptf, e)
+	f.ptf.initial = append(f.ptf.initial, e)
 	a.bumpVersion(f.ptf)
 	a.changed = true
 	vals := memmod.Values(val)
@@ -399,14 +399,11 @@ func (a *Analysis) migrateReaders(q, np *memmod.Block) {
 		return
 	}
 	delete(a.readers, q)
-	for _, k := range old.list {
+	old.each(func(k readerKey, _ struct{}) bool {
 		a.addReader(np, k)
 		a.markDirty(k.ptf, k.nd)
-	}
-	for k := range old.m {
-		a.addReader(np, k)
-		a.markDirty(k.ptf, k.nd)
-	}
+		return true
+	})
 }
 
 // hintFor produces the paper-style name hint for a new parameter from

@@ -26,8 +26,8 @@
 //     is commutative and idempotent, which the worklist engine depends
 //     on.
 //   - Blocks, interners and arenas belong to one analysis and are
-//     allocated individually or from that analysis's own chunks, never
-//     from process-wide slabs, so a dropped analysis is garbage as a
-//     whole. An analysis and its interner are used by one goroutine at
+//     allocated individually or from that analysis's own arena chunks,
+//     never from storage shared between analyses, so a dropped
+//     analysis is garbage as a whole. An analysis and its interner are used by one goroutine at
 //     a time: even its read paths intern and fill caches.
 package memmod

@@ -26,7 +26,7 @@ type resEntry struct {
 
 // Interner assigns small integer identities to location sets so the hot
 // maps of the points-to layer can key on 4-byte IDs instead of 24-byte
-// structs, and so value sets can be represented as bitsets over IDs.
+// structs.
 // One Interner serves one analysis run: location sets are interned in
 // their exact (already canonicalized/resolved) form, and the resolution
 // of each ID through parameter subsumption is computed once per

@@ -307,16 +307,7 @@ func (v ValueSet) WithoutNull() ValueSet {
 	return out
 }
 
-// CloneInto copies the set into dst, which must have length Len() (its
-// capacity should be clipped to it: growth must not overwrite whatever
-// follows in a shared slab).
-func (v ValueSet) CloneInto(dst []LocSet) ValueSet {
-	copy(dst, v.locs)
-	return ValueSet{locs: dst, hash: v.hash}
-}
-
-// Clone returns an independent copy. A dense index is carried over by
-// pointer: its words are immutable (copy-on-write), so sharing is safe.
+// Clone returns an independent copy, with capacity equal to its length.
 func (v ValueSet) Clone() ValueSet {
 	out := ValueSet{locs: make([]LocSet, len(v.locs)), hash: v.hash}
 	copy(out.locs, v.locs)

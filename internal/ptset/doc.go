@@ -20,8 +20,8 @@
 //     replace it. Only definite single-object assignments may be
 //     strong (paper §4.1) — everything reached through a stride or a
 //     multi-target pointer is weak.
-//   - A PTS and its record slabs belong to one analysis and are used
-//     by one goroutine at a time. Lookups intern their key in the
+//   - A PTS, its records and its arena belong to one analysis and are
+//     used by one goroutine at a time. Lookups intern their key in the
 //     analysis-wide table even on a converged PTS, so reads need that
 //     too. A lookup scans the location's records; nothing is memoized.
 package ptset

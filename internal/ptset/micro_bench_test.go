@@ -1,7 +1,6 @@
 // Micro-benchmarks for the set kernels under the points-to layer: row
-// union and iteration on both sides of the sparse/dense threshold, the
-// record scan behind a lookup, and the location-set intern table's hit
-// and miss paths. These are the inner loops the Table 2 numbers
+// union and iteration at three row sizes, the record scan behind a
+// lookup, and the location-set intern table's hit and miss paths. These are the inner loops the Table 2 numbers
 // decompose into; run with
 //
 //	go test ./internal/ptset -run '^$' -bench . -benchmem
@@ -35,25 +34,16 @@ void f(int c) {
 		vals.Add(loc(fmt.Sprintf("bench_m%02d", i)))
 	}
 	pts.Assign(target, vals, p.Entry, false)
-	if n > memmod.DenseThreshold {
-		// Promote now (the index attaches on the first union past the
-		// threshold) so the timed loop measures the dense kernel only.
-		pts.Assign(target, vals, p.Entry, false)
-		if pts.NumDenseRows() != 1 {
-			b.Fatalf("expected a dense row at %d members", n)
-		}
-	}
 	return pts, target, p.Entry
 }
 
-// rowSizes spans the representation boundary: comfortably sparse, the
-// promotion threshold itself, and deep in bitset territory.
-var rowSizes = []int{8, memmod.DenseThreshold, 64}
+// rowSizes are the row sizes the row benchmarks run at: a small row, a
+// row of 16 members and a large one.
+var rowSizes = []int{8, 16, 64}
 
 // BenchmarkRowUnion measures the steady-state weak union of a full
 // member set into an existing row — the no-growth membership walk that
-// dominates convergence passes (sparse: sorted-slice merge; dense:
-// bitset probes).
+// dominates convergence passes (a linear scan of the row per member).
 func BenchmarkRowUnion(b *testing.B) {
 	for _, n := range rowSizes {
 		b.Run(fmt.Sprintf("members=%d", n), func(b *testing.B) {

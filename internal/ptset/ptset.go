@@ -1,6 +1,9 @@
 package ptset
 
 import (
+	"cmp"
+	"slices"
+
 	"wlpa/internal/cfg"
 	"wlpa/internal/memmod"
 )
@@ -12,15 +15,10 @@ type Record struct {
 	Vals   memmod.ValueSet
 	Strong bool // the assignment overwrote the previous contents
 	Phi    bool // the record is a φ-function result
-
-	// bits is the dense index over Vals' members, attached once the row
-	// passes memmod.DenseThreshold (nil for small rows). It is owned by
-	// the points-to layer and maintained in assign.
-	bits *memmod.RowBits
 }
 
-// locSlot is the per-location state of one dense slot: the interned ID,
-// the change generation, and the assignment records (unordered; lookups
+// locSlot is the per-location state of one slot: the interned ID, the
+// change generation, and the assignment records (unordered; lookups
 // select the nearest dominating record).
 type locSlot struct {
 	id   memmod.LocID
@@ -28,42 +26,21 @@ type locSlot struct {
 	rows []*Record
 }
 
-// idxSlot is one line of the open-addressed LocID → slot table. A key
-// of 0 means empty; occupied entries store id+1.
-type idxSlot struct {
-	key memmod.LocID
-	val int32
-}
-
-// Slab chunk sizes. Records are carved out of block allocations instead
-// of being allocated one by one; same for record-pointer headers, stored
-// value-set members and φ-location lists.
-const (
-	recSlabSize = 64
-	ptrSlabSize = 256
-	locSlabSize = 256
-	idSlabSize  = 256
-)
-
 // PTS is the sparse points-to function for one procedure instance.
 // All location keys are interned through the analysis-wide Interner.
 // A PTS is not safe for concurrent use: lookups intern their key, so
 // even reads of a converged PTS need one goroutine at a time.
 //
-// Per-location state (records and change generations) lives in dense
-// parallel arrays indexed by a compact slot number, with an
-// open-addressed LocID → slot table in front. A PTS touches a small
-// fraction of the analysis-wide ID space, so slot-dense storage beats
-// both a Go map (bucket churn while growing) and ID-dense arrays
-// (memory proportional to the whole analysis).
+// Per-location state (records and change generations) lives in a slot
+// array in first-assignment order, with a LocID → slot map in front. A
+// PTS touches a small fraction of the analysis-wide ID space, so it
+// keys by ID rather than sizing arrays to the whole analysis.
 type PTS struct {
 	proc *cfg.Proc
 	in   *memmod.Interner
 
-	// idx is the open-addressed LocID → slot table (linear probing,
-	// power-of-two size, 75% max load); slots holds the per-location
-	// state it points at.
-	idx   []idxSlot
+	// idx maps a location's ID to its slot in slots.
+	idx   map[memmod.LocID]int32
 	slots []locSlot
 
 	// phis lists the locations having φ-functions at each meet node
@@ -75,19 +52,10 @@ type PTS struct {
 
 	locsCache []memmod.LocSet
 
-	// recSlab is the tail of the current record allocation chunk;
-	// ptrSlab carves the per-location record-pointer headers (most
-	// locations keep one or two records); locSlab carves the backing of
-	// stored value sets (storeClone).
-	recSlab []Record
-	ptrSlab []*Record
-	locSlab []memmod.LocSet
-
-	// arena backs weak-union growth of stored rows; rows live as long
-	// as the PTS, matching the arena's never-reset lifetime. idSlab
-	// carves the small per-node φ-location lists the same way.
-	arena  memmod.Arena
-	idSlab []memmod.LocID
+	// arena backs weak-union growth of stored rows and the sorted
+	// location lists; they live as long as the PTS, matching the
+	// arena's never-reset lifetime.
+	arena memmod.Arena
 
 	// hooks fires after any record change to a location (OnChange) and
 	// when a new φ-function is first placed at a meet node (OnPhi). The
@@ -117,82 +85,28 @@ func (p *PTS) SetHooks(h Hooks) {
 	p.hooks = h
 }
 
-func idHash(id memmod.LocID) uint32 {
-	h := uint32(id) * 0x9e3779b1
-	return h ^ h>>16
-}
-
-// slot returns the dense slot of id, or -1 if the PTS has no state for
-// it yet. Read-only: safe on frozen instances.
+// slot returns the slot of id, or -1 if the PTS has no state for it
+// yet. Read-only: safe on frozen instances.
 func (p *PTS) slot(id memmod.LocID) int32 {
-	if len(p.idx) == 0 {
-		return -1
+	if si, ok := p.idx[id]; ok {
+		return si
 	}
-	mask := uint32(len(p.idx) - 1)
-	h := idHash(id) & mask
-	for {
-		k := p.idx[h].key
-		if k == 0 {
-			return -1
-		}
-		if k == id+1 {
-			return p.idx[h].val
-		}
-		h = (h + 1) & mask
-	}
+	return -1
 }
 
 // slotOrNew returns the slot of id, creating it (with empty state) on
 // first use. Only the owning evaluation context may call it.
 func (p *PTS) slotOrNew(id memmod.LocID) int32 {
-	if len(p.idx) == 0 {
-		p.idx = make([]idxSlot, 64)
-		// Pre-size the slot array with the index so small and mid-size
-		// procedures never regrow (the index resizes at 48 live slots).
-		p.slots = make([]locSlot, 0, 48)
+	if si, ok := p.idx[id]; ok {
+		return si
 	}
-	mask := uint32(len(p.idx) - 1)
-	h := idHash(id) & mask
-	for {
-		k := p.idx[h].key
-		if k == 0 {
-			break
-		}
-		if k == id+1 {
-			return p.idx[h].val
-		}
-		h = (h + 1) & mask
+	if p.idx == nil {
+		p.idx = make(map[memmod.LocID]int32)
 	}
-	if 4*(len(p.slots)+1) >= 3*len(p.idx) {
-		p.growIdx()
-		mask = uint32(len(p.idx) - 1)
-		h = idHash(id) & mask
-		for p.idx[h].key != 0 {
-			h = (h + 1) & mask
-		}
-	}
-	p.idx[h].key = id + 1
 	si := int32(len(p.slots))
-	p.idx[h].val = si
+	p.idx[id] = si
 	p.slots = append(p.slots, locSlot{id: id})
 	return si
-}
-
-func (p *PTS) growIdx() {
-	old := p.idx
-	n := 2 * len(old)
-	p.idx = make([]idxSlot, n)
-	mask := uint32(n - 1)
-	for _, e := range old {
-		if e.key == 0 {
-			continue
-		}
-		h := idHash(e.key-1) & mask
-		for p.idx[h].key != 0 {
-			h = (h + 1) & mask
-		}
-		p.idx[h] = e
-	}
 }
 
 // rowsOf returns the records of id (nil if none). Read-only.
@@ -215,17 +129,6 @@ func (p *PTS) locGen(id memmod.LocID) uint32 {
 // records. Rehome renumbers generations, and it runs only after a
 // subsumption, which moves memmod.SubsumeGen. Read-only.
 func (p *PTS) Gen(loc memmod.LocSet) uint32 { return p.locGen(p.in.ID(loc)) }
-
-// newRecord carves a record out of the slab. Chunks are never recycled
-// or moved, so the returned pointer is stable for the PTS lifetime.
-func (p *PTS) newRecord() *Record {
-	if len(p.recSlab) == 0 {
-		p.recSlab = make([]Record, recSlabSize)
-	}
-	r := &p.recSlab[0]
-	p.recSlab = p.recSlab[1:]
-	return r
-}
 
 // LookupIn returns the values of loc flowing INTO node at (excluding any
 // record at the node itself): the nearest strictly-dominating record.
@@ -304,21 +207,11 @@ func (p *PTS) assign(loc memmod.LocSet, vals memmod.ValueSet, at *cfg.Node, stro
 				// for a new record, since vals is usually the caller's
 				// arena-backed scratch.
 				if !r.Vals.Equal(vals) {
-					r.Vals = p.storeClone(vals)
-					r.bits = nil // rebuilt lazily if the row grows again
+					r.Vals = vals.Clone()
 					changed = true
 				}
 			} else {
-				if r.bits == nil && r.Vals.Len() >= memmod.DenseThreshold {
-					r.bits = memmod.NewRowBits(p.in, r.Vals)
-				}
-				var grew bool
-				if r.bits != nil {
-					grew = r.bits.UnionInto(&r.Vals, vals)
-				} else {
-					grew = p.arena.AddAll(&r.Vals, vals)
-				}
-				if grew {
+				if p.arena.AddAll(&r.Vals, vals) {
 					changed = true
 				}
 				if r.Strong && !strong {
@@ -332,32 +225,12 @@ func (p *PTS) assign(loc memmod.LocSet, vals memmod.ValueSet, at *cfg.Node, stro
 			return changed
 		}
 	}
-	r := p.newRecord()
-	*r = Record{Node: at, Loc: loc, Vals: p.storeClone(vals), Strong: strong, Phi: phi}
+	r := &Record{Node: at, Loc: loc, Vals: vals.Clone(), Strong: strong, Phi: phi}
 	if si < 0 {
 		si = p.slotOrNew(id)
 		p.locsCache = nil
 	}
-	rs := p.slots[si].rows
-	if len(rs) == 0 {
-		if len(p.ptrSlab) < 2 {
-			p.ptrSlab = make([]*Record, ptrSlabSize)
-		}
-		rs = p.ptrSlab[0:0:2]
-		p.ptrSlab = p.ptrSlab[2:]
-	} else if len(rs) == cap(rs) && cap(rs) <= recSlabSize {
-		// Re-carve a doubled header from the slab instead of letting
-		// append reallocate on the heap for every growing location.
-		n := 2 * cap(rs)
-		if len(p.ptrSlab) < n {
-			p.ptrSlab = make([]*Record, ptrSlabSize)
-		}
-		ns := p.ptrSlab[0:len(rs):n]
-		p.ptrSlab = p.ptrSlab[n:]
-		copy(ns, rs)
-		rs = ns
-	}
-	p.slots[si].rows = append(rs, r)
+	p.slots[si].rows = append(p.slots[si].rows, r)
 	p.bumpSlot(si, loc)
 	p.insertPhis(id, at)
 	return true
@@ -370,22 +243,6 @@ func (p *PTS) rowRecordAt(si int32, at *cfg.Node) *Record {
 		}
 	}
 	return nil
-}
-
-// storeClone snapshots vals for a stored record, carving the backing
-// from the location slab (records live for the PTS lifetime; batching
-// their member storage into chunks keeps them off the allocator).
-func (p *PTS) storeClone(vals memmod.ValueSet) memmod.ValueSet {
-	n := vals.Len()
-	if n == 0 || n > recSlabSize {
-		return vals.Clone()
-	}
-	if len(p.locSlab) < n {
-		p.locSlab = make([]memmod.LocSet, locSlabSize)
-	}
-	dst := p.locSlab[0:n:n]
-	p.locSlab = p.locSlab[n:]
-	return vals.CloneInto(dst)
 }
 
 // bumpSlot moves the change generation of the location in slot si
@@ -419,23 +276,6 @@ func (p *PTS) insertPhis(id memmod.LocID, node *cfg.Node) {
 			if has {
 				continue
 			}
-			switch {
-			case len(set) == 0:
-				if len(p.idSlab) < 4 {
-					p.idSlab = make([]memmod.LocID, idSlabSize)
-				}
-				set = p.idSlab[0:0:4]
-				p.idSlab = p.idSlab[4:]
-			case len(set) == cap(set) && cap(set) <= 64:
-				n := 2 * cap(set)
-				if len(p.idSlab) < n {
-					p.idSlab = make([]memmod.LocID, idSlabSize)
-				}
-				ns := p.idSlab[0:len(set):n]
-				p.idSlab = p.idSlab[n:]
-				copy(ns, set)
-				set = ns
-			}
 			p.phis[m.ID] = append(set, id)
 			if p.phiCache != nil {
 				p.phiCache[m.ID] = nil
@@ -467,7 +307,7 @@ func (p *PTS) PhiLocs(nd *cfg.Node) []memmod.LocSet {
 	for _, id := range set {
 		out = append(out, p.in.Loc(id))
 	}
-	sortLocs(out)
+	slices.SortStableFunc(out, compareLocs)
 	if p.phiCache == nil {
 		p.phiCache = make([][]memmod.LocSet, len(p.proc.Nodes))
 	}
@@ -475,64 +315,17 @@ func (p *PTS) PhiLocs(nd *cfg.Node) []memmod.LocSet {
 	return out
 }
 
-// sortLocs sorts location sets by (base name, offset, stride). Both
-// sort.Slice (reflection-based swapper) and sort.Sort (interface boxing
-// of the slice header) allocate per call, so this is a hand-rolled
-// quicksort with an insertion-sort cutoff — the lists are tiny in the
-// common case.
-func sortLocs(s []memmod.LocSet) {
-	for len(s) > 12 {
-		// Median-of-three pivot, moved to the front.
-		m := len(s) / 2
-		lo, hi := 0, len(s)-1
-		if lessLoc(s[m], s[lo]) {
-			s[m], s[lo] = s[lo], s[m]
-		}
-		if lessLoc(s[hi], s[lo]) {
-			s[hi], s[lo] = s[lo], s[hi]
-		}
-		if lessLoc(s[hi], s[m]) {
-			s[hi], s[m] = s[m], s[hi]
-		}
-		pivot := s[m]
-		i, j := 0, len(s)-1
-		for i <= j {
-			for lessLoc(s[i], pivot) {
-				i++
-			}
-			for lessLoc(pivot, s[j]) {
-				j--
-			}
-			if i <= j {
-				s[i], s[j] = s[j], s[i]
-				i++
-				j--
-			}
-		}
-		// Recurse into the smaller half, loop on the larger.
-		if j < len(s)-i {
-			sortLocs(s[:j+1])
-			s = s[i:]
-		} else {
-			sortLocs(s[i:])
-			s = s[:j+1]
-		}
-	}
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && lessLoc(s[j], s[j-1]); j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-func lessLoc(a, b memmod.LocSet) bool {
+// compareLocs orders location sets by (base name, offset, stride).
+// Sets on distinct blocks that share a name compare equal, so the
+// sorts are stable: such sets keep their insertion order.
+func compareLocs(a, b memmod.LocSet) int {
 	if a.Base != b.Base {
-		return a.Base.Name < b.Base.Name
+		return cmp.Compare(a.Base.Name, b.Base.Name)
 	}
-	if a.Off != b.Off {
-		return a.Off < b.Off
+	if c := cmp.Compare(a.Off, b.Off); c != 0 {
+		return c
 	}
-	return a.Stride < b.Stride
+	return cmp.Compare(a.Stride, b.Stride)
 }
 
 // FindStrongUpdate returns the nearest dominating node (strictly before
@@ -563,7 +356,7 @@ func (p *PTS) Locations() []memmod.LocSet {
 	for i := range p.slots {
 		out = append(out, p.in.Loc(p.slots[i].id))
 	}
-	sortLocs(out)
+	slices.SortStableFunc(out, compareLocs)
 	p.locsCache = out
 	return out
 }
@@ -576,20 +369,6 @@ func (p *PTS) NumRecords() int {
 	n := 0
 	for i := range p.slots {
 		n += len(p.slots[i].rows)
-	}
-	return n
-}
-
-// NumDenseRows returns the number of stored records whose value set
-// carries the bitset index (observability for tests and benchmarks).
-func (p *PTS) NumDenseRows() int {
-	n := 0
-	for i := range p.slots {
-		for _, r := range p.slots[i].rows {
-			if r.bits != nil {
-				n++
-			}
-		}
 	}
 	return n
 }

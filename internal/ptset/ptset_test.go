@@ -1,6 +1,8 @@
 package ptset
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"wlpa/internal/cast"
@@ -277,6 +279,177 @@ func TestPhiLocsDeterministicOrder(t *testing.T) {
 		if got[i-1].Base.Name > got[i].Base.Name {
 			t.Errorf("phi locs not sorted: %v", got)
 		}
+	}
+}
+
+// member returns the i-th member location of the row tests' shared
+// universe.
+func member(i int) memmod.LocSet { return loc(fmt.Sprintf("row_m%02d", i)) }
+
+// TestDensePromotionBoundary grows one row a member at a time by weak
+// unions, past 16 members, the size at which rows once grew a bitset
+// index: after each union the row holds exactly the members added so
+// far, and re-adding one it holds reports no change and adds nothing.
+func TestDensePromotionBoundary(t *testing.T) {
+	p, entry, _, _, _ := diamondProc(t)
+	pts := New(p, memmod.NewInterner())
+	target := loc("row_grow")
+	for i := 0; i < 24; i++ {
+		if !pts.Assign(target, memmod.Values(member(i)), entry, false) {
+			t.Fatalf("step %d: adding a new member reported no change", i)
+		}
+		if pts.Assign(target, memmod.Values(member(i/2)), entry, false) {
+			t.Fatalf("step %d: re-adding member %d reported a change", i, i/2)
+		}
+		vals, ok := pts.LookupOut(target, entry, nil)
+		if !ok {
+			t.Fatalf("step %d: row not found", i)
+		}
+		if got, want := vals.Len(), i+1; got != want {
+			t.Fatalf("step %d: Len = %d, want %d", i, got, want)
+		}
+		for j := 0; j <= i; j++ {
+			if !vals.Has(member(j)) {
+				t.Fatalf("step %d: member %d missing", i, j)
+			}
+		}
+	}
+}
+
+// TestDensePromotionOnNoGrowthUnion pins the no-growth union on a
+// 16-member row: re-adding a member the row holds reports no change
+// and leaves the row as it was.
+func TestDensePromotionOnNoGrowthUnion(t *testing.T) {
+	p, entry, _, _, _ := diamondProc(t)
+	pts := New(p, memmod.NewInterner())
+	target := loc("row_full")
+	for i := 0; i < 16; i++ {
+		pts.Assign(target, memmod.Values(member(i)), entry, false)
+	}
+	if changed := pts.Assign(target, memmod.Values(member(0)), entry, false); changed {
+		t.Fatal("re-adding an existing member reported a change")
+	}
+	vals, _ := pts.LookupOut(target, entry, nil)
+	if got := vals.Len(); got != 16 {
+		t.Fatalf("Len = %d, want 16", got)
+	}
+	for i := 0; i < 16; i++ {
+		if !vals.Has(member(i)) {
+			t.Fatalf("member %d missing", i)
+		}
+	}
+}
+
+// TestRowUnionMatchesModel is the row-union property test: random weak
+// unions of batches of 1-10 members from a 40-member universe must
+// leave the row equal to a model set.
+func TestRowUnionMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	universe := make([]memmod.LocSet, 40)
+	for i := range universe {
+		universe[i] = member(i)
+	}
+	for trial := 0; trial < 100; trial++ {
+		p, entry, _, _, _ := diamondProc(t)
+		pts := New(p, memmod.NewInterner())
+		target := loc(fmt.Sprintf("row_trial%d", trial))
+		model := map[int]bool{}
+		batches := 2 + rng.Intn(6)
+		for bi := 0; bi < batches; bi++ {
+			var batch memmod.ValueSet
+			n := 1 + rng.Intn(10)
+			for k := 0; k < n; k++ {
+				m := rng.Intn(len(universe))
+				batch.Add(universe[m])
+				model[m] = true
+			}
+			pts.Assign(target, batch, entry, false)
+			vals, ok := pts.LookupOut(target, entry, nil)
+			if !ok {
+				t.Fatalf("trial %d: row not found", trial)
+			}
+			if vals.Len() != len(model) {
+				t.Fatalf("trial %d batch %d: Len = %d, model has %d",
+					trial, bi, vals.Len(), len(model))
+			}
+			for m := range model {
+				if !vals.Has(universe[m]) {
+					t.Fatalf("trial %d batch %d: member %d missing", trial, bi, m)
+				}
+			}
+		}
+	}
+}
+
+// TestStrongReplaceLargeRow replaces a 20-member row by strong updates
+// (down to one member and back), then grows it by a weak union.
+func TestStrongReplaceLargeRow(t *testing.T) {
+	p, entry, _, _, _ := diamondProc(t)
+	pts := New(p, memmod.NewInterner())
+	target := loc("row_strong")
+	var big memmod.ValueSet
+	for i := 0; i < 20; i++ {
+		big.Add(member(i))
+	}
+	pts.Assign(target, big, entry, true)
+	small := memmod.Values(member(0))
+	pts.Assign(target, small, entry, true)
+	vals, _ := pts.LookupOut(target, entry, nil)
+	if !vals.Equal(small) {
+		t.Fatalf("strong replace = %v, want %v", vals, small)
+	}
+	pts.Assign(target, big, entry, true)
+	pts.Assign(target, memmod.Values(member(21)), entry, false)
+	vals, _ = pts.LookupOut(target, entry, nil)
+	if got, want := vals.Len(), big.Len()+1; got != want {
+		t.Fatalf("Len after strong replace and weak union = %d, want %d", got, want)
+	}
+}
+
+// TestRehomeMergedRowWeakUnion unions into a row that Rehome merged:
+// parameter Q's record is folded into P's record at the same node when
+// Q is subsumed into P, and a later weak union of the member Q brought
+// must find it there, reporting no change and storing it once. P's row
+// is 16 members large and has already taken a no-growth union: on that
+// shape a membership index beside the row, which the merge bypassed,
+// once reported the member new and stored it twice.
+func TestRehomeMergedRowWeakUnion(t *testing.T) {
+	p, entry, _, _, _ := diamondProc(t)
+	pts := New(p, memmod.NewInterner())
+	bp := memmod.NewParam(1, "P")
+	bq := memmod.NewParam(2, "Q")
+	lp, lq := memmod.Loc(bp, 0, 0), memmod.Loc(bq, 0, 0)
+	var row memmod.ValueSet
+	for i := 0; i < 16; i++ {
+		row.Add(member(i))
+	}
+	pts.Assign(lp, row, entry, false)
+	pts.Assign(lp, row, entry, false)
+	m := member(16)
+	pts.Assign(lq, memmod.Values(m), entry, false)
+	bq.Subsume(bp, 0, false)
+	pts.Rehome()
+
+	merged, _ := pts.LookupOut(lp, entry, nil)
+	merged = merged.Clone()
+	if changed := pts.Assign(lp, memmod.Values(m), entry, false); changed {
+		t.Error("weak union of a member the merged row holds reported a change")
+	}
+	got, _ := pts.LookupOut(lp, entry, nil)
+	if got.Len() != 17 {
+		t.Errorf("Len = %d, want 17", got.Len())
+	}
+	n := 0
+	for _, l := range got.Locs() {
+		if l == m {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Errorf("the row holds %v %d times, want once", m, n)
+	}
+	if !got.Equal(merged) {
+		t.Errorf("row = %v, want the merged row %v", got, merged)
 	}
 }
 

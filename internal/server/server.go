@@ -40,8 +40,8 @@ type Config struct {
 	MaxInflight int
 	// BaselineCap bounds how many warm-edit baselines are held for
 	// incremental grafting; 0 means 8. Each baseline pins a full
-	// converged analysis, trimmed to what it answers with (0.3-2.1 MB
-	// for a suite program, compiler 1.4 MB, on Go 1.24), so this is the
+	// converged analysis, trimmed to what it answers with (0.2-1.2 MB
+	// for a suite program, compiler 0.9 MB, on Go 1.24), so this is the
 	// daemon's main memory knob.
 	BaselineCap int
 	// Logger receives structured request logs (nil = slog.Default()).
